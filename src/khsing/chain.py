@@ -13,7 +13,6 @@ differ between anticommutator and commutator identities.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ContractViolation
@@ -133,8 +132,8 @@ class ChainComplex:
             groups.setdefault(j, []).append(ix)
         return groups
 
-    def homology(self, ring: Ring | None = None, graded: bool | None = None,
-                 threads: int = 1) -> HomologySummary:
+    def homology(self, ring: Ring | None = None,
+                 graded: bool | None = None) -> HomologySummary:
         """Homology summary, optionally refined by the quantum grading.
 
         ``ring`` defaults to the complex's own coefficient ring; passing a
@@ -147,10 +146,10 @@ class ChainComplex:
             graded = cx.q is not None
         if graded and cx.q is None:
             raise ContractViolation("no quantum grading available")
-        tasks = []
+        groups = {}
         if not graded:
             for i in cx.degrees():
-                tasks.append((i, cx.diff(i - 1), cx.diff(i)))
+                groups[i] = homology_at(cx.diff(i - 1), cx.diff(i), ring)
         else:
             cx.check_bidegree()
             for i in cx.degrees():
@@ -162,18 +161,8 @@ class ChainComplex:
                 for j, idx in sorted(blocks.items()):
                     d_in = d_in_full.submatrix(idx, prev.get(j, []))
                     d_out = d_out_full.submatrix(nxt.get(j, []), idx)
-                    tasks.append(((i, j), d_in, d_out))
-
-        def work(task):
-            key, d_in, d_out = task
-            return key, homology_at(d_in, d_out, ring)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, tasks))
-        else:
-            results = [work(t) for t in tasks]
-        return HomologySummary.build(ring, dict(results))
+                    groups[(i, j)] = homology_at(d_in, d_out, ring)
+        return HomologySummary.build(ring, groups)
 
     def graded_euler_characteristic(self):
         """Coefficient dict {j: sum of (-1)^i rank C^(i,j)}."""
@@ -336,9 +325,9 @@ def shift(c: ChainComplex, k: int) -> ChainComplex:
 
 
 def homology(c: ChainComplex, ring: Ring | None = None,
-             graded: bool | None = None, threads: int = 1) -> HomologySummary:
+             graded: bool | None = None) -> HomologySummary:
     """Homology summary of a complex; see ChainComplex.homology."""
-    return c.homology(ring=ring, graded=graded, threads=threads)
+    return c.homology(ring=ring, graded=graded)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,7 @@ def _add_ring_args(p):
 def cmd_homology(args) -> int:
     d = _load(args.diagram)
     ring = _RINGS[args.ring]()
-    summary = homology_signature(d, ring, args.h, args.t,
-                                 threads=args.threads)
+    summary = homology_signature(d, ring, args.h, args.t)
     if args.format == "json":
         out = {"diagram": d.name, "h": args.h, "t": args.t}
         out.update(summary.to_json_dict())
@@ -111,8 +110,7 @@ def cmd_invariance(args) -> int:
         sigs = []
         for name in group["files"]:
             d = _load(str(root / f"{name}.json"))
-            sigs.append((name, homology_signature(d, ring, args.h, args.t,
-                                                   threads=args.threads)))
+            sigs.append((name, homology_signature(d, ring, args.h, args.t)))
         base_name, base = sigs[0]
         bad = [name for name, s in sigs[1:] if s != base]
         status = "ok" if not bad else f"MISMATCH vs {base_name}: {bad}"
@@ -131,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="khsing",
         description="Khovanov-type homology of (singular) link diagrams")
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-degree homology")
     sub = p.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("homology", help="homology of a diagram")

@@ -430,14 +430,26 @@ def parse(text) -> Diagram:
     pd = obj["pd"]
     if not isinstance(pd, list):
         raise ParseError("'pd' must be a list of 4-tuples")
+    for c in pd:
+        if not isinstance(c, (list, tuple)) or not all(map(_is_int, c)):
+            raise ParseError(f"crossing {c!r} is not a list of integer "
+                             "edge labels")
     singular = obj.get("singular", [])
     if not isinstance(singular, list):
         raise ParseError("'singular' must be a list of crossing indices")
     for i in singular:
-        if not isinstance(i, int) or not 0 <= i < len(pd):
-            raise ParseError(f"singular index {i!r} out of range")
+        if not _is_int(i) or not 0 <= i < len(pd):
+            raise ParseError(f"singular index {i!r} is not a crossing index")
+    free_loops = obj.get("free_loops", 0)
+    if not _is_int(free_loops):
+        raise ParseError(f"free_loops {free_loops!r} is not an integer")
     kinds = [SINGULAR if i in set(singular) else ORDINARY for i in range(len(pd))]
-    return Diagram(pd, kinds, obj.get("free_loops", 0), obj.get("name"))
+    return Diagram(pd, kinds, free_loops, obj.get("name"))
+
+
+def _is_int(v) -> bool:
+    """JSON integers only: bool is an int subclass and floats truncate."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def from_braid(word, strands: int, name=None) -> Diagram:

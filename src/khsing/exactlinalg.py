@@ -1,9 +1,22 @@
 """Exact sparse linear algebra over Z, Q, and Z/p.
 
 Everything downstream (cube complexes, mapping cones, homology) reduces to
-three primitives implemented here: exact rank computation, Smith normal form
-over the integers, and the kernel/image bookkeeping that turns a pair of
-composable differentials into a homology group.
+three primitives implemented here: exact rank, Smith normal form over the
+integers, and null-space bases.  All three run one elimination routine,
+``_eliminate``, on row-sparse integer matrices, over Z or modulo a prime p.
+Rational matrices are first scaled row by row to integers, which changes
+neither rank nor kernel.
+
+Pivot rule: a heap orders the active rows by (smallest |entry|, length), so
+unit entries in short rows come first.  Within the chosen row the pivot is
+the smallest entry whose column is shortest, which keeps fill-in low
+(Markowitz).  Row operations clear its column: division with remainder
+over Z, the inverse over Z/p.  The pivot retires once its column is
+otherwise zero and it divides the rest of its row, which column operations
+then clear; any remainder puts the row back on the heap (the Euclid step
+over Z).  When no transforms are recorded, a pivot that divides its row
+just drops the row.  Smith normal form finally turns the retired pivots
+into a divisor chain with 2x2 gcd/lcm steps on the non-unit ones.
 
 All arithmetic is exact: Python ints for Z and Z/p, ``fractions.Fraction``
 for Q.  No floating point anywhere.
@@ -11,16 +24,12 @@ for Q.  No floating point anywhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import ContractViolation
-
-# Size (rows * cols) below which Smith reduction runs on dense lists; sparse
-# index maintenance costs more than it saves on tiny blocks.
-_DENSE_LIMIT = 64 * 64
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -316,435 +325,168 @@ class SmithDecomposition:
                             {(i, i): d for i, d in enumerate(self.diagonal)})
 
 
-class _DenseSmith:
-    """Textbook Smith reduction on dense integer lists."""
-
-    def __init__(self, rows_list, nrows, ncols, transforms):
-        self.m = [row[:] for row in rows_list]
-        self.nrows = nrows
-        self.ncols = ncols
-        self.track = transforms
-        self.left = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transforms else None
-        self.right = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if transforms else None
-
-    def row_op(self, i, j, q):
-        # row_i += q * row_j
-        mi, mj = self.m[i], self.m[j]
-        for c in range(self.ncols):
-            if mj[c]:
-                mi[c] += q * mj[c]
-        if self.track:
-            li, lj = self.left[i], self.left[j]
-            for c in range(self.nrows):
-                if lj[c]:
-                    li[c] += q * lj[c]
-
-    def col_op(self, i, j, q):
-        # col_i += q * col_j
-        for row in self.m:
-            if row[j]:
-                row[i] += q * row[j]
-        if self.track:
-            for row in self.right:
-                if row[j]:
-                    row[i] += q * row[j]
-
-    def swap_rows(self, i, j):
-        self.m[i], self.m[j] = self.m[j], self.m[i]
-        if self.track:
-            self.left[i], self.left[j] = self.left[j], self.left[i]
-
-    def swap_cols(self, i, j):
-        for row in self.m:
-            row[i], row[j] = row[j], row[i]
-        if self.track:
-            for row in self.right:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(self, i):
-        self.m[i] = [-v for v in self.m[i]]
-        if self.track:
-            self.left[i] = [-v for v in self.left[i]]
-
-    def reduce(self):
-        m, nrows, ncols = self.m, self.nrows, self.ncols
-        k = 0  # next diagonal slot
-        while True:
-            # pick pivot among active block [k:, k:]: min |v|, then sparsity
-            best = None
-            for r in range(k, nrows):
-                row = m[r]
-                for c in range(k, ncols):
-                    v = row[c]
-                    if v:
-                        nz = (sum(1 for x in row[k:] if x)
-                              + sum(1 for rr in range(k, nrows) if m[rr][c]))
-                        key = (abs(v), nz, r, c)
-                        if best is None or key < best[0]:
-                            best = (key, r, c)
-            if best is None:
-                break
-            _, pr, pc = best
-            if pr != k:
-                self.swap_rows(k, pr)
-            if pc != k:
-                self.swap_cols(k, pc)
-            while True:
-                if m[k][k] < 0:
-                    self.negate_row(k)
-                pivot = m[k][k]
-                moved = False
-                for r in range(k + 1, nrows):
-                    v = m[r][k]
-                    if v:
-                        q, rem = divmod(v, pivot)
-                        self.row_op(r, k, -q)
-                        if rem:
-                            self.swap_rows(k, r)
-                            moved = True
-                            break
-                if moved:
-                    continue
-                for c in range(k + 1, ncols):
-                    v = m[k][c]
-                    if v:
-                        q, rem = divmod(v, pivot)
-                        self.col_op(c, k, -q)
-                        if rem:
-                            self.swap_cols(k, c)
-                            moved = True
-                            break
-                if not moved:
-                    break
-            k += 1
-        self._fix_divisibility(k)
-        diag = tuple(m[i][i] for i in range(k))
-        return diag
-
-    def _fix_divisibility(self, k):
-        # pairwise (a, b) -> (gcd, lcm) passes until the chain divides
-        changed = True
-        while changed:
-            changed = False
-            for i in range(k):
-                if self.m[i][i] < 0:
-                    self.negate_row(i)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    a, b = self.m[i][i], self.m[j][j]
-                    if b % a == 0:
-                        continue
-                    changed = True
-                    # col_i += col_j, then clear with exact Euclid steps
-                    self.col_op(i, j, 1)
-                    while True:
-                        if self.m[i][i] < 0:
-                            self.negate_row(i)
-                        p = self.m[i][i]
-                        v = self.m[j][i]
-                        if v == 0:
-                            break
-                        q, rem = divmod(v, p)
-                        self.row_op(j, i, -q)
-                        if self.m[j][i]:
-                            self.swap_rows(i, j)
-                    # row i now (g, c_ij'); clear the off-diagonal entry
-                    p = self.m[i][i]
-                    v = self.m[i][j]
-                    if v:
-                        self.col_op(j, i, -(v // p))
-                    if self.m[i][j]:
-                        raise AssertionError("divisibility fix failed")
-                    if self.m[j][j] < 0:
-                        self.negate_row(j)
-
-
-def _snf_dense(m: SparseMatrix, transforms: bool) -> SmithDecomposition:
-    eng = _DenseSmith(m.to_rows(), m.rows, m.cols, transforms)
-    diag = eng.reduce()
-    left = right = None
-    if transforms:
-        left = SparseMatrix.from_rows(eng.left, ZZ) if m.rows else SparseMatrix.zero(0, 0, ZZ)
-        right = SparseMatrix.from_rows(eng.right, ZZ) if m.cols else SparseMatrix.zero(0, 0, ZZ)
-    return SmithDecomposition(diag, m.rows, m.cols, left, right)
-
-
-def _divisor_chain(values):
-    """Smith divisors of a diagonal matrix with the given nonzero entries:
-    repeated pairwise (gcd, lcm) replacement, then sorted."""
-    vals = sorted(abs(v) for v in values)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a:
-                    g = gcd(a, b)
-                    vals[i], vals[j] = g, a * b // g
-                    changed = True
-        if changed:
-            vals.sort()
-    return tuple(vals)
-
-
-class _SparseSmith:
-    """Smith reduction on dict-of-dicts rows with column index tracking.
-
-    Pivot choice: smallest absolute value, ties broken by fewest nonzeros in
-    the pivot row plus column, then by position.  This keeps intermediate
-    entries small on cube differentials, which are mostly unit entries.
-    With transforms off, finished pivots leave the active structures and the
-    divisor chain is recovered arithmetically from the diagonal values.
-    """
-
-    def __init__(self, entries, nrows, ncols, transforms):
-        self.rows = {}
-        self.colidx = {}
-        for (r, c), v in entries.items():
-            self.rows.setdefault(r, {})[c] = v
-            self.colidx.setdefault(c, set()).add(r)
-        self.track = transforms
-        self.nrows = nrows
-        self.ncols = ncols
-        self.left = {i: {i: 1} for i in range(nrows)} if transforms else None
-        # right transform tracked column-wise: right[c] = {r: v} column vector
-        self.right = {i: {i: 1} for i in range(ncols)} if transforms else None
-        self.done_rows = set()
-        self.done_cols = set()
-        self.finished = []
-
-    def _row_nnz(self, r):
-        return len(self.rows.get(r, ()))
-
-    def _col_nnz(self, c):
-        return len(self.colidx.get(c, ()))
-
-    def _retire(self, pr, pc, value):
-        """Drop a finished pivot from the active structures (untracked runs
-        only); the divisor chain is recovered arithmetically at the end."""
-        self.finished.append(value)
-        self.rows.pop(pr, None)
-        self.colidx.pop(pc, None)
-
-    def _set(self, r, c, v):
-        row = self.rows.setdefault(r, {})
-        if v:
-            row[c] = v
-            self.colidx.setdefault(c, set()).add(r)
+def _axpy(y: dict, f: int, x: dict, p: int | None) -> None:
+    """y += f * x for sparse vectors {index: value}, reduced mod p if given;
+    zeros are dropped."""
+    for k, v in x.items():
+        s = y.get(k, 0) + f * v
+        if p:
+            s %= p
+        if s:
+            y[k] = s
         else:
-            if c in row:
-                del row[c]
-                self.colidx[c].discard(r)
+            y.pop(k, None)
 
-    def row_op(self, i, j, q):
-        # row_i += q * row_j
-        for c, v in list(self.rows.get(j, {}).items()):
-            cur = self.rows.get(i, {}).get(c, 0) + q * v
-            self._set(i, c, cur)
-        if self.track:
-            li = self.left.setdefault(i, {})
-            for c, v in self.left.get(j, {}).items():
-                s = li.get(c, 0) + q * v
-                if s:
-                    li[c] = s
+
+def _eliminate(rows: dict, nrows: int, ncols: int, p: int | None = None,
+               track: bool = False):
+    """Reduce a row-sparse integer matrix until only pivots remain.
+
+    ``rows`` maps row -> {col: nonzero int} and is consumed.  The arithmetic
+    is over Z, or over Z/p when ``p`` is given (entries already reduced).
+    Returns ``(pivots, left, right)`` where ``pivots`` lists ``[row, col, d]``
+    with d > 0.  With ``track``, ``left`` (row -> {col: v}) and ``right``
+    (col -> {row: v}) are invertible and ``left * m * right`` is zero except
+    for d at each pivot position; otherwise both are None.
+    """
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    left = {r: {r: 1} for r in range(nrows)} if track else None
+    right = {c: {c: 1} for c in range(ncols)} if track else None
+
+    def entry(r, row):
+        return 1 if p else min(map(abs, row.values())), len(row), r
+
+    # Entries go stale when their row changes; every change pushes a fresh
+    # entry, so the smallest valid one always names the best active row.
+    heap = [entry(r, row) for r, row in rows.items() if row]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        top = heapq.heappop(heap)
+        small, _, pr = top
+        prow = rows.get(pr)
+        if not prow or entry(pr, prow) != top:
+            continue
+        pc = min((c for c, v in prow.items() if p or abs(v) == small),
+                 key=lambda c: len(cols[c]))
+        a = prow[pc]
+        inv = pow(a, -1, p) if p else None
+
+        # clear the pivot column with row operations
+        for r in [r for r in cols[pc] if r != pr]:
+            row = rows[r]
+            f = row[pc] * inv % p if p else row[pc] // a
+            if f:
+                for c, w in prow.items():
+                    s = row.get(c, 0) - f * w
+                    if p:
+                        s %= p
+                    if s:
+                        if c not in row:
+                            cols[c].add(r)
+                        row[c] = s
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+                if track:
+                    _axpy(left[r], -f, left[pr], p)
+            if row:
+                heapq.heappush(heap, entry(r, row))
+        if len(cols[pc]) > 1:
+            # remainders smaller than the pivot stay in its column (Euclid)
+            heapq.heappush(heap, top)
+            continue
+
+        # clear the pivot row with column operations; the pivot column is
+        # otherwise zero, so they touch no other row
+        divides = small == 1 or all(v % a == 0 for v in prow.values())
+        if track or not divides:
+            for c, v in list(prow.items()):
+                if c == pc:
+                    continue
+                f = v * inv % p if p else v // a
+                if track:
+                    _axpy(right[c], -f, right[pc], p)
+                rem = 0 if p else v - f * a
+                if rem:
+                    prow[c] = rem
                 else:
-                    li.pop(c, None)
-
-    def col_op(self, i, j, q):
-        # col_i += q * col_j
-        for r in list(self.colidx.get(j, ())):
-            v = self.rows[r][j]
-            cur = self.rows.get(r, {}).get(i, 0) + q * v
-            self._set(r, i, cur)
-        if self.track:
-            ri = self.right.setdefault(i, {})
-            for r, v in self.right.get(j, {}).items():
-                s = ri.get(r, 0) + q * v
-                if s:
-                    ri[r] = s
-                else:
-                    ri.pop(r, None)
-
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        ri = self.rows.pop(i, {})
-        rj = self.rows.pop(j, {})
-        for c in ri:
-            self.colidx[c].discard(i)
-        for c in rj:
-            self.colidx[c].discard(j)
-        if rj:
-            self.rows[i] = rj
-            for c in rj:
-                self.colidx[c].add(i)
-        if ri:
-            self.rows[j] = ri
-            for c in ri:
-                self.colidx[c].add(j)
-        if self.track:
-            self.left[i], self.left[j] = self.left.get(j, {}), self.left.get(i, {})
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        rows_i = self.colidx.get(i, set()).copy()
-        rows_j = self.colidx.get(j, set()).copy()
-        vals_i = {r: self.rows[r][i] for r in rows_i}
-        vals_j = {r: self.rows[r][j] for r in rows_j}
-        for r in rows_i:
-            self._set(r, i, 0)
-        for r in rows_j:
-            self._set(r, j, 0)
-        for r, v in vals_j.items():
-            self._set(r, i, v)
-        for r, v in vals_i.items():
-            self._set(r, j, v)
-        if self.track:
-            self.right[i], self.right[j] = self.right.get(j, {}), self.right.get(i, {})
-
-    def negate_row(self, i):
-        for c in self.rows.get(i, {}):
-            self.rows[i][c] = -self.rows[i][c]
-        if self.track:
-            self.left[i] = {c: -v for c, v in self.left.get(i, {}).items()}
-
-    def _pick_pivot(self):
-        # smallest absolute value, then lightest row+column; a unit entry in
-        # a singleton row and column cannot be beaten, so exit early on one
-        best = None
-        best_abs = None
-        best_fill = None
-        for r, row in self.rows.items():
-            if not row or (self.track and r in self.done_rows):
+                    del prow[c]
+                    cols[c].discard(pr)
+            if len(prow) > 1:
+                heapq.heappush(heap, entry(pr, prow))
                 continue
-            rn = len(row)
-            for c, v in row.items():
-                if self.track and c in self.done_cols:
-                    continue
-                a = -v if v < 0 else v
-                if best_abs is not None and a > best_abs:
-                    continue
-                fill = rn + len(self.colidx.get(c, ()))
-                key = (a, fill, r, c)
-                if best is None or key < (best_abs, best_fill) + best:
-                    best = (r, c)
-                    best_abs, best_fill = a, fill
-                    if a == 1 and fill <= 2:
-                        return best
-        return best
 
-    def reduce(self):
-        slots = []
-        while True:
-            picked = self._pick_pivot()
-            if picked is None:
-                break
-            pr, pc = picked
-            while True:
-                if self.rows.get(pr, {}).get(pc, 0) < 0:
-                    self.negate_row(pr)
-                pivot = self.rows[pr][pc]
-                moved = False
-                for r in sorted(self.colidx.get(pc, ())):
-                    if r == pr or r in self.done_rows:
-                        continue
-                    v = self.rows[r][pc]
-                    q, rem = divmod(v, pivot)
-                    if q:
-                        self.row_op(r, pr, -q)
-                    if rem:
-                        pr = r
-                        moved = True
-                        break
-                if moved:
-                    continue
-                for c in sorted(self.rows.get(pr, {}).keys()):
-                    if c == pc or c in self.done_cols:
-                        continue
-                    v = self.rows[pr][c]
-                    q, rem = divmod(v, pivot)
-                    if q:
-                        self.col_op(c, pc, -q)
-                    if rem:
-                        pc = c
-                        moved = True
-                        break
-                if not moved:
-                    break
-            if self.track:
-                self.done_rows.add(pr)
-                self.done_cols.add(pc)
-                slots.append((pr, pc))
-            else:
-                self._retire(pr, pc, self.rows[pr][pc])
-        if not self.track:
-            return _divisor_chain(self.finished)
-        self._fix_divisibility(slots)
-        # normalize: move pivots onto leading diagonal in divisor order
-        diag = []
-        for k, (pr, pc) in enumerate(sorted(slots, key=lambda s: self.rows[s[0]][s[1]])):
-            diag.append((pr, pc))
-        for k, (pr, pc) in enumerate(diag):
-            self.done_rows.discard(pr)
-            self.done_cols.discard(pc)
-            self.swap_rows(k, pr)
-            self.swap_cols(k, pc)
-            # keep later slot records in sync with the swap
-            for idx in range(k + 1, len(diag)):
-                qr, qc = diag[idx]
-                if qr == k:
-                    qr = pr
-                elif qr == pr:
-                    qr = k
-                if qc == k:
-                    qc = pc
-                elif qc == pc:
-                    qc = k
-                diag[idx] = (qr, qc)
-        return tuple(self.rows[i][i] for i in range(len(diag)))
+        for c in prow:
+            cols[c].discard(pr)
+        del rows[pr]
+        if a < 0 and track:
+            left[pr] = {c: -v for c, v in left[pr].items()}
+        pivots.append([pr, pc, abs(a)])
+    return pivots, left, right
 
-    def _fix_divisibility(self, slots):
-        # each 2x2 fix replaces (a, b) with (gcd, lcm); the sorted value
-        # multiset strictly decreases lexicographically, so this terminates
-        while True:
-            for (r, c) in slots:
-                if self.rows[r][c] < 0:
-                    self.negate_row(r)
-            order = sorted(slots, key=lambda rc: self.rows[rc[0]][rc[1]])
-            offender = None
-            for ii in range(len(order)):
-                for jj in range(ii + 1, len(order)):
-                    a = self.rows[order[ii][0]][order[ii][1]]
-                    b = self.rows[order[jj][0]][order[jj][1]]
-                    if b % a:
-                        offender = (order[ii], order[jj])
-                        break
-                if offender:
-                    break
-            if offender is None:
-                return
-            (ra, ca), (rb, cb) = offender
-            self.col_op(ca, cb, 1)
-            while True:
-                if self.rows.get(ra, {}).get(ca, 0) < 0:
-                    self.negate_row(ra)
-                p = self.rows[ra][ca]
-                v = self.rows.get(rb, {}).get(ca, 0)
-                if v == 0:
-                    break
-                q, rem = divmod(v, p)
-                if q:
-                    self.row_op(rb, ra, -q)
-                if self.rows.get(rb, {}).get(ca, 0):
-                    self.swap_rows(ra, rb)
-            p = self.rows[ra][ca]
-            v = self.rows.get(ra, {}).get(cb, 0)
-            if v:
-                self.col_op(cb, ca, -(v // p))
-            if self.rows.get(ra, {}).get(cb, 0):
-                raise AssertionError("divisibility fix failed")
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s * a + t * b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _comb(x: dict, s: int, y: dict, t: int) -> dict:
+    """s * x + t * y for sparse integer vectors."""
+    out = {}
+    _axpy(out, s, x, None)
+    _axpy(out, t, y, None)
+    return out
+
+
+def _divisor_chain(pivots: list, left=None, right=None) -> None:
+    """Reorder and combine Z pivots in place into a chain d1 | d2 | ...
+
+    Units sort to the front and are skipped.  Each later pair (a, b) with
+    a not dividing b becomes (g, lcm) by the unimodular step
+    [[s, t], [-b/g, a/g]] diag(a, b) [[1, -t b/g], [1, s a/g]], s a + t b = g,
+    applied to the rows of ``left`` and the columns of ``right`` when given.
+    After pass i, entry i is the gcd of entries i.. and divides all of them.
+    """
+    pivots.sort(key=lambda pv: pv[2])
+    start = next((i for i, pv in enumerate(pivots) if pv[2] > 1), len(pivots))
+    for i in range(start, len(pivots)):
+        for j in range(i + 1, len(pivots)):
+            ra, ca, a = pivots[i]
+            rb, cb, b = pivots[j]
+            if b % a == 0:
+                continue
+            g, s, t = _xgcd(a, b)
+            pivots[i][2], pivots[j][2] = g, a // g * b
+            if left is None:
+                continue
+            la, lb, xa, xb = left[ra], left[rb], right[ca], right[cb]
+            left[ra] = _comb(la, s, lb, t)
+            left[rb] = _comb(la, -(b // g), lb, a // g)
+            right[ca] = _comb(xa, 1, xb, 1)
+            right[cb] = _comb(xa, -t * (b // g), xb, s * (a // g))
+
+
+def _integerized(m: SparseMatrix) -> dict:
+    """Row-sparse {row: {col: int}} copy of ``m``.  Rational rows are scaled
+    by the lcm of their denominators, which changes neither rank nor kernel."""
+    rows = {}
+    for (r, c), v in m.data.items():
+        rows.setdefault(r, {})[c] = v
+    if m.ring.kind == "Q":
+        for r, row in rows.items():
+            mult = lcm(*(v.denominator for v in row.values()))
+            rows[r] = {c: v.numerator * (mult // v.denominator)
+                       for c, v in row.items()}
+    return rows
 
 
 def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecomposition:
@@ -756,17 +498,24 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
     """
     if m.ring.kind != "Z":
         raise ContractViolation("Smith normal form requires integer entries")
-    if m.rows * m.cols <= _DENSE_LIMIT:
-        return _snf_dense(m, transforms)
-    eng = _SparseSmith(m.data, m.rows, m.cols, transforms)
-    diag = eng.reduce()
-    left = right = None
-    if transforms:
-        ldata = {(r, c): v for r, row in eng.left.items() for c, v in row.items()}
-        left = SparseMatrix(m.rows, m.rows, ZZ, ldata)
-        rdata = {(r, c): v for c, col in eng.right.items() for r, v in col.items()}
-        right = SparseMatrix(m.cols, m.cols, ZZ, rdata)
-    return SmithDecomposition(diag, m.rows, m.cols, left, right)
+    pivots, left, right = _eliminate(_integerized(m), m.rows, m.cols,
+                                     track=transforms)
+    _divisor_chain(pivots, left, right)
+    diag = tuple(d for _, _, d in pivots)
+    if not transforms:
+        return SmithDecomposition(diag, m.rows, m.cols)
+    # pivot k moves to position (k, k); the zero rows and columns follow
+    prs = [r for r, _, _ in pivots]
+    pcs = [c for _, c, _ in pivots]
+    row_order = prs + sorted(set(range(m.rows)) - set(prs))
+    col_order = pcs + sorted(set(range(m.cols)) - set(pcs))
+    ldata = {(k, c): v for k, r in enumerate(row_order)
+             for c, v in left[r].items()}
+    rdata = {(r, k): v for k, c in enumerate(col_order)
+             for r, v in right[c].items()}
+    return SmithDecomposition(diag, m.rows, m.cols,
+                              SparseMatrix(m.rows, m.rows, ZZ, ldata),
+                              SparseMatrix(m.cols, m.cols, ZZ, rdata))
 
 
 # ---------------------------------------------------------------------------
@@ -774,73 +523,9 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
 # ---------------------------------------------------------------------------
 
 
-def _rank_mod_p(m: SparseMatrix, p: int) -> int:
-    rows = {}
-    for (r, c), v in m.data.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-    rank = 0
-    while rows:
-        r0, row0 = min(rows.items(), key=lambda kv: (len(kv[1]), kv[0]))
-        del rows[r0]
-        if not row0:
-            continue
-        rank += 1
-        c0 = min(row0)
-        inv = pow(row0[c0], p - 2, p)
-        row0 = {c: (v * inv) % p for c, v in row0.items()}
-        for r, row in list(rows.items()):
-            f = row.get(c0)
-            if not f:
-                continue
-            for c, v in row0.items():
-                s = (row.get(c, 0) - f * v) % p
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-            if not row:
-                del rows[r]
-    return rank
-
-
-def _integerized(m: SparseMatrix) -> dict:
-    """Clear denominators column by column; rank is unchanged."""
-    cols = {}
-    for (r, c), v in m.data.items():
-        cols.setdefault(c, []).append((r, v))
-    out = {}
-    for c, entries in cols.items():
-        mult = 1
-        for _, v in entries:
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-        for r, v in entries:
-            out[(r, c)] = int(v * mult)
-    return out
-
-
-def _rank_int(entries: dict, nrows: int, ncols: int) -> int:
-    """Rank over Q of an integer matrix via gcd-pivoted elimination."""
-    if not entries:
-        return 0
-    if nrows * ncols <= _DENSE_LIMIT:
-        rows_list = [[0] * ncols for _ in range(nrows)]
-        for (r, c), v in entries.items():
-            rows_list[r][c] = v
-        eng = _DenseSmith(rows_list, nrows, ncols, False)
-        return len(eng.reduce())
-    eng = _SparseSmith(entries, nrows, ncols, False)
-    return len(eng.reduce())
-
-
 def rank(m: SparseMatrix) -> int:
     """Rank over the fraction field (Q for Z input) or over Z/p."""
-    if m.ring.kind == "Fp":
-        return _rank_mod_p(m, m.ring.p)
-    if m.ring.kind == "Q":
-        return _rank_int(_integerized(m), m.rows, m.cols)
-    return _rank_int(m.data, m.rows, m.cols)
+    return len(_eliminate(_integerized(m), m.rows, m.cols, m.ring.p)[0])
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:
@@ -848,47 +533,14 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     ring = m.ring
     if not ring.is_field:
         raise ContractViolation("kernel basis requires a field")
-    nrows, ncols = m.rows, m.cols
-    rows = [dict() for _ in range(nrows)]
-    for (r, c), v in m.data.items():
-        rows[r][c] = v
-    pivots = {}  # col -> reduced row dict
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row[c]
-                for cc, vv in pivots[c].items():
-                    s = ring.sub(row.get(cc, ring.zero()), ring.mul(f, vv))
-                    if s == 0:
-                        row.pop(cc, None)
-                    else:
-                        row[cc] = s
-            else:
-                inv = ring.inv(row[c])
-                pivots[c] = {cc: ring.mul(inv, vv) for cc, vv in row.items()}
-                break
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    data = {}
-    for j, c in enumerate(free_cols):
-        data[(c, j)] = ring.one()
-        # back-substitute: pivot rows are echelon but not fully reduced,
-        # so solve from the largest pivot column downwards.
-        for pc in sorted(pivots, reverse=True):
-            if pc >= c:
-                continue
-            prow = pivots[pc]
-            acc = ring.zero()
-            for cc, vv in prow.items():
-                if cc == pc:
-                    continue
-                x = data.get((cc, j))
-                if x is not None:
-                    acc = ring.add(acc, ring.mul(vv, x))
-            if acc != 0:
-                data[(pc, j)] = ring.neg(acc)
-    return SparseMatrix(ncols, len(free_cols), ring, data)
+    pivots, _, right = _eliminate(_integerized(m), m.rows, m.cols, ring.p,
+                                  track=True)
+    # L m R is zero outside the pivot columns, so the other columns of R
+    # span the kernel
+    used = {c for _, c, _ in pivots}
+    free = [c for c in range(m.cols) if c not in used]
+    data = {(r, j): v for j, c in enumerate(free) for r, v in right[c].items()}
+    return SparseMatrix(m.cols, len(free), ring, data)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,13 +652,9 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, ring: Ring):
         raise ContractViolation("d_out * d_in is nonzero; not a complex")
     n = d_out.cols
     if ring.kind == "Fp":
-        din = d_in.change_ring(ring)
-        dout = d_out.change_ring(ring)
-        free = n - _rank_mod_p(dout, ring.p) - _rank_mod_p(din, ring.p)
-        return free, ()
-    if ring.kind == "Q":
-        free = n - rank(d_out) - rank(d_in)
-        return free, ()
+        d_in, d_out = d_in.change_ring(ring), d_out.change_ring(ring)
+    if ring.is_field:
+        return n - rank(d_out) - rank(d_in), ()
     snf = smith_normal_form(d_in.change_ring(ZZ))
     free = n - rank(d_out) - snf.rank
     torsion = tuple(d for d in snf.diagonal if d > 1)

@@ -29,7 +29,7 @@ from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary, SparseMatrix
 from .frobenius import FrobeniusAlgebra
-from .khcube import CubeComplex, _bits_rank, _check_sign_bits, build_cube
+from .khcube import CubeComplex, _acc, _bits_rank, _sign_bits, build_cube
 
 
 def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
@@ -52,12 +52,7 @@ def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
         return SparseMatrix.zero(dim, dim, ring)
     for col, bits in enumerate(product((0, 1), repeat=k)):
         for target, coef in _x_difference(F, bits, i1, i2):
-            row = _bits_rank(target)
-            s = ring.add(entries.get((row, col), ring.zero()), coef)
-            if s == 0:
-                entries.pop((row, col), None)
-            else:
-                entries[(row, col)] = s
+            _acc(entries, _bits_rank(target), col, coef, ring)
     return SparseMatrix(dim, dim, ring, entries)
 
 
@@ -96,8 +91,8 @@ class SingularComplex:
     sites: tuple
     pieces: dict  # scheme mask -> CubeComplex (unnormalized bracket cube)
 
-    def homology(self, ring=None, graded=None, threads: int = 1) -> HomologySummary:
-        return self.complex.homology(ring=ring, graded=graded, threads=threads)
+    def homology(self, ring=None, graded=None) -> HomologySummary:
+        return self.complex.homology(ring=ring, graded=graded)
 
 
 def _resolved(d: Diagram, sites, rmask: int) -> Diagram:
@@ -162,12 +157,7 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     entries_by_deg = {deg: {} for deg in ranks}
 
     def put(deg, row, col, val):
-        acc = entries_by_deg[deg]
-        s = ring.add(acc.get((row, col), ring.zero()), val)
-        if s == 0:
-            acc.pop((row, col), None)
-        else:
-            acc[(row, col)] = s
+        _acc(entries_by_deg[deg], row, col, val, ring)
 
     # cube blocks
     for rmask in scheme_masks:
@@ -239,7 +229,7 @@ def _phi_blocks(src_cube: CubeComplex, tgt_cube: CubeComplex, c: int,
                 raise ContractViolation(
                     "resolved configurations disagree; inconsistent cubes")
             tstart = tgt_pos[w - 1][tmask]
-            sign = _check_sign_bits(mask, c)
+            sign = _sign_bits(mask, c)
             k = cfg.n_circles
             for col_ix, bits in enumerate(product((0, 1), repeat=k)):
                 for target, coef in _x_difference(F, bits, i1, i2):
@@ -302,15 +292,6 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
     off_p = _piece_offsets(S_plus)
 
     comps = {}
-
-    def put(deg, row, col, val):
-        acc = comps.setdefault(deg, {})
-        s = ring.add(acc.get((row, col), ring.zero()), val)
-        if s == 0:
-            acc.pop((row, col), None)
-        else:
-            acc[(row, col)] = s
-
     for rmask, cube in S_minus.pieces.items():
         tgt_cube = S_plus.pieces[rmask]
         two_r = 2 * rmask.bit_count()
@@ -319,7 +300,8 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
             deg = w + off + shift_m
             if (w - 1) + off + shift_p != deg:
                 raise ContractViolation("degree bookkeeping failure")
-            put(deg, off_p[(rm, w - 1)] + row, off_m[(rm, w)] + col, val)
+            _acc(comps.setdefault(deg, {}), off_p[(rm, w - 1)] + row,
+                 off_m[(rm, w)] + col, val, ring)
 
         _phi_blocks(cube, tgt_cube, c, F, emit)
 
@@ -404,13 +386,7 @@ def _phi_cube_chainmap(cm: CubeComplex, cp: CubeComplex, c: int) -> ChainMap:
         deg = w + shift_m
         if (w - 1) + shift_p != deg:
             raise ContractViolation("degree bookkeeping failure")
-        acc = comps.setdefault(deg, {})
-        key = (row, col)
-        s = ring.add(acc.get(key, ring.zero()), val)
-        if s == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
+        _acc(comps.setdefault(deg, {}), row, col, val, ring)
 
     _phi_blocks(cm, cp, c, F, emit)
     matrices = {deg: SparseMatrix(ncp.rank(deg), ncm.rank(deg), ring, acc)

@@ -156,8 +156,7 @@ def jones_by_skein(d: Diagram) -> LaurentPoly:
             - jones_by_skein(d.resolve_double_point(b, -1)))
 
 
-def homology_signature(d: Diagram, ring: Ring, h=0, t=0,
-                       threads: int = 1) -> HomologySummary:
+def homology_signature(d: Diagram, ring: Ring, h=0, t=0) -> HomologySummary:
     """Full homology report of the (singular) Khovanov complex.
 
     Graded by (i, j) at (h, t) = (0, 0), by homological degree otherwise;
@@ -165,4 +164,4 @@ def homology_signature(d: Diagram, ring: Ring, h=0, t=0,
     diagrams.
     """
     F = FrobeniusAlgebra(ring, h, t)
-    return singular_complex(d, F).homology(threads=threads)
+    return singular_complex(d, F).homology()

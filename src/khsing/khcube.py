@@ -84,13 +84,9 @@ def shuffle_sign(A: SignModule) -> int:
     return (-1) ** inversions
 
 
-def _wedge_sign_bits(mask: int, c: int) -> int:
-    """(-1)^(number of set bits below c); caller guarantees bit c is clear."""
-    return -1 if (mask & ((1 << c) - 1)).bit_count() & 1 else 1
-
-
-def _check_sign_bits(mask: int, c: int) -> int:
-    """(-1)^(number of set bits below c); caller guarantees bit c is set."""
+def _sign_bits(mask: int, c: int) -> int:
+    """(-1)^(number of set bits below c): the wedge sign of adding bit c to
+    the mask and the check sign of removing it."""
     return -1 if (mask & ((1 << c) - 1)).bit_count() & 1 else 1
 
 
@@ -128,8 +124,8 @@ class CubeComplex:
         basis = self.complex.basis[deg]
         return deg, basis.index(label)
 
-    def homology(self, ring=None, graded=None, threads: int = 1):
-        return self.complex.homology(ring=ring, graded=graded, threads=threads)
+    def homology(self, ring=None, graded=None):
+        return self.complex.homology(ring=ring, graded=graded)
 
 
 def _state_order(n: int):
@@ -230,7 +226,7 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
             for c in range(n):
                 if mask >> c & 1:
                     continue
-                sign = _wedge_sign_bits(mask, c)
+                sign = _sign_bits(mask, c)
                 tgt_mask = mask | (1 << c)
                 tgt_cfg = configs[tgt_mask]
                 tgt_off = offsets[tgt_mask]
@@ -275,6 +271,8 @@ def _bits_rank(bits) -> int:
 
 
 def _acc(entries, row, col, val, ring):
+    """Add ``val`` into ``entries[(row, col)]``; an entry that cancels is
+    dropped, so no zero is stored."""
     key = (row, col)
     s = ring.add(entries.get(key, ring.zero()), val)
     if s == 0:

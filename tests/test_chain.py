@@ -162,11 +162,6 @@ class TestHomology:
         h = build_cube(parse({"pd": [], "free_loops": 1}), F).homology()
         assert h.groups == (((0, -1), 1, ()), ((0, 1), 1, ()))
 
-    def test_threads_do_not_change_result(self):
-        F = FrobeniusAlgebra(ZZ, 0, 0)
-        cx = build_cube(parse({"pd": TREFOIL_PD}), F).complex
-        assert cx.homology(threads=1).groups == cx.homology(threads=3).groups
-
     def test_ring_override(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cx = build_cube(parse({"pd": TREFOIL_PD}), F).complex

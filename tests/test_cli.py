@@ -1,15 +1,24 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import khsing
 from khsing.cli import corpus_dir, main
+
+# the child process imports the same khsing as the tests, also when pytest
+# put the source tree on sys.path itself
+_SRC = str(pathlib.Path(khsing.__file__).parents[1])
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run(args):
     proc = subprocess.run([sys.executable, "-m", "khsing.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -53,6 +62,22 @@ class TestHomologyCommand:
         code, _, err = run(["homology", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("bad", [
+        {"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]], "free_loops": "a"},
+        {"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, "x"]]},
+        {"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]], "singular": [True]},
+        {"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2.5]]},
+        {"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]], "free_loops": True},
+        {"pd": [5]},
+    ])
+    def test_mistyped_field_exit_one(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(["homology", str(path), "--format", "json"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_file_exit_one(self):
         code, _, _ = run(["homology", "/nonexistent/d.json"])
         assert code == 1
@@ -61,13 +86,6 @@ class TestHomologyCommand:
         a = run(["homology", str(corpus / "figure8.json"), "--format", "json"])
         b = run(["homology", str(corpus / "figure8.json"), "--format", "json"])
         assert a == b
-
-    def test_threads_flag_same_output(self, corpus):
-        a = run(["homology", str(corpus / "trefoil_pos.json"),
-                 "--format", "json"])
-        b = run(["--threads", "3", "homology",
-                 str(corpus / "trefoil_pos.json"), "--format", "json"])
-        assert a[0] == b[0] == 0 and a[1] == b[1]
 
 
 class TestJonesCommand:

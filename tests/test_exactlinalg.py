@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import (HomologySummary, QQ, Ring, SparseMatrix, ZZ,
@@ -155,6 +157,62 @@ class TestKernelBasis:
                 assert (m * k).is_zero()
                 assert k.cols == 4 - rank(m)
                 assert rank(k) == k.cols
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Random sparse integer matrices, small or around 64 x 64 (both sides
+    of 4096 entries), with entries beyond +-1."""
+    lo, hi = draw(st.sampled_from([(1, 9), (60, 72)]))
+    rows, cols = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+    nnz = draw(st.integers(0, 3 * max(rows, cols)))
+    rng = draw(st.randoms(use_true_random=False))
+    data = {(rng.randrange(rows), rng.randrange(cols)):
+            rng.choice((-12, -4, -3, -2, -1, -1, 1, 1, 2, 3, 6, 9))
+            for _ in range(nnz)}
+    return SparseMatrix(rows, cols, ZZ, data)
+
+
+class TestEliminationProperties:
+    """The one elimination kernel against the dense oracles."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sparse_int_matrices())
+    def test_smith_divisors_match_oracle(self, m):
+        assert list(smith_normal_form(m).diagonal) == \
+            dense_smith_divisors(m.to_rows())
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(sparse_int_matrices())
+    def test_transforms_unimodular(self, m):
+        s = smith_normal_form(m, transforms=True)
+        assert s.left * m * s.right == s.diagonal_matrix()
+        for t in (s.left, s.right):
+            assert dense_smith_divisors(t.to_rows()) == [1] * t.rows
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sparse_int_matrices(), st.integers(1, 6))
+    def test_rational_rank_matches_oracle(self, m, den):
+        rows = [[Fraction(v, 1 + (r + c) % den) for c, v in enumerate(row)]
+                for r, row in enumerate(m.to_rows())]
+        assert rank(SparseMatrix.from_rows(rows, QQ)) == \
+            dense_rank_rational(rows)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sparse_int_matrices(), st.sampled_from([2, 3, 5]))
+    def test_prime_field_rank_counts_coprime_divisors(self, m, p):
+        divisors = dense_smith_divisors(m.to_rows())
+        assert rank(m.change_ring(Ring.prime_field(p))) == \
+            sum(1 for d in divisors if d % p)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sparse_int_matrices(), st.sampled_from([QQ, F2, F5]))
+    def test_kernel_basis_spans_null_space(self, m, ring):
+        m = m.change_ring(ring)
+        k = kernel_basis(m)
+        assert (m * k).is_zero()
+        assert k.cols == m.cols - rank(m)
+        assert rank(k) == k.cols
 
 
 class TestHomologyAt:

@@ -87,16 +87,16 @@ class TestSignModules:
 
     def test_anticommutation(self):
         # two length-2 paths in the cube carry opposite total signs
-        from khsing.khcube import _wedge_sign_bits
+        from khsing.khcube import _sign_bits
         for mask in range(1 << 5):
             for c1 in range(5):
                 for c2 in range(5):
                     if c1 == c2 or mask >> c1 & 1 or mask >> c2 & 1:
                         continue
-                    p1 = (_wedge_sign_bits(mask, c1)
-                          * _wedge_sign_bits(mask | 1 << c1, c2))
-                    p2 = (_wedge_sign_bits(mask, c2)
-                          * _wedge_sign_bits(mask | 1 << c2, c1))
+                    p1 = (_sign_bits(mask, c1)
+                          * _sign_bits(mask | 1 << c1, c2))
+                    p2 = (_sign_bits(mask, c2)
+                          * _sign_bits(mask | 1 << c2, c1))
                     assert p1 == -p2
 
 
