@@ -4,8 +4,12 @@ Everything downstream (cube complexes, mapping cones, homology) reduces to
 three primitives implemented here: exact rank, Smith normal form over the
 integers, and null-space bases.  All three run one elimination routine,
 ``_eliminate``, on row-sparse integer matrices, over Z or modulo a prime p.
-Rational matrices are first scaled row by row to integers, which changes
-neither rank nor kernel.
+
+Every entry is a Python int.  Z and Q store the same integers, Z/p stores
+residues in [0, p); a value that is not an integer is refused.  The ring
+only decides how a matrix is reduced: the rank over Q of an integer matrix
+is its rank over Z, so Q shares Z's elimination, and Smith normal form
+applies to Z alone.
 
 Pivot rule: a heap orders the active rows by (smallest |entry|, length), so
 unit entries in short rows come first.  Within the chosen row the pivot is
@@ -18,16 +22,13 @@ over Z).  When no transforms are recorded, a pivot that divides its row
 just drops the row.  Smith normal form finally turns the retired pivots
 into a divisor chain with 2x2 gcd/lcm steps on the non-unit ones.
 
-All arithmetic is exact: Python ints for Z and Z/p, ``fractions.Fraction``
-for Q.  No floating point anywhere.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import ContractViolation
 
@@ -76,16 +77,19 @@ class Ring:
     def is_field(self) -> bool:
         return self.kind != "Z"
 
-    def coerce(self, v):
-        if self.kind == "Z":
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    raise ContractViolation(f"{v} is not an integer")
-                return int(v)
-            return int(v)
-        if self.kind == "Q":
-            return Fraction(v)
-        return int(v) % self.p
+    def coerce(self, v) -> int:
+        """``v`` as a Python int, reduced mod p over Z/p; a value that is
+        not an integer raises ContractViolation."""
+        if type(v) is not int:
+            try:
+                n = int(v)
+                integral = n == v
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise ContractViolation(f"{v!r} is not an integer")
+            v = n
+        return v % self.p if self.p else v
 
     def zero(self):
         return self.coerce(0)
@@ -94,27 +98,16 @@ class Ring:
         return self.coerce(1)
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
+        return self.coerce(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
+        return self.coerce(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
+        return self.coerce(a * b)
 
     def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    def inv(self, a):
-        if self.kind == "Q":
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
-        if self.kind == "Fp":
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)
-        raise ContractViolation("Z is not a field")
+        return self.coerce(-a)
 
     def __str__(self):
         return {"Z": "Z", "Q": "Q"}.get(self.kind, f"F{self.p}")
@@ -125,7 +118,7 @@ QQ = Ring.rationals()
 
 
 class SparseMatrix:
-    """Immutable sparse exact matrix with (row, col) -> value storage.
+    """Immutable sparse exact matrix with (row, col) -> int storage.
 
     Zero entries are never stored; indices are 0-based.
     """
@@ -173,10 +166,10 @@ class SparseMatrix:
     # -- basic access ------------------------------------------------------
 
     def entry(self, r: int, c: int):
-        return self.data.get((r, c), self.ring.zero())
+        return self.data.get((r, c), 0)
 
     def to_rows(self):
-        out = [[self.ring.zero()] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.data.items():
             out[r][c] = v
         return out
@@ -214,28 +207,19 @@ class SparseMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ContractViolation("shape mismatch in addition")
         data = dict(self.data)
-        ring = self.ring
-        for k, v in other.data.items():
-            s = ring.add(data.get(k, ring.zero()), v)
-            if s == 0:
-                data.pop(k, None)
-            else:
-                data[k] = s
-        return SparseMatrix(self.rows, self.cols, ring, data)
+        _axpy(data, 1, other.data, self.ring.p)
+        return SparseMatrix(self.rows, self.cols, self.ring, data)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
 
     def __neg__(self) -> "SparseMatrix":
-        ring = self.ring
-        return SparseMatrix(self.rows, self.cols, ring,
-                            {k: ring.neg(v) for k, v in self.data.items()})
+        return self.scale(-1)
 
     def scale(self, a) -> "SparseMatrix":
-        ring = self.ring
-        a = ring.coerce(a)
-        return SparseMatrix(self.rows, self.cols, ring,
-                            {k: ring.mul(a, v) for k, v in self.data.items()})
+        a = self.ring.coerce(a)
+        return SparseMatrix(self.rows, self.cols, self.ring,
+                            {k: a * v for k, v in self.data.items()})
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_ring(other)
@@ -243,18 +227,20 @@ class SparseMatrix:
             raise ContractViolation(
                 f"shape mismatch in product: {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
-        ring = self.ring
+        p = self.ring.p
         left_cols = self.columns()
         acc = {}
         for (k, j), v in other.data.items():
             for i, w in left_cols.get(k, ()):
                 key = (i, j)
-                s = ring.add(acc.get(key, ring.zero()), ring.mul(w, v))
-                if s == 0:
-                    acc.pop(key, None)
-                else:
+                s = acc.get(key, 0) + w * v
+                if p:
+                    s %= p
+                if s:
                     acc[key] = s
-        return SparseMatrix(self.rows, other.cols, ring, acc)
+                else:
+                    acc.pop(key, None)
+        return SparseMatrix(self.rows, other.cols, self.ring, acc)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows, self.ring,
@@ -290,8 +276,14 @@ class SparseMatrix:
         return cls(roff[-1], coff[-1], ring, data)
 
     def change_ring(self, ring: Ring) -> "SparseMatrix":
-        return SparseMatrix(self.rows, self.cols, ring,
-                            {k: ring.coerce(v) for k, v in self.data.items()})
+        """The same entries over ``ring``.  Only a change into Z/p rebuilds
+        them (mod p); otherwise the integers are shared, as the matrix is
+        immutable."""
+        if ring.p and ring != self.ring:
+            return SparseMatrix(self.rows, self.cols, ring, self.data)
+        out = SparseMatrix(self.rows, self.cols, ring)
+        out.data = self.data
+        return out
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols} over {self.ring}, nnz={self.nnz()})"
@@ -475,17 +467,11 @@ def _divisor_chain(pivots: list, left=None, right=None) -> None:
             right[cb] = _comb(xa, -t * (b // g), xb, s * (a // g))
 
 
-def _integerized(m: SparseMatrix) -> dict:
-    """Row-sparse {row: {col: int}} copy of ``m``.  Rational rows are scaled
-    by the lcm of their denominators, which changes neither rank nor kernel."""
+def _row_dicts(m: SparseMatrix) -> dict:
+    """Row-sparse {row: {col: int}} copy of ``m``, for ``_eliminate``."""
     rows = {}
     for (r, c), v in m.data.items():
         rows.setdefault(r, {})[c] = v
-    if m.ring.kind == "Q":
-        for r, row in rows.items():
-            mult = lcm(*(v.denominator for v in row.values()))
-            rows[r] = {c: v.numerator * (mult // v.denominator)
-                       for c, v in row.items()}
     return rows
 
 
@@ -498,7 +484,7 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
     """
     if m.ring.kind != "Z":
         raise ContractViolation("Smith normal form requires integer entries")
-    pivots, left, right = _eliminate(_integerized(m), m.rows, m.cols,
+    pivots, left, right = _eliminate(_row_dicts(m), m.rows, m.cols,
                                      track=transforms)
     _divisor_chain(pivots, left, right)
     diag = tuple(d for _, _, d in pivots)
@@ -525,7 +511,7 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
 
 def rank(m: SparseMatrix) -> int:
     """Rank over the fraction field (Q for Z input) or over Z/p."""
-    return len(_eliminate(_integerized(m), m.rows, m.cols, m.ring.p)[0])
+    return len(_eliminate(_row_dicts(m), m.rows, m.cols, m.ring.p)[0])
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:
@@ -533,7 +519,7 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     ring = m.ring
     if not ring.is_field:
         raise ContractViolation("kernel basis requires a field")
-    pivots, _, right = _eliminate(_integerized(m), m.rows, m.cols, ring.p,
+    pivots, _, right = _eliminate(_row_dicts(m), m.rows, m.cols, ring.p,
                                   track=True)
     # L m R is zero outside the pivot columns, so the other columns of R
     # span the kernel
@@ -638,24 +624,33 @@ class HomologySummary:
         return "\n".join(lines)
 
 
+def _rank_torsion(m: SparseMatrix, ring: Ring):
+    """(rank, torsion) of a differential stored over ``ring``: its rank over
+    a field, or its Smith divisors over Z, those above 1 being the torsion
+    of the homology at its target.  A zero matrix is not reduced."""
+    if m.is_zero():
+        return 0, ()
+    if ring.is_field:
+        return rank(m), ()
+    diag = smith_normal_form(m).diagonal
+    return len(diag), tuple(d for d in diag if d > 1)
+
+
 def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, ring: Ring):
     """Homology at the middle of ``. -> C -> .`` given both differentials.
 
-    ``d_in`` maps into the middle module, ``d_out`` maps out of it.  Returns
+    ``d_in`` maps into the middle module, ``d_out`` maps out of it; both
+    are stored over ``ring`` (Z and Q share storage).  Returns
     ``(free_rank, torsion)``; torsion is empty over a field.
     """
     if d_in.rows != d_out.cols:
         raise ContractViolation(
             f"differentials not composable: d_in lands in dim {d_in.rows}, "
             f"d_out expects dim {d_out.cols}")
+    if d_in.ring.p != ring.p or d_out.ring.p != ring.p:
+        raise ContractViolation(f"differentials are not stored over {ring}")
     if not (d_out * d_in).is_zero():
         raise ContractViolation("d_out * d_in is nonzero; not a complex")
-    n = d_out.cols
-    if ring.kind == "Fp":
-        d_in, d_out = d_in.change_ring(ring), d_out.change_ring(ring)
-    if ring.is_field:
-        return n - rank(d_out) - rank(d_in), ()
-    snf = smith_normal_form(d_in.change_ring(ZZ))
-    free = n - rank(d_out) - snf.rank
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    return free, torsion
+    rank_out = _rank_torsion(d_out, ring)[0]
+    rank_in, torsion = _rank_torsion(d_in, ring)
+    return d_out.cols - rank_out - rank_in, torsion

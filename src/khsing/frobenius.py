@@ -10,6 +10,10 @@ The algebra is free with ordered basis (1, x); basis labels are bits, with
 
 At (h, t) = (0, 0) the algebra is graded with deg 1 = +1 and deg x = -1;
 multiplication and comultiplication then both have degree -1.
+
+h and t are integers, so every structure constant is one: arithmetic here
+is plain int arithmetic, and elements reduce their coefficients into the
+ring (mod p over Z/p) when they are built.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .exactlinalg import Ring
 @dataclass(frozen=True)
 class FrobeniusAlgebra:
     ring: Ring
-    h: object = 0
-    t: object = 0
+    h: int = 0
+    t: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "h", self.ring.coerce(self.h))
@@ -54,9 +58,9 @@ class FrobeniusAlgebra:
     def mult_bits(self, a: int, b: int):
         """Expansion of (basis a) * (basis b) as [(bit, coefficient)]."""
         if a == 0 and b == 0:
-            return [(0, self.ring.one())]
+            return [(0, 1)]
         if a ^ b:
-            return [(1, self.ring.one())]
+            return [(1, 1)]
         out = []
         if self.t != 0:
             out.append((0, self.t))
@@ -66,13 +70,12 @@ class FrobeniusAlgebra:
 
     def comult_bits(self, a: int):
         """Expansion of comul(basis a) as [(bit_left, bit_right, coefficient)]."""
-        one = self.ring.one()
         if a == 0:
-            out = [(0, 1, one), (1, 0, one)]
+            out = [(0, 1, 1), (1, 0, 1)]
             if self.h != 0:
-                out.append((0, 0, self.ring.neg(self.h)))
+                out.append((0, 0, -self.h))
             return out
-        out = [(1, 1, one)]
+        out = [(1, 1, 1)]
         if self.t != 0:
             out.append((0, 0, self.t))
         return out
@@ -80,7 +83,7 @@ class FrobeniusAlgebra:
     def x_bits(self, a: int):
         """Expansion of x * (basis a) as [(bit, coefficient)]."""
         if a == 0:
-            return [(1, self.ring.one())]
+            return [(1, 1)]
         out = []
         if self.t != 0:
             out.append((0, self.t))
@@ -93,27 +96,17 @@ class FrobeniusAlgebra:
     def multiply(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.algebra != self or b.algebra != self:
             raise ContractViolation("elements from a different algebra")
-        R = self.ring
-        xx = R.mul(a.cx, b.cx)
-        return self.element(
-            R.add(R.mul(a.c1, b.c1), R.mul(self.t, xx)),
-            R.add(R.add(R.mul(a.c1, b.cx), R.mul(a.cx, b.c1)), R.mul(self.h, xx)))
+        xx = a.cx * b.cx
+        return self.element(a.c1 * b.c1 + self.t * xx,
+                            a.c1 * b.cx + a.cx * b.c1 + self.h * xx)
 
     def comultiply(self, a: "AlgebraElement") -> "TensorElement":
         if a.algebra != self:
             raise ContractViolation("element from a different algebra")
-        R = self.ring
         coeffs = {}
         for bit, coef in ((0, a.c1), (1, a.cx)):
-            if coef == 0:
-                continue
             for bl, br, c in self.comult_bits(bit):
-                k = (bl, br)
-                s = R.add(coeffs.get(k, R.zero()), R.mul(coef, c))
-                if s == 0:
-                    coeffs.pop(k, None)
-                else:
-                    coeffs[k] = s
+                coeffs[(bl, br)] = coeffs.get((bl, br), 0) + coef * c
         return TensorElement(self, (0, 1), coeffs)
 
     def counit(self, a: "AlgebraElement"):
@@ -135,24 +128,21 @@ class AlgebraElement:
     """c1 * 1 + cx * x in the fixed basis (1, x)."""
 
     algebra: FrobeniusAlgebra
-    c1: object
-    cx: object
+    c1: int
+    cx: int
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        R = self.algebra.ring
-        return self.algebra.element(R.add(self.c1, other.c1), R.add(self.cx, other.cx))
+        return self.algebra.element(self.c1 + other.c1, self.cx + other.cx)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        R = self.algebra.ring
-        return self.algebra.element(R.sub(self.c1, other.c1), R.sub(self.cx, other.cx))
+        return self.algebra.element(self.c1 - other.c1, self.cx - other.cx)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self.algebra.multiply(self, other)
 
     def scale(self, c) -> "AlgebraElement":
-        R = self.algebra.ring
-        c = R.coerce(c)
-        return self.algebra.element(R.mul(c, self.c1), R.mul(c, self.cx))
+        c = self.algebra.ring.coerce(c)
+        return self.algebra.element(c * self.c1, c * self.cx)
 
     def is_zero(self) -> bool:
         return self.c1 == 0 and self.cx == 0
@@ -165,7 +155,7 @@ class TensorElement:
     """Element of the tensor power of the algebra over an ordered circle set.
 
     ``coeffs`` maps bit tuples (one bit per circle, 0 = 1 and 1 = x) to
-    nonzero ring elements.
+    nonzero ints, reduced into the ring when the element is built.
     """
 
     __slots__ = ("algebra", "circles", "coeffs")
@@ -206,24 +196,18 @@ class TensorElement:
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.circles != other.circles:
             raise ContractViolation("tensor factors differ")
-        R = self.algebra.ring
         acc = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = R.add(acc.get(k, R.zero()), v)
-            if s == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = s
+            acc[k] = acc.get(k, 0) + v
         return TensorElement(self.algebra, self.circles, acc)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorElement":
-        R = self.algebra.ring
-        c = R.coerce(c)
+        c = self.algebra.ring.coerce(c)
         return TensorElement(self.algebra, self.circles,
-                             {k: R.mul(c, v) for k, v in self.coeffs.items()})
+                             {k: c * v for k, v in self.coeffs.items()})
 
     def contract(self, ci, cj) -> "TensorElement":
         """Multiply the ci and cj factors together (a merge cobordism).
@@ -233,7 +217,7 @@ class TensorElement:
         i, j = self._index(ci), self._index(cj)
         if i == j:
             raise ContractViolation("cannot contract a factor with itself")
-        F, R = self.algebra, self.algebra.ring
+        F = self.algebra
         keep = [k for k in range(len(self.circles)) if k != j]
         acc = {}
         for bits, v in self.coeffs.items():
@@ -241,51 +225,38 @@ class TensorElement:
                 nb = list(bits)
                 nb[i] = bit
                 key = tuple(nb[k] for k in keep)
-                s = R.add(acc.get(key, R.zero()), R.mul(v, c))
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                acc[key] = acc.get(key, 0) + v * c
         return TensorElement(F, tuple(self.circles[k] for k in keep), acc)
 
     def as_element(self) -> "AlgebraElement":
         """View a single-factor tensor as an algebra element."""
         if len(self.circles) != 1:
             raise ContractViolation("not a single tensor factor")
-        c1 = self.coeffs.get((0,), self.algebra.ring.zero())
-        cx = self.coeffs.get((1,), self.algebra.ring.zero())
-        return self.algebra.element(c1, cx)
+        return self.algebra.element(self.coeffs.get((0,), 0),
+                                    self.coeffs.get((1,), 0))
 
     def split(self, ci, new_pair):
         """Comultiply the ci factor into two new circles (a split cobordism)."""
         i = self._index(ci)
-        F, R = self.algebra, self.algebra.ring
+        F = self.algebra
         circles = (self.circles[:i] + (new_pair[0], new_pair[1])
                    + self.circles[i + 1:])
         acc = {}
         for bits, v in self.coeffs.items():
             for bl, br, c in F.comult_bits(bits[i]):
                 key = bits[:i] + (bl, br) + bits[i + 1:]
-                s = R.add(acc.get(key, R.zero()), R.mul(v, c))
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                acc[key] = acc.get(key, 0) + v * c
         return TensorElement(F, circles, acc)
 
     def apply_x(self, ci) -> "TensorElement":
         """Multiply the ci factor by x."""
         i = self._index(ci)
-        F, R = self.algebra, self.algebra.ring
+        F = self.algebra
         acc = {}
         for bits, v in self.coeffs.items():
             for bit, c in F.x_bits(bits[i]):
                 key = bits[:i] + (bit,) + bits[i + 1:]
-                s = R.add(acc.get(key, R.zero()), R.mul(v, c))
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                acc[key] = acc.get(key, 0) + v * c
         return TensorElement(F, self.circles, acc)
 
     def __repr__(self):

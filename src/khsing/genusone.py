@@ -52,14 +52,13 @@ def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
         return SparseMatrix.zero(dim, dim, ring)
     for col, bits in enumerate(product((0, 1), repeat=k)):
         for target, coef in _x_difference(F, bits, i1, i2):
-            _acc(entries, _bits_rank(target), col, coef, ring)
+            _acc(entries, _bits_rank(target), col, coef)
     return SparseMatrix(dim, dim, ring, entries)
 
 
 def _x_difference(F: FrobeniusAlgebra, bits, i1: int, i2: int):
     """Expansion of (x on factor i2) - (x on factor i1) applied to a basis
     vector; yields (target_bits, coefficient) pairs."""
-    ring = F.ring
     for bit, coef in F.x_bits(bits[i2]):
         nb = list(bits)
         nb[i2] = bit
@@ -67,7 +66,7 @@ def _x_difference(F: FrobeniusAlgebra, bits, i1: int, i2: int):
     for bit, coef in F.x_bits(bits[i1]):
         nb = list(bits)
         nb[i1] = bit
-        yield tuple(nb), ring.neg(coef)
+        yield tuple(nb), -coef
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     entries_by_deg = {deg: {} for deg in ranks}
 
     def put(deg, row, col, val):
-        _acc(entries_by_deg[deg], row, col, val, ring)
+        _acc(entries_by_deg[deg], row, col, val)
 
     # cube blocks
     for rmask in scheme_masks:
@@ -187,7 +186,7 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
                         put(w + deg_off,
                             offsets[(tgt, w - 1)] + row,
                             offsets[(src, w)] + col,
-                            ring.neg(val)))
+                            -val))
 
     diffs = {}
     for deg, acc in entries_by_deg.items():
@@ -208,7 +207,6 @@ def _phi_blocks(src_cube: CubeComplex, tgt_cube: CubeComplex, c: int,
     with indices relative to the cubes' generator numbering at weight
     ``source_weight - 1`` and ``source_weight`` respectively.
     """
-    ring = F.ring
     src_cx = src_cube.complex
     bit = 1 << c
     src_pos = {w: _state_offsets(src_cx.basis[w]) for w in src_cx.degrees()}
@@ -234,7 +232,7 @@ def _phi_blocks(src_cube: CubeComplex, tgt_cube: CubeComplex, c: int,
             for col_ix, bits in enumerate(product((0, 1), repeat=k)):
                 for target, coef in _x_difference(F, bits, i1, i2):
                     emit(w, tstart + _bits_rank(target), start + col_ix,
-                         ring.mul(sign, coef))
+                         sign * coef)
 
 
 def _state_offsets(labels) -> dict:
@@ -301,7 +299,7 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
             if (w - 1) + off + shift_p != deg:
                 raise ContractViolation("degree bookkeeping failure")
             _acc(comps.setdefault(deg, {}), off_p[(rm, w - 1)] + row,
-                 off_m[(rm, w)] + col, val, ring)
+                 off_m[(rm, w)] + col, val)
 
         _phi_blocks(cube, tgt_cube, c, F, emit)
 
@@ -386,7 +384,7 @@ def _phi_cube_chainmap(cm: CubeComplex, cp: CubeComplex, c: int) -> ChainMap:
         deg = w + shift_m
         if (w - 1) + shift_p != deg:
             raise ContractViolation("degree bookkeeping failure")
-        _acc(comps.setdefault(deg, {}), row, col, val, ring)
+        _acc(comps.setdefault(deg, {}), row, col, val)
 
     _phi_blocks(cm, cp, c, F, emit)
     matrices = {deg: SparseMatrix(ncp.rank(deg), ncm.rank(deg), ring, acc)

@@ -243,7 +243,7 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
                             tb = list(base)
                             tb[m] = bit
                             row = tgt_off + _bits_rank(tb)
-                            _acc(entries, row, col, ring.mul(sign, coef), ring)
+                            _acc(entries, row, col, sign * coef)
                     else:
                         _, idx_map, i, d1, d2 = kind
                         base = [0] * k_tgt
@@ -254,7 +254,7 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
                             tb[d1] = bl
                             tb[d2] = br
                             row = tgt_off + _bits_rank(tb)
-                            _acc(entries, row, col, ring.mul(sign, coef), ring)
+                            _acc(entries, row, col, sign * coef)
         diffs[w] = SparseMatrix(ranks[w + 1], ranks[w], ring, entries)
 
     cx = ChainComplex(ring, ranks, diffs, basis=basis, q=qdeg)
@@ -270,15 +270,10 @@ def _bits_rank(bits) -> int:
     return r
 
 
-def _acc(entries, row, col, val, ring):
-    """Add ``val`` into ``entries[(row, col)]``; an entry that cancels is
-    dropped, so no zero is stored."""
-    key = (row, col)
-    s = ring.add(entries.get(key, ring.zero()), val)
-    if s == 0:
-        entries.pop(key, None)
-    else:
-        entries[key] = s
+def _acc(entries, row, col, val):
+    """Add the integer ``val`` into ``entries[(row, col)]``; the matrix built
+    from ``entries`` reduces the sums into its ring and drops zeros."""
+    entries[(row, col)] = entries.get((row, col), 0) + val
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from khsing.chain import (ChainMap, Homotopy, cone,
                           cone_inclusion, cone_projection,
                           homology_functor_ranks, is_chain_map,
                           les_cone_check)
-from khsing.diagram import parse
+from khsing import exactlinalg
+from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
-from khsing.exactlinalg import QQ, SparseMatrix, ZZ
+from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
 from khsing.frobenius import FrobeniusAlgebra
 from khsing.khcube import build_cube
 
@@ -169,6 +170,27 @@ class TestHomology:
         h2 = cx.homology(ring=Ring.prime_field(2), graded=False)
         # universal coefficients: the Z/2 class thickens the F2 dimensions
         assert h2.total_dimension() == 6
+
+    @pytest.mark.parametrize("ring", [ZZ, Ring.prime_field(2)], ids=str)
+    def test_each_block_reduced_once(self, ring, monkeypatch):
+        cx = build_cube(from_braid([(0, 1)] * 5, 2),
+                        FrobeniusAlgebra(ring, 0, 0)).complex
+        # the differentials preserve q, so an entry's block is (i, q of its
+        # source generator)
+        blocks = {(i, cx.q[i][c]) for i, m in cx.diffs.items()
+                  for (_, c) in m.data}
+        calls = []
+        eliminate = exactlinalg._eliminate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", counted)
+        h = cx.homology(graded=True)
+        assert len(calls) == len(blocks)
+        if ring == ZZ:
+            assert h.group((3, 9)) == (0, (2,))
 
 
 def make_square(rng, ring):
