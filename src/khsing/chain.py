@@ -9,6 +9,11 @@ d_Y f = (-1)^k f d_X, i.e. it is a degree-zero chain map into Y[k].
 Homotopies are stored as raw degree -1 (or -2, -3) families; each combinator
 states and verifies the exact relation it needs, since the sign conventions
 differ between anticommutator and commutator identities.
+
+A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
+again: ``shift``, ``dual`` and ``change_ring`` are exact images, and
+``homology`` checks only the bidegree.  A cone's d^2 = 0 check covers the
+chain condition of its map, so a coned map is not checked on its own.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ class ChainComplex:
 
     __slots__ = ("ring", "ranks", "diffs", "basis", "q")
 
-    def __init__(self, ring: Ring, ranks, diffs, basis=None, q=None,
-                 validate: bool = True):
+    def __init__(self, ring: Ring, ranks, diffs, basis=None, q=None):
+        self._store(ring, ranks, diffs, basis, q)
+        self.validate()
+
+    def _store(self, ring, ranks, diffs, basis, q):
         self.ring = ring
         self.ranks = {i: r for i, r in ranks.items() if r > 0}
         self.diffs = {}
@@ -42,8 +50,14 @@ class ChainComplex:
             self.diffs[i] = m
         self.basis = dict(basis) if basis else None
         self.q = dict(q) if q else None
-        if validate:
-            self.validate()
+
+    @classmethod
+    def _unchecked(cls, ring: Ring, ranks, diffs, basis=None, q=None):
+        """A complex built without ``validate()``: an exact image of a checked
+        complex, or a piece checked as part of the complex it is built into."""
+        cx = cls.__new__(cls)
+        cx._store(ring, ranks, diffs, basis, q)
+        return cx
 
     # -- shape bookkeeping ---------------------------------------------------
 
@@ -90,8 +104,7 @@ class ChainComplex:
         diffs = {i + k: (m if sign > 0 else -m) for i, m in self.diffs.items()}
         basis = {i + k: v for i, v in self.basis.items()} if self.basis else None
         q = {i + k: v for i, v in self.q.items()} if self.q else None
-        return ChainComplex(self.ring, ranks, diffs, basis=basis, q=q,
-                            validate=False)
+        return ChainComplex._unchecked(self.ring, ranks, diffs, basis, q)
 
     def dual(self) -> "ChainComplex":
         """Transpose dual: degree i becomes -i, quantum degrees negate."""
@@ -102,13 +115,12 @@ class ChainComplex:
         basis = {-i: v for i, v in self.basis.items()} if self.basis else None
         q = ({-i: tuple(-x for x in v) for i, v in self.q.items()}
              if self.q else None)
-        return ChainComplex(self.ring, ranks, diffs, basis=basis, q=q,
-                            validate=False)
+        return ChainComplex._unchecked(self.ring, ranks, diffs, basis, q)
 
     def change_ring(self, ring: Ring) -> "ChainComplex":
         diffs = {i: m.change_ring(ring) for i, m in self.diffs.items()}
-        return ChainComplex(ring, dict(self.ranks), diffs, basis=self.basis,
-                            q=self.q, validate=False)
+        return ChainComplex._unchecked(ring, self.ranks, diffs, self.basis,
+                                       self.q)
 
     def check_bidegree(self):
         """Verify every differential entry preserves the quantum grading
@@ -126,52 +138,53 @@ class ChainComplex:
 
     # -- homology ---------------------------------------------------------------
 
-    def _graded_blocks(self, i: int):
-        """Indices of degree-i generators grouped by quantum degree."""
-        groups = {}
-        for ix, j in enumerate(self.q.get(i, ())):
-            groups.setdefault(j, []).append(ix)
-        return groups
+    def _reduced_blocks(self, graded: bool):
+        """``(blocks, reduced)``: ``blocks[i][j]`` lists the degree-i
+        generators of quantum degree j (one block j = None when ungraded),
+        ``reduced[(i, j)]`` is ``_rank_torsion`` of block j of d^i."""
+        if graded:
+            self.check_bidegree()
+            blocks = {i: {} for i in self.degrees()}
+            for i, by_q in blocks.items():
+                for ix, j in enumerate(self.q.get(i, ())):
+                    by_q.setdefault(j, []).append(ix)
+        else:
+            blocks = {i: {None: range(n)} for i, n in self.ranks.items()}
+        reduced = {(i, j): _rank_torsion(self._block(blocks, i, j), self.ring)
+                   for i in self.diffs for j in blocks.get(i, ())}
+        return blocks, reduced
+
+    def _block(self, blocks, i: int, j) -> SparseMatrix:
+        """Block j of d^i: all of d^i when j is None, else its rows and
+        columns of quantum degree j."""
+        m = self.diff(i)
+        if j is None:
+            return m
+        return m.submatrix(blocks.get(i + 1, {}).get(j, ()),
+                           blocks.get(i, {}).get(j, ()))
 
     def homology(self, ring: Ring | None = None,
                  graded: bool | None = None) -> HomologySummary:
         """Homology summary, optionally refined by the quantum grading.
 
         ``ring`` defaults to the complex's own coefficient ring; passing a
-        different ring recomputes with coefficients changed (the matrices
-        must coerce, e.g. an integral complex reduced mod p).
+        different ring recomputes with coefficients changed (an integral
+        complex reduced mod p, say; residues mod p do not lift).
 
-        d^2 = 0 is checked once per degree on the full differentials.  Each
-        (degree, q-block) of each differential is then reduced once, by
-        rank over a field and by Smith normal form over Z: its rank counts
-        at its source and at its target, its divisors above 1 are torsion
-        at its target.  Ungraded, each degree is a single block.
+        d^2 = 0 was checked when the complex was built, so only the
+        bidegree (1, 0) of the differentials is checked here, when graded.
+        Each (degree, q-block) of each differential is then reduced once,
+        by rank over a field and by Smith normal form over Z: its rank
+        counts at its source and at its target, its divisors above 1 are
+        torsion at its target.  Ungraded, each degree is a single block.
         """
         ring = ring or self.ring
         cx = self if ring == self.ring else self.change_ring(ring)
         if graded is None:
             graded = cx.q is not None
-        if graded and cx.q is None:
-            raise ContractViolation("no quantum grading available")
-        cx.validate()
-        if graded:
-            cx.check_bidegree()
-            blocks = {i: cx._graded_blocks(i) for i in cx.degrees()}
-        else:
-            blocks = {i: {None: range(n)} for i, n in cx.ranks.items()}
-        reduced = {}  # (i, j) -> (rank, torsion) of block j of d^i
-        for i, m in cx.diffs.items():
-            targets = blocks.get(i + 1, {})
-            for j, cols in blocks.get(i, {}).items():
-                block = m.submatrix(targets.get(j, ()), cols) if graded else m
-                reduced[(i, j)] = _rank_torsion(block, ring)
-        groups = {}
-        for i, by_q in blocks.items():
-            for j, idx in by_q.items():
-                rank_out = reduced.get((i, j), (0, ()))[0]
-                rank_in, torsion = reduced.get((i - 1, j), (0, ()))
-                groups[(i, j) if graded else i] = (
-                    len(idx) - rank_out - rank_in, torsion)
+        blocks, reduced = cx._reduced_blocks(graded)
+        groups = {(i, j) if graded else i: _block_homology(blocks, reduced, i, j)
+                  for i, by_q in blocks.items() for j in by_q}
         return HomologySummary.build(ring, groups)
 
     def graded_euler_characteristic(self):
@@ -601,7 +614,9 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
     """Per-degree data of H(f) over a field.
 
     Returns {key: (dim H_source, dim H_target, rank H(f))}; keys are degrees
-    or (i, j) pairs when ``graded``.
+    or (i, j) pairs when ``graded``.  Each q-block of each differential of
+    the source and the target is reduced once, as in
+    ``ChainComplex.homology``.
     """
     X, Y = f.source, f.target
     ring = X.ring
@@ -609,49 +624,36 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
         raise ContractViolation("induced homology maps need field coefficients")
     if f.shift != 0:
         raise ContractViolation("degree-0 chain maps only")
+    bx, rx = X._reduced_blocks(graded)
+    by, ry = Y._reduced_blocks(graded)
+    keys = {(i, j) for b in (bx, by) for i, by_q in b.items() for j in by_q}
     out = {}
-    if graded:
-        if X.q is None or Y.q is None:
-            raise ContractViolation("no quantum grading available")
-        keys = set()
-        for i in X.degrees():
-            keys |= {(i, j) for j in X.q.get(i, ())}
-        for i in Y.degrees():
-            keys |= {(i, j) for j in Y.q.get(i, ())}
-        for (i, j) in sorted(keys):
-            xs = [k for k, jj in enumerate(X.q.get(i, ())) if jj == j]
-            xs_prev = [k for k, jj in enumerate(X.q.get(i - 1, ())) if jj == j]
-            xs_next = [k for k, jj in enumerate(X.q.get(i + 1, ())) if jj == j]
-            ys = [k for k, jj in enumerate(Y.q.get(i, ())) if jj == j]
-            ys_prev = [k for k, jj in enumerate(Y.q.get(i - 1, ())) if jj == j]
-            ys_next = [k for k, jj in enumerate(Y.q.get(i + 1, ())) if jj == j]
-            out[(i, j)] = _induced_rank(
-                X.diff(i - 1).submatrix(xs, xs_prev),
-                X.diff(i).submatrix(xs_next, xs),
-                Y.diff(i - 1).submatrix(ys, ys_prev),
-                Y.diff(i).submatrix(ys_next, ys),
-                f.component(i).submatrix(ys, xs))
-    else:
-        for i in sorted(set(X.degrees()) | set(Y.degrees())):
-            out[i] = _induced_rank(X.diff(i - 1), X.diff(i),
-                                   Y.diff(i - 1), Y.diff(i), f.component(i))
+    for i, j in sorted(keys):  # ungraded, j is None and i is unique
+        hx = _block_homology(bx, rx, i, j)[0]
+        hy = _block_homology(by, ry, i, j)[0]
+        r = 0
+        if hx and hy:
+            # rank of H(f): span of f(cycles) together with boundaries,
+            # modulo boundaries; f(im d_X) lands in im d_Y, so no further
+            # correction.
+            fi = f.component(i)
+            if j is not None:
+                fi = fi.submatrix(by[i][j], bx[i][j])
+            fz = fi * kernel_basis(X._block(bx, i, j))
+            dy_in = Y._block(by, i - 1, j)
+            both = SparseMatrix.block([[fz, dy_in]], [fz.rows],
+                                      [fz.cols, dy_in.cols], ring)
+            r = rank(both) - ry.get((i - 1, j), (0, ()))[0]
+        out[(i, j) if graded else i] = (hx, hy, r)
     return out
 
 
-def _induced_rank(dx_in, dx_out, dy_in, dy_out, fi):
-    ring = fi.ring
-    rank_dy_in = rank(dy_in)
-    hx = dx_out.cols - rank(dx_out) - rank(dx_in)
-    hy = dy_out.cols - rank(dy_out) - rank_dy_in
-    if hx == 0 or hy == 0:
-        return hx, hy, 0
-    # rank of H(f): span of f(cycles) together with boundaries, modulo
-    # boundaries; f(im d_X) lands in im d_Y, so no further correction.
-    Zx = kernel_basis(dx_out)
-    fz = fi * Zx
-    both = SparseMatrix.block([[fz, dy_in]], [fz.rows], [fz.cols, dy_in.cols],
-                              ring)
-    return hx, hy, rank(both) - rank_dy_in
+def _block_homology(blocks, reduced, i: int, j):
+    """(free rank, torsion) of the homology at block j of degree i, from
+    the split and the reductions of ``ChainComplex._reduced_blocks``."""
+    rank_out = reduced.get((i, j), (0, ()))[0]
+    rank_in, torsion = reduced.get((i - 1, j), (0, ()))
+    return len(blocks.get(i, {}).get(j, ())) - rank_out - rank_in, torsion
 
 
 def les_cone_check(f: ChainMap) -> bool:

@@ -91,24 +91,6 @@ class Ring:
             v = n
         return v % self.p if self.p else v
 
-    def zero(self):
-        return self.coerce(0)
-
-    def one(self):
-        return self.coerce(1)
-
-    def add(self, a, b):
-        return self.coerce(a + b)
-
-    def sub(self, a, b):
-        return self.coerce(a - b)
-
-    def mul(self, a, b):
-        return self.coerce(a * b)
-
-    def neg(self, a):
-        return self.coerce(-a)
-
     def __str__(self):
         return {"Z": "Z", "Q": "Q"}.get(self.kind, f"F{self.p}")
 
@@ -278,7 +260,11 @@ class SparseMatrix:
     def change_ring(self, ring: Ring) -> "SparseMatrix":
         """The same entries over ``ring``.  Only a change into Z/p rebuilds
         them (mod p); otherwise the integers are shared, as the matrix is
-        immutable."""
+        immutable.  Residues mod p do not lift, so Z/p changes to no other
+        ring."""
+        if self.ring.p and ring != self.ring:
+            raise ContractViolation(
+                f"cannot change coefficients from {self.ring} to {ring}")
         if ring.p and ring != self.ring:
             return SparseMatrix(self.rows, self.cols, ring, self.data)
         out = SparseMatrix(self.rows, self.cols, ring)

@@ -11,10 +11,10 @@ in the circle bit tuple, so matrices are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
-from .chain import ChainComplex
+from .chain import ChainComplex, ChainMap
 from .diagram import Diagram
 from .errors import ContractViolation
 from .exactlinalg import SparseMatrix
@@ -176,7 +176,19 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
     With ``normalize`` the homological grading is shifted by -n_minus (and
     the differential picks up the matching sign); at (h, t) = (0, 0) the
     quantum grading j = internal + |s| + n_plus - 2*n_minus is attached.
+    d^2 = 0 is checked once, on the bracket cube.
     """
+    cube = _bracket_cube(d, F)
+    cube.complex.validate()
+    if not normalize:
+        return cube
+    return replace(cube, complex=cube.complex.shift(-cube.n_minus),
+                   normalized=True)
+
+
+def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
+    """The unnormalized cube of ``build_cube``, unchecked: the caller checks
+    d^2 = 0 on it or on the complex it is assembled into."""
     if d.n_singular:
         raise ContractViolation(
             "diagram has double points; build the singular complex instead")
@@ -257,10 +269,8 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
                             _acc(entries, row, col, sign * coef)
         diffs[w] = SparseMatrix(ranks[w + 1], ranks[w], ring, entries)
 
-    cx = ChainComplex(ring, ranks, diffs, basis=basis, q=qdeg)
-    if normalize:
-        cx = cx.shift(-n_minus)
-    return CubeComplex(cx, d, F, n_plus, n_minus, normalize, configs)
+    cx = ChainComplex._unchecked(ring, ranks, diffs, basis, qdeg)
+    return CubeComplex(cx, d, F, n_plus, n_minus, False, configs)
 
 
 def _bits_rank(bits) -> int:
@@ -294,10 +304,9 @@ def cone_pieces(cube: CubeComplex, c: int):
     Returns (X, Y, g) where X collects the states with c unsmoothed, Y the
     states with c smoothed (reindexed one degree down, differential negated),
     and g: X -> Y is minus the connecting block, so that the bracket complex
-    is Cone(g) shifted by one.
+    is Cone(g) shifted by one.  X and Y are not checked again: their d^2
+    are diagonal blocks of the cube's, as d never leaves the Y states.
     """
-    from .chain import ChainMap  # local import to avoid cycle at load
-
     if cube.normalized:
         raise ContractViolation("cone splitting works on the bracket cube")
     cx = cube.complex
@@ -337,7 +346,7 @@ def cone_pieces(cube: CubeComplex, c: int):
             if shift_diff_sign:
                 m = -m
             diffs[deg] = m
-        return ChainComplex(cx.ring, ranks, diffs, basis=basis)
+        return ChainComplex._unchecked(cx.ring, ranks, diffs, basis)
 
     X = sub(x_index, False, "x")
     Y = sub(y_index, True, "y")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from khsing.chain import (ChainMap, Homotopy, cone,
+from khsing.chain import (ChainComplex, ChainMap, Homotopy, cone,
                           cone_cocone_homotopy, cone_factor,
                           cone_functorial_map, cone_hfunc_homotopy,
                           cone_inclusion, cone_projection,
@@ -70,6 +70,13 @@ class TestShift:
         assert shifted.ranks == normalized.ranks
         assert {i: m.data for i, m in shifted.diffs.items()} == \
             {i: m.data for i, m in normalized.diffs.items()}
+
+
+class TestConstruction:
+    def test_nonzero_square_refused(self):
+        one = SparseMatrix.identity(1, ZZ)
+        with pytest.raises(ContractViolation, match="d\\^2 != 0 at degree 0"):
+            ChainComplex(ZZ, {0: 1, 1: 1, 2: 1}, {0: one, 1: one})
 
 
 class TestIsChainMap:
@@ -171,6 +178,14 @@ class TestHomology:
         # universal coefficients: the Z/2 class thickens the F2 dimensions
         assert h2.total_dimension() == 6
 
+    @pytest.mark.parametrize("target", [Ring.prime_field(2), ZZ, QQ], ids=str)
+    def test_ring_change_out_of_fp_refused(self, target):
+        # residues mod 3 do not lift to another ring
+        cx = build_cube(from_braid([(0, 1)] * 3, 2),
+                        FrobeniusAlgebra(Ring.prime_field(3), 0, 0)).complex
+        with pytest.raises(ContractViolation, match=f"from F3 to {target}$"):
+            cx.homology(ring=target)
+
     @pytest.mark.parametrize("ring", [ZZ, Ring.prime_field(2)], ids=str)
     def test_each_block_reduced_once(self, ring, monkeypatch):
         cx = build_cube(from_braid([(0, 1)] * 5, 2),
@@ -266,6 +281,19 @@ class TestConeFunctorialMap:
         bad = homotopy_sum(F, noise)
         with pytest.raises(ContractViolation):
             cone_functorial_map(f, f_prime, u, v, bad)
+
+    def test_non_chain_map_leg_rejected(self):
+        # f = f' = 0 makes the square commute for any legs, so only the
+        # check of the induced map sees that u is not a chain map
+        F = FrobeniusAlgebra(ZZ, 0, 0)
+        cube = build_cube(parse({"pd": HOPF_PD}), F).complex
+        rng = random.Random(8)
+        u = ChainMap(cube, cube,
+                     random_family(rng, cube, cube, 0, 0.8).components)
+        assert not is_chain_map(u).ok
+        z = ChainMap(cube, cube, {})
+        with pytest.raises(ContractViolation, match="induced cone map"):
+            cone_functorial_map(z, z, u, identity_map(cube))
 
     def test_homotopy_equivalence_legs_preserve_homology(self):
         # with invertible legs the induced map is a homology isomorphism

@@ -53,15 +53,15 @@ class TestComultiply:
         # counit law for eps(1) = 0, eps(x) = 1
         for F in algebras():
             got = F.comultiply(F.one())
-            want = {(0, 1): F.ring.one(), (1, 0): F.ring.one()}
+            want = {(0, 1): 1, (1, 0): 1}
             if F.h != 0:
-                want[(0, 0)] = F.ring.neg(F.h)
+                want[(0, 0)] = F.ring.coerce(-F.h)
             assert got.coeffs == want
 
     def test_on_x(self):
         for F in algebras():
             got = F.comultiply(F.x())
-            want = {(1, 1): F.ring.one()}
+            want = {(1, 1): 1}
             if F.t != 0:
                 want[(0, 0)] = F.t
             assert got.coeffs == want
@@ -79,8 +79,8 @@ class TestComultiply:
                 right = F.element()
                 for (bl, br), v in te.coeffs.items():
                     lhs = F.element(v if bl == 0 else 0, 0)
-                    eps_l = v if bl == 1 else F.ring.zero()
-                    eps_r = v if br == 1 else F.ring.zero()
+                    eps_l = v if bl == 1 else 0
+                    eps_r = v if br == 1 else 0
                     left = left + (F.element(eps_l, 0) if br == 0
                                    else F.element(0, eps_l))
                     right = right + (F.element(eps_r, 0) if bl == 0
@@ -101,7 +101,7 @@ class TestCounit:
     def test_values(self):
         for F in algebras():
             assert F.counit(F.one()) == 0
-            assert F.counit(F.x()) == F.ring.one()
+            assert F.counit(F.x()) == 1
 
     def test_linearity(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)
@@ -130,7 +130,7 @@ class TestHandleAndClosedSurfaces:
     def test_handle_general(self):
         # mul(comul(1)) = 2x - h, from the counit-correct coproduct
         for F in algebras():
-            assert F.handle(F.one()) == F.element(F.ring.neg(F.h),
+            assert F.handle(F.one()) == F.element(F.ring.coerce(-F.h),
                                                   F.ring.coerce(2))
 
     def test_sphere_is_zero(self):

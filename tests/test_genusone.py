@@ -21,8 +21,8 @@ def phi_matrix(F):
     cols = {
         (0, 0): {(0, 1): 1, (1, 0): -1},
         (0, 1): {(0, 0): t, (0, 1): h, (1, 1): -1},
-        (1, 0): {(1, 1): 1, (0, 0): ring.neg(t), (1, 0): ring.neg(h)},
-        (1, 1): {(1, 0): t, (0, 1): ring.neg(t)},
+        (1, 0): {(1, 1): 1, (0, 0): -t, (1, 0): -h},
+        (1, 1): {(1, 0): t, (0, 1): -t},
     }
     order = [(0, 0), (0, 1), (1, 0), (1, 1)]
     data = {}
@@ -81,8 +81,7 @@ class TestPhiLocal:
                         continue
                     bl, br = order[r]
                     for bit, coef in F.mult_bits(bl, br):
-                        merged[bit] = ring.add(merged.get(bit, ring.zero()),
-                                               ring.mul(v, coef))
+                        merged[bit] = ring.coerce(merged.get(bit, 0) + v * coef)
                 assert all(v == 0 for v in merged.values())
 
     def test_zero_smoothed_contract(self):
@@ -106,8 +105,7 @@ class TestPhiLocal:
                     col = order.index((bl, br))
                     for (r, c), v in phi.data.items():
                         if c == col:
-                            img[r] = ring.add(img.get(r, ring.zero()),
-                                              ring.mul(coef, v))
+                            img[r] = ring.coerce(img.get(r, 0) + coef * v)
                 assert all(v == 0 for v in img.values()), (F.h, F.t, a)
             # merge: C(x)C -> C by multiplication
             for col, bits in enumerate(order):
@@ -116,8 +114,7 @@ class TestPhiLocal:
                     if c != col:
                         continue
                     for bit, coef in F.mult_bits(*order[r]):
-                        out[bit] = ring.add(out.get(bit, ring.zero()),
-                                            ring.mul(v, coef))
+                        out[bit] = ring.coerce(out.get(bit, 0) + v * coef)
                 assert all(v == 0 for v in out.values())
 
 
@@ -394,9 +391,9 @@ class TestR1Commutation:
         data = {(1, 0): 1, (2, 0): -1}          # 1 |-> 1(x)x - x(x)1
         data[(3, 1)] = 1                         # x |-> x(x)x - x^2(x)1
         if F.t != 0:
-            data[(0, 1)] = ring.neg(F.t)
+            data[(0, 1)] = -F.t
         if F.h != 0:
-            data[(2, 1)] = ring.neg(F.h)
+            data[(2, 1)] = -F.h
         into_pos = {0: SparseMatrix(kp.rank(0), 2, ring, data)}
         r1_pos = ChainMap(cu, kp, into_pos)
         return g, r1_neg, r1_pos

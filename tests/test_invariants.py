@@ -3,9 +3,11 @@ import json
 import pytest
 
 from khsing.cli import corpus_dir
-from khsing.diagram import parse
+from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
-from khsing.exactlinalg import QQ, Ring, ZZ
+from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
+from khsing.frobenius import FrobeniusAlgebra
+from khsing.genusone import singular_complex
 from khsing.invariants import (LaurentPoly, homology_signature,
                                jones_by_skein, jones_polynomial,
                                kauffman_bracket_oracle)
@@ -151,6 +153,24 @@ class TestHomologySignature:
         a = homology_signature(load("trefoil_pos"), ZZ)
         b = homology_signature(load("unknot"), ZZ)
         assert a.groups != b.groups
+
+    def test_each_square_checked_once(self, monkeypatch):
+        # d^2 = 0 is checked once, on the complex that is built: one product
+        # per pair of consecutive nonzero differentials, no recheck
+        d = from_braid([(0, 1)] * 5, 2)
+        cx = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0)).complex
+        pairs = sum(1 for i in cx.diffs if i + 1 in cx.diffs)
+        calls = []
+        mul = SparseMatrix.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+        homology_signature(d, ZZ)
+        assert pairs > 0
+        assert len(calls) == pairs
 
     def test_kunneth_rank_convolution(self):
         # disjoint union of a singular and an ordinary diagram: rational
