@@ -18,7 +18,7 @@ chain condition of its map, so a coned map is not checked on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractViolation
 # homology_at is re-exported: tools that wrap it look it up here too
@@ -207,12 +207,18 @@ class ChainComplex:
 
 @dataclass
 class ChainMap:
-    """Graded map f: X -> Y[shift], components X^i -> Y^(i - shift)."""
+    """Graded map f: X -> Y[shift], components X^i -> Y^(i - shift).
+
+    A map is not changed after it is built: ``cone`` keeps its result in
+    ``_cone``.
+    """
 
     source: ChainComplex
     target: ChainComplex
     components: dict
     shift: int = 0
+    _cone: ChainComplex | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         self.components = {
@@ -362,8 +368,16 @@ def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: Cone(f)^i = Y^i (+) X^(i+1), d = [[d_Y, f], [0, -d_X]].
 
     The off-diagonal block of d d is d_Y f - f d_X, so the cone's own
-    d^2 = 0 check rejects an ``f`` that is not a chain map.
+    d^2 = 0 check rejects an ``f`` that is not a chain map.  The cone is
+    kept on ``f`` and returned by later calls, so a map coned in several
+    places is built and checked once; it lives as long as ``f``.
     """
+    if f._cone is None:
+        f._cone = _cone(f)
+    return f._cone
+
+
+def _cone(f: ChainMap) -> ChainComplex:
     if f.shift != 0:
         raise ContractViolation("cone requires a degree-0 chain map")
     X, Y = f.source, f.target

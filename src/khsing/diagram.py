@@ -40,7 +40,8 @@ class Diagram:
     """
 
     __slots__ = ("crossings", "kinds", "free_loops", "name",
-                 "over_entry", "components", "_edge_index", "_signs")
+                 "over_entry", "components", "_labels", "_pd_index", "_ends",
+                 "_signs")
 
     def __init__(self, crossings, kinds=None, free_loops=0, name=None,
                  over_hints=None):
@@ -65,8 +66,17 @@ class Diagram:
         self.free_loops = int(free_loops)
         self.name = name
         self.over_entry, self.components = self._trace(over_hints or {})
-        labels = sorted({e for c in crossings for e in c})
-        self._edge_index = {e: i for i, e in enumerate(labels)}
+        # edge labels in ascending order, each crossing as indices into them
+        # and each edge's two (crossing, slot) ends: every state resolves
+        # from these without a sort
+        self._labels = tuple(sorted({e for c in crossings for e in c}))
+        index = {e: i for i, e in enumerate(self._labels)}
+        self._pd_index = tuple(tuple(index[e] for e in c) for c in crossings)
+        ends = [[] for _ in self._labels]
+        for ci, c in enumerate(self._pd_index):
+            for slot, e in enumerate(c):
+                ends[e].append((ci, slot))
+        self._ends = tuple(map(tuple, ends))
         self._signs = tuple(1 if oe == 3 else -1 for oe in self.over_entry)
 
     # -- validation and traversal -------------------------------------------
@@ -286,51 +296,37 @@ class Diagram:
         return self._resolve_mask(smoothing)
 
     def _resolve_mask(self, smoothing: int) -> "CircleConfiguration":
-        idx = self._edge_index
-        n_edges = len(idx)
-        parent = list(range(n_edges))
-
-        def find(e):
-            root = e
-            while parent[root] != root:
-                root = parent[root]
-            while parent[e] != root:
-                parent[e], e = root, parent[e]
-            return root
-
-        def union(u, v):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-
-        for ci, (a, b, c, d) in enumerate(self.crossings):
-            if smoothing >> ci & 1:
-                union(idx[a], idx[d])
-                union(idx[b], idx[c])
-            else:
-                union(idx[a], idx[b])
-                union(idx[c], idx[d])
-
-        labels = sorted(idx)
-        classes = {}
-        for e in labels:
-            classes.setdefault(find(idx[e]), []).append(e)
-        # circles ordered by minimal edge label; free loops trail
-        circles = sorted((tuple(v) for v in classes.values()), key=lambda t: t[0])
-        n_real = len(circles)
+        # walk each circle: leave an edge through one end, cross to the
+        # slot that the smoothing joins to it (0: 0-1 and 2-3; 1: 0-3 and
+        # 1-2) and enter the edge there
+        pd, ends = self._pd_index, self._ends
+        circle_of = [-1] * len(self._labels)
+        n_real = 0
+        for start in range(len(circle_of)):
+            if circle_of[start] >= 0:
+                continue
+            e = start
+            ci, slot = ends[start][0]
+            while circle_of[e] < 0:
+                circle_of[e] = n_real
+                slot = 3 - slot if smoothing >> ci & 1 else slot ^ 1
+                e = pd[ci][slot]
+                a, b = ends[e]
+                ci, slot = b if a == (ci, slot) else a
+            n_real += 1
+        # circles ordered by minimal edge label, as the walks start in label
+        # order; free loops trail
+        circles = [[] for _ in range(n_real)]
+        for e, k in zip(self._labels, circle_of):
+            circles[k].append(e)
+        circles = [tuple(v) for v in circles]
         circles += [("loop", k) for k in range(self.free_loops)]
-        circle_of_root = {find(idx[circ[0]]): ix
-                          for ix, circ in enumerate(circles[:n_real])}
-        crossing_arcs = []
-        for ci, (a, b, c, d) in enumerate(self.crossings):
-            if smoothing >> ci & 1:
-                pair = (circle_of_root[find(idx[a])], circle_of_root[find(idx[b])])
-            else:
-                pair = (circle_of_root[find(idx[a])], circle_of_root[find(idx[c])])
-            crossing_arcs.append(pair)
-        edge_circle = {e: circle_of_root[find(idx[e])] for e in labels}
+        crossing_arcs = tuple(
+            (circle_of[a], circle_of[b if smoothing >> ci & 1 else c])
+            for ci, (a, b, c, _d) in enumerate(pd))
+        edge_circle = dict(zip(self._labels, circle_of))
         return CircleConfiguration(self, smoothing, tuple(circles),
-                                   tuple(crossing_arcs), edge_circle)
+                                   crossing_arcs, edge_circle)
 
     def resolve(self, state: "State") -> "CircleConfiguration":
         """Circles of a full resolution given by a State object."""

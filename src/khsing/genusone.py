@@ -21,7 +21,6 @@ in flattened form.  Degrees follow the shift -(n_minus + 2 * n_double).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .chain import (ChainComplex, ChainMap, cone, cone_functorial_map,
                     homology_functor_ranks, is_chain_map)
@@ -29,8 +28,7 @@ from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary, SparseMatrix
 from .frobenius import FrobeniusAlgebra
-from .khcube import (CubeComplex, _acc, _bits_rank, _bracket_cube, _sign_bits,
-                     build_cube)
+from .khcube import CubeComplex, _bracket_cube, _sign_bits, build_cube
 
 
 def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
@@ -45,29 +43,24 @@ def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
             "crossing is 0-smoothed; the crossing-change map has no "
             "component there")
     k = config.n_circles
-    dim = 1 << k
     i1, i2 = config.crossing_arcs[crossing]
-    ring = F.ring
+    entries = {} if i1 == i2 else {
+        (r, col): v for r, col, v in _phi_block(F, k, i1, i2)}
+    return SparseMatrix(1 << k, 1 << k, F.ring, entries)
+
+
+def _phi_block(F: FrobeniusAlgebra, k: int, i1: int, i2: int):
+    """(x on circle i2) - (x on circle i1) on the 2^k generators of a state,
+    as (row, col, value) with colliding terms summed (at h != 0 the two
+    x-terms cancel on the diagonal) and zeros dropped."""
+    w1, w2 = 1 << (k - 1 - i1), 1 << (k - 1 - i2)
     entries = {}
-    if i1 == i2:
-        return SparseMatrix.zero(dim, dim, ring)
-    for col, bits in enumerate(product((0, 1), repeat=k)):
-        for target, coef in _x_difference(F, bits, i1, i2):
-            _acc(entries, _bits_rank(target), col, coef)
-    return SparseMatrix(dim, dim, ring, entries)
-
-
-def _x_difference(F: FrobeniusAlgebra, bits, i1: int, i2: int):
-    """Expansion of (x on factor i2) - (x on factor i1) applied to a basis
-    vector; yields (target_bits, coefficient) pairs."""
-    for bit, coef in F.x_bits(bits[i2]):
-        nb = list(bits)
-        nb[i2] = bit
-        yield tuple(nb), coef
-    for bit, coef in F.x_bits(bits[i1]):
-        nb = list(bits)
-        nb[i1] = bit
-        yield tuple(nb), -coef
+    for col in range(1 << k):
+        for w, sign in ((w2, 1), (w1, -1)):
+            for bit, coef in F.x_bits(1 if col & w else 0):
+                r = col & ~w | (w if bit else 0)
+                entries[(r, col)] = entries.get((r, col), 0) + sign * coef
+    return [(r, col, v) for (r, col), v in entries.items() if v]
 
 
 # ---------------------------------------------------------------------------
@@ -157,40 +150,35 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     if qdeg is not None:
         qdeg = {deg: tuple(v) for deg, v in qdeg.items()}
 
+    # no two blocks below share an entry: each lies in its own (source
+    # piece, target piece) rectangle, within it in its own pair of states
     entries_by_deg = {deg: {} for deg in ranks}
-
-    def put(deg, row, col, val):
-        _acc(entries_by_deg[deg], row, col, val)
 
     # cube blocks
     for rmask in scheme_masks:
         cube = pieces[rmask]
         two_r = 2 * rmask.bit_count()
-        for w in cube.complex.degrees():
-            mtx = cube.complex.diff(w)
-            if mtx.is_zero():
-                continue
-            deg = w + two_r
+        for w, mtx in cube.complex.diffs.items():
+            acc = entries_by_deg[w + two_r]
             roff = offsets[(rmask, w + 1)]
             coff = offsets[(rmask, w)]
             for (r, c), v in mtx.data.items():
-                put(deg, roff + r, coff + c, v)
+                acc[(roff + r, coff + c)] = v
 
     # crossing-change blocks, one per absent site, uniform minus sign
     for rmask in scheme_masks:
-        cube = pieces[rmask]
         two_r = 2 * rmask.bit_count()
         for k, b in enumerate(sites):
             if (rmask >> k) & 1:
                 continue
             tmask = rmask | (1 << k)
-            _phi_blocks(cube, pieces[tmask], b, F,
-                        lambda w, row, col, val, deg_off=two_r, src=rmask,
-                        tgt=tmask:
-                        put(w + deg_off,
-                            offsets[(tgt, w - 1)] + row,
-                            offsets[(src, w)] + col,
-                            -val))
+            for w, row0, col0, sign, block in _phi_blocks(
+                    pieces[rmask], pieces[tmask], b, F):
+                acc = entries_by_deg[w + two_r]
+                row0 += offsets[(tmask, w - 1)]
+                col0 += offsets[(rmask, w)]
+                for r, col, v in block:
+                    acc[(row0 + r, col0 + col)] = -sign * v
 
     diffs = {}
     for deg, acc in entries_by_deg.items():
@@ -202,21 +190,23 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
 
 
 def _phi_blocks(src_cube: CubeComplex, tgt_cube: CubeComplex, c: int,
-                F: FrobeniusAlgebra, emit):
+                F: FrobeniusAlgebra):
     """Crossing-change components between two bracket cubes.
 
-    For every state of the source cube that 1-smooths crossing c, emits the
-    entries of the local map times the check sign, as
-    ``emit(source_weight, row_in_target_level, col_in_source_level, value)``
-    with indices relative to the cubes' generator numbering at weight
-    ``source_weight - 1`` and ``source_weight`` respectively.
+    For every state of the source cube that 1-smooths crossing c on two
+    distinct circles, yields ``(w, row0, col0, sign, block)``: the state
+    sits at weight w, its generators start at ``col0`` in level w of the
+    source cube and their images at ``row0`` in level w - 1 of the target
+    cube, and the component is ``sign`` (the check sign) times ``block``,
+    the ``_phi_block`` of its (k, i1, i2).  Each block is built once per
+    call, in a dict that lives for the call.
     """
     src_cx = src_cube.complex
     bit = 1 << c
     src_pos = {w: _state_offsets(src_cx.basis[w]) for w in src_cx.degrees()}
     tgt_pos = {w: _state_offsets(tgt_cube.complex.basis[w])
                for w in tgt_cube.complex.degrees()}
-
+    blocks = {}
     for w in src_cx.degrees():
         for mask, start in src_pos[w].items():
             if not mask & bit:
@@ -226,17 +216,14 @@ def _phi_blocks(src_cube: CubeComplex, tgt_cube: CubeComplex, c: int,
             if i1 == i2:
                 continue
             tmask = mask & ~bit
-            tgt_cfg = tgt_cube.configs[tmask]
-            if tgt_cfg.circles != cfg.circles:
+            if tgt_cube.configs[tmask].circles != cfg.circles:
                 raise ContractViolation(
                     "resolved configurations disagree; inconsistent cubes")
-            tstart = tgt_pos[w - 1][tmask]
-            sign = _sign_bits(mask, c)
-            k = cfg.n_circles
-            for col_ix, bits in enumerate(product((0, 1), repeat=k)):
-                for target, coef in _x_difference(F, bits, i1, i2):
-                    emit(w, tstart + _bits_rank(target), start + col_ix,
-                         sign * coef)
+            key = (cfg.n_circles, i1, i2)
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = _phi_block(F, *key)
+            yield w, tgt_pos[w - 1][tmask], start, _sign_bits(mask, c), block
 
 
 def _state_offsets(labels) -> dict:
@@ -294,15 +281,15 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
 
     comps = {}
     for rmask, cube in S_minus.pieces.items():
-        tgt_cube = S_plus.pieces[rmask]
-        two_r = 2 * rmask.bit_count()
-
         # c is negative, so target weight w - 1 sits in the same degree
-        def emit(w, row, col, val, rm=rmask, off=two_r):
-            _acc(comps.setdefault(w + off + shift_m, {}),
-                 off_p[(rm, w - 1)] + row, off_m[(rm, w)] + col, val)
-
-        _phi_blocks(cube, tgt_cube, c, F, emit)
+        deg_off = 2 * rmask.bit_count() + shift_m
+        for w, row0, col0, sign, block in _phi_blocks(
+                cube, S_plus.pieces[rmask], c, F):
+            acc = comps.setdefault(w + deg_off, {})
+            row0 += off_p[(rmask, w - 1)]
+            col0 += off_m[(rmask, w)]
+            for r, col, v in block:
+                acc[(row0 + r, col0 + col)] = sign * v
 
     matrices = {}
     for deg, acc in comps.items():
@@ -341,6 +328,13 @@ def singular_complex_iterated(d: Diagram, F: FrobeniusAlgebra,
     the complexes of its two resolutions and the crossing-change map between
     them, and takes the cone.  Isomorphic (up to basis signs) to the
     flattened construction; homology agrees degreewise.
+
+    The 2^m resolutions share their cubes and maps, so one dict, made here
+    and dropped on return, holds each crossing-change map under (diagram
+    key, crossing, remaining sites) and each bracket cube under its diagram
+    key: every cube and every map is built once per call, and since
+    ``cone`` keeps its result on the map, every cone is built and checked
+    once.
     """
     sites = tuple(site_order) if site_order is not None else d.singular_indices
     if sorted(sites) != sorted(d.singular_indices):
@@ -348,50 +342,74 @@ def singular_complex_iterated(d: Diagram, F: FrobeniusAlgebra,
     if not sites:
         return build_cube(d, F).complex
     b = sites[0]
-    phi = _iterated_phi(d.resolve_double_point(b, -1), b, F, sites[1:])
-    return cone(phi)
+    return cone(_iterated_phi(d.resolve_double_point(b, -1), b, F, sites[1:],
+                              {}))
+
+
+def _diagram_key(d: Diagram) -> tuple:
+    """What a bracket cube depends on.  ``Diagram.__eq__`` ignores the
+    orientation, which sets the crossing signs and so the gradings."""
+    return (d.crossings, d.free_loops, d.over_entry)
 
 
 def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
-                  sites) -> ChainMap:
-    """Crossing-change map between iterated-cone complexes."""
+                  sites, built: dict) -> ChainMap:
+    """Crossing-change map between iterated-cone complexes, looked up in or
+    added to ``built`` (see ``singular_complex_iterated``).  The remaining
+    ``sites`` are exactly the double points of ``d_minus``, so the key
+    (diagram key, c, sites) fixes the map."""
+    key = (_diagram_key(d_minus), c, sites)
+    if key in built:
+        return built[key]
     d_plus = d_minus.crossing_change(c)
     if not sites:
-        cm = _bracket_cube(d_minus, F)
-        cp = _bracket_cube(d_plus, F)
-        return _phi_cube_chainmap(cm, cp, c)
-    b, rest = sites[0], sites[1:]
-    f_prime = _iterated_phi(d_minus.resolve_double_point(b, -1), b, F, rest)
-    f = _iterated_phi(d_plus.resolve_double_point(b, -1), b, F, rest)
-    u = _iterated_phi(d_minus.resolve_double_point(b, -1), c, F, rest)
-    v = _iterated_phi(d_minus.resolve_double_point(b, +1), c, F, rest)
-    # crossing-change maps at distinct sites anticommute (check signs), so
-    # the square commutes strictly once the X-leg is negated
-    return cone_functorial_map(f, f_prime, -u, v)
+        phi = _phi_cube_chainmap(_cached_cube(d_minus, F, built),
+                                 _cached_cube(d_plus, F, built), c)
+    else:
+        b, rest = sites[0], sites[1:]
+        x_minus = d_minus.resolve_double_point(b, -1)
+        f_prime = _iterated_phi(x_minus, b, F, rest, built)
+        f = _iterated_phi(d_plus.resolve_double_point(b, -1), b, F, rest,
+                          built)
+        u = _iterated_phi(x_minus, c, F, rest, built)
+        v = _iterated_phi(d_minus.resolve_double_point(b, +1), c, F, rest,
+                          built)
+        # crossing-change maps at distinct sites anticommute (check signs),
+        # so the square commutes strictly once the X-leg is negated
+        phi = cone_functorial_map(f, f_prime, -u, v)
+    built[key] = phi
+    return phi
 
 
-def _phi_cube_chainmap(cm: CubeComplex, cp: CubeComplex, c: int) -> ChainMap:
-    """Crossing-change map between two bracket-level cube complexes,
-    returned against their normalized shifts.
+def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict) -> tuple:
+    """(bracket cube of d, its normalized complex), looked up in or added
+    to ``built``."""
+    key = _diagram_key(d)
+    if key not in built:
+        cube = _bracket_cube(d, F)
+        built[key] = cube, cube.complex.shift(-cube.n_minus)
+    return built[key]
+
+
+def _phi_cube_chainmap(minus: tuple, plus: tuple, c: int) -> ChainMap:
+    """Crossing-change map between two bracket cubes, each given as
+    (cube, normalized complex), returned against the normalized complexes.
 
     Neither the map nor the cubes are checked here.  Every such map is
     coned, and the d^2 = 0 check of the cone covers both; a leg of
     ``cone_functorial_map`` is covered by its check of the induced map.
     """
+    (cm, ncm), (cp, ncp) = minus, plus
     F = cm.algebra
     ring = F.ring
     shift_m = -cm.n_minus
-    shift_p = -cp.n_minus
-    if shift_p != shift_m + 1:
+    if cp.n_minus != cm.n_minus - 1:
         raise ContractViolation(f"crossing {c} is not negative")
-    ncm = cm.complex.shift(shift_m)
-    ncp = cp.complex.shift(shift_p)
     comps = {}
-
-    def emit(w, row, col, val):
-        _acc(comps.setdefault(w + shift_m, {}), row, col, val)
-
-    _phi_blocks(cm, cp, c, F, emit)
+    for w, row0, col0, sign, block in _phi_blocks(cm, cp, c, F):
+        acc = comps.setdefault(w + shift_m, {})
+        for r, col, v in block:
+            acc[(row0 + r, col0 + col)] = sign * v
     matrices = {deg: SparseMatrix(ncp.rank(deg), ncm.rank(deg), ring, acc)
                 for deg, acc in comps.items()}
     return ChainMap(ncm, ncp, matrices)

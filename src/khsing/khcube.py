@@ -7,6 +7,10 @@ evaluated saddle, weighted by the alternating wedge sign.
 
 Generator order is lexicographic in the state bit tuple, then lexicographic
 in the circle bit tuple, so matrices are reproducible across runs.
+
+A saddle's block depends only on its circle pattern (merge or split, the
+circle counts and the touched circles), so each cube build makes each
+block once, in a dict keyed by that pattern that lives for the build.
 """
 
 from __future__ import annotations
@@ -139,35 +143,56 @@ def _bits_tuples(k: int):
     return list(product((0, 1), repeat=k))
 
 
-def _saddle_targets(src_cfg, tgt_cfg, c: int, crossing):
-    """Circle bookkeeping for the saddle at crossing c.
+def _saddle_pattern(src_cfg, tgt_cfg, c: int, crossing):
+    """Circle pattern of the saddle at crossing c: the key of its block.
 
-    Returns ("merge", idx_map, i1, i2, m) or ("split", idx_map, i, d1, d2),
-    where idx_map sends untouched source circle indices to target indices.
+    Returns (kind, k_src, k_tgt, src_touched, tgt_touched): a "merge" of
+    source circles (i1, i2) into target circle (m,), or a "split" of (i,)
+    into (d1, d2).  The untouched circles keep their edges, so they keep
+    their order (circles are ordered by minimal edge label, free loops
+    last) and fill the remaining target slots in turn: the pattern fixes
+    the block.
     """
     a, b = crossing[0], crossing[1]
     i1, i2 = src_cfg.crossing_arcs[c]
-    idx_map = {}
-    for k, circ in enumerate(src_cfg.circles):
-        if k in (i1, i2):
-            continue
-        if isinstance(circ[0], tuple) or circ and isinstance(circ[0], str):
-            continue  # free loops handled below
-        idx_map[k] = tgt_cfg.edge_circle[circ[0]]
-    # free loops occupy the trailing slots in both configurations
-    n_src_real = sum(1 for circ in src_cfg.circles if not isinstance(circ[0], str))
-    n_tgt_real = sum(1 for circ in tgt_cfg.circles if not isinstance(circ[0], str))
-    for k in range(len(src_cfg.circles) - n_src_real):
-        idx_map[n_src_real + k] = n_tgt_real + k
+    k_src, k_tgt = src_cfg.n_circles, tgt_cfg.n_circles
     if i1 != i2:
-        m = tgt_cfg.edge_circle[a]
-        return ("merge", idx_map, i1, i2, m)
+        return ("merge", k_src, k_tgt, (i1, i2), (tgt_cfg.edge_circle[a],))
     d1 = tgt_cfg.edge_circle[a]
     d2 = tgt_cfg.edge_circle[b]
     if d1 == d2:
         raise ContractViolation(
             "saddle does not change the circle count; diagram is not planar")
-    return ("split", idx_map, i1, d1, d2)
+    return ("split", k_src, k_tgt, (i1,), (d1, d2))
+
+
+def _saddle_block(F: FrobeniusAlgebra, pattern):
+    """The saddle of one circle pattern as (row, col, value) over the
+    2^k_src source generators; each column's terms land on distinct rows.
+
+    Generator index r of a k-circle state has the bit of circle i at weight
+    2^(k - 1 - i), matching the lexicographic order of the bit tuples.
+    """
+    kind, k_src, k_tgt, src_touched, tgt_touched = pattern
+    untouched = list(zip(
+        [k for k in range(k_src) if k not in src_touched],
+        [k for k in range(k_tgt) if k not in tgt_touched]))
+    out = []
+    for col in range(1 << k_src):
+        bits = [col >> (k_src - 1 - i) & 1 for i in range(k_src)]
+        base = 0
+        for ks, kt in untouched:
+            base |= bits[ks] << (k_tgt - 1 - kt)
+        if kind == "merge":
+            (i1, i2), (m,) = src_touched, tgt_touched
+            for b, coef in F.mult_bits(bits[i1], bits[i2]):
+                out.append((base | b << (k_tgt - 1 - m), col, coef))
+        else:
+            (i,), (d1, d2) = src_touched, tgt_touched
+            for bl, br, coef in F.comult_bits(bits[i]):
+                out.append((base | bl << (k_tgt - 1 - d1)
+                            | br << (k_tgt - 1 - d2), col, coef))
+    return out
 
 
 def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeComplex:
@@ -188,7 +213,11 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
 
 def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
     """The unnormalized cube of ``build_cube``, unchecked: the caller checks
-    d^2 = 0 on it or on the complex it is assembled into."""
+    d^2 = 0 on it or on the complex it is assembled into.
+
+    Each (state, crossing) edge is its check sign times the
+    ``_saddle_block`` of its ``_saddle_pattern``; the blocks are kept in a
+    dict keyed by pattern for the length of this call."""
     if d.n_singular:
         raise ContractViolation(
             "diagram has double points; build the singular complex instead")
@@ -226,6 +255,7 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
         if qdeg is not None:
             qdeg[w] = tuple(qs)
 
+    blocks = {}  # circle pattern -> _saddle_block, for this call only
     diffs = {}
     for w in sorted(levels):
         if w + 1 not in levels:
@@ -234,56 +264,24 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
         for mask in levels[w]:
             src_cfg = configs[mask]
             src_off = offsets[mask]
-            k_src = src_cfg.n_circles
             for c in range(n):
                 if mask >> c & 1:
                     continue
                 sign = _sign_bits(mask, c)
                 tgt_mask = mask | (1 << c)
-                tgt_cfg = configs[tgt_mask]
                 tgt_off = offsets[tgt_mask]
-                k_tgt = tgt_cfg.n_circles
-                kind = _saddle_targets(src_cfg, tgt_cfg, c, d.crossings[c])
-                for col_ix, bits in enumerate(_bits_tuples(k_src)):
-                    col = src_off + col_ix
-                    if kind[0] == "merge":
-                        _, idx_map, i1, i2, m = kind
-                        base = [0] * k_tgt
-                        for ksrc, ktgt in idx_map.items():
-                            base[ktgt] = bits[ksrc]
-                        for bit, coef in F.mult_bits(bits[i1], bits[i2]):
-                            tb = list(base)
-                            tb[m] = bit
-                            row = tgt_off + _bits_rank(tb)
-                            _acc(entries, row, col, sign * coef)
-                    else:
-                        _, idx_map, i, d1, d2 = kind
-                        base = [0] * k_tgt
-                        for ksrc, ktgt in idx_map.items():
-                            base[ktgt] = bits[ksrc]
-                        for bl, br, coef in F.comult_bits(bits[i]):
-                            tb = list(base)
-                            tb[d1] = bl
-                            tb[d2] = br
-                            row = tgt_off + _bits_rank(tb)
-                            _acc(entries, row, col, sign * coef)
+                pattern = _saddle_pattern(src_cfg, configs[tgt_mask], c,
+                                          d.crossings[c])
+                block = blocks.get(pattern)
+                if block is None:
+                    block = blocks[pattern] = _saddle_block(F, pattern)
+                # distinct edges never share an entry, nor terms of one edge
+                for r, col, v in block:
+                    entries[(tgt_off + r, src_off + col)] = sign * v
         diffs[w] = SparseMatrix(ranks[w + 1], ranks[w], ring, entries)
 
     cx = ChainComplex._unchecked(ring, ranks, diffs, basis, qdeg)
     return CubeComplex(cx, d, F, n_plus, n_minus, False, configs)
-
-
-def _bits_rank(bits) -> int:
-    r = 0
-    for b in bits:
-        r = (r << 1) | b
-    return r
-
-
-def _acc(entries, row, col, val):
-    """Add the integer ``val`` into ``entries[(row, col)]``; the matrix built
-    from ``entries`` reduces the sums into its ring and drops zeros."""
-    entries[(row, col)] = entries.get((row, col), 0) + val
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from khsing.chain import ChainMap, cone, is_chain_map
+from khsing import genusone
+from khsing.chain import ChainComplex, ChainMap, cone, is_chain_map
 from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
@@ -8,9 +10,13 @@ from khsing.frobenius import FrobeniusAlgebra
 from khsing.genusone import (genus_one_map, phi_local, singular_complex,
                              singular_complex_iterated, skein_site,
                              skein_triangle_report)
+from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
 from khsing.khcube import build_cube
 
+from util import reference_genus_one_components
+
 F2 = Ring.prime_field(2)
+F3 = Ring.prime_field(3)
 HOPF_NEG_PD = [[3, 2, 4, 1], [1, 4, 2, 3]]
 
 
@@ -199,6 +205,22 @@ class TestGenusOneMap:
                        {i: -m for i, m in g.map.components.items()})
         assert cone(g.map).homology().groups == cone(neg).homology().groups
 
+    @pytest.mark.parametrize("ring", [ZZ, F3], ids=str)
+    def test_matrices_match_reference_at_h1_t1(self, ring):
+        # at h != 0 the x-terms on the two circles collide on the diagonal;
+        # the reference sums them term by term, column by column
+        F = FrobeniusAlgebra(ring, 1, 1)
+        for word, c in (([(0, -1), (1, 1), (0, -1), (1, 1)], 2),
+                        ([(0, -1), (1, 0), (0, 1), (1, -1)], 0),
+                        ([(0, -1), (0, -1), (0, 1)], 1),
+                        # states that pair a circle i1 with different
+                        # circles i2, and a circle i2 with different i1
+                        ([(0, -1), (1, -1), (0, -1), (0, -1), (1, 1)], 1)):
+            g = genus_one_map(from_braid(word, 3), c, F)
+            ref = reference_genus_one_components(g)
+            for i in set(ref) | set(g.map.components):
+                assert g.map.component(i) == ref.get(i), (word, i)
+
     def test_mirror_naturality_ranks(self):
         # rank of H(phi) at (i, j) on the pair equals the rank at (-i, -j)
         # on the mirror pair
@@ -266,6 +288,76 @@ class TestSingularComplex:
         for F in algebra_points():
             h = singular_complex(d, F).homology(graded=False)
             assert h.groups == ()
+
+
+S6_3DP = [(0, 0), (1, 1), (0, 1), (1, 0), (0, 1), (1, 0)]
+
+
+class TestIteratedAssemblyCounts:
+    def test_each_cube_map_and_cone_built_once_per_call(self, monkeypatch):
+        # 3 double points: 8 resolutions, so 8 cubes; the parent built 32
+        # cubes for the 16 leaf maps of the recursion and checked 11 cones,
+        # of which 7 are distinct
+        calls = {"cube": 0, "validate": 0}
+        bracket_cube, validate = genusone._bracket_cube, ChainComplex.validate
+
+        def counting_cube(*args):
+            calls["cube"] += 1
+            return bracket_cube(*args)
+
+        def counting_validate(self):
+            calls["validate"] += 1
+            return validate(self)
+
+        monkeypatch.setattr(genusone, "_bracket_cube", counting_cube)
+        monkeypatch.setattr(ChainComplex, "validate", counting_validate)
+        d = from_braid(S6_3DP, 3)
+        F = FrobeniusAlgebra(QQ, 0, 0)
+        singular_complex_iterated(d, F)
+        assert calls == {"cube": 8, "validate": 7}
+        # nothing is kept from one call to the next
+        singular_complex_iterated(d, F)
+        assert calls["cube"] == 16
+
+
+def _skein_state_sum(d):
+    """Kauffman state sum, extended to double points by the skein rule
+    value(double point) = value(positive) - value(negative)."""
+    if not d.n_singular:
+        return kauffman_bracket_oracle(d)
+    b = d.singular_indices[0]
+    return (_skein_state_sum(d.resolve_double_point(b, +1))
+            - _skein_state_sum(d.resolve_double_point(b, -1)))
+
+
+@st.composite
+def singular_closures(draw):
+    """Closures of braids on 2-3 strands with at most 6 letters, at most 3
+    of them double points."""
+    strands = draw(st.integers(2, 3))
+    word = draw(st.lists(st.tuples(st.integers(0, strands - 2),
+                                   st.sampled_from((1, -1, 0))),
+                         max_size=6)
+                .filter(lambda w: sum(kind == 0 for _, kind in w) <= 3))
+    return from_braid(word, strands)
+
+
+class TestRandomSingularClosures:
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(singular_closures())
+    def test_iterated_matches_flattened(self, d):
+        for ring, h, t in ((ZZ, 0, 0), (F2, 1, 0), (QQ, 0, 1)):
+            F = FrobeniusAlgebra(ring, h, t)
+            flat = singular_complex(d, F).homology()
+            iterated = singular_complex_iterated(d, F).homology()
+            assert iterated.groups == flat.groups, (str(ring), h, t)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(singular_closures())
+    def test_euler_characteristic_is_skein_state_sum(self, d):
+        S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
+        chi = S.complex.graded_euler_characteristic()
+        assert LaurentPoly(chi) == _skein_state_sum(d)
 
 
 class TestSkeinTriangle:

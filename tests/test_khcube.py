@@ -11,7 +11,10 @@ from khsing.frobenius import FrobeniusAlgebra
 from khsing.khcube import (SignModule, build_cube, check_sign, cone_pieces,
                            dualize, shuffle_sign, wedge_sign)
 
+from util import reference_bracket_differentials
+
 F2 = Ring.prime_field(2)
+F3 = Ring.prime_field(3)
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF_PD = [[1, 3, 2, 4], [3, 1, 4, 2]]
 
@@ -230,6 +233,27 @@ class TestGoldenMatrices:
         d0 = cube.complex.diff(0)
         assert d0.entry(0, 3) == 7 and d0.entry(1, 3) == 5
         assert d0.entry(2, 3) == 7 and d0.entry(3, 3) == 5
+
+
+class TestAssemblyAgainstReference:
+    # saddle blocks are built once per circle pattern; the reference redoes
+    # the circle bookkeeping for every column of every edge
+    DIAGRAMS = {
+        "T(3,4)": ([(0, 1), (1, 1)] * 4, 3),
+        "T(2,4) link": ([(0, 1)] * 4, 2),
+        "trefoil and a free loop": ([(0, 1), (0, -1), (0, 1), (0, 1)], 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIAGRAMS))
+    @pytest.mark.parametrize("ring,h,t", [(ZZ, 0, 0), (QQ, 0, 1), (F3, 1, 1)],
+                             ids=["Z00", "Q01", "F3_11"])
+    def test_bracket_cube_matches_reference(self, name, ring, h, t):
+        d = from_braid(*self.DIAGRAMS[name])
+        cube = build_cube(d, FrobeniusAlgebra(ring, h, t), normalize=False)
+        ref = reference_bracket_differentials(cube)
+        assert set(ref) == set(cube.complex.diffs)
+        for w, m in ref.items():
+            assert cube.complex.diff(w) == m, w
 
 
 class TestBracketDuality:

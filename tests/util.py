@@ -1,5 +1,6 @@
-"""Shared test helpers: an independent dense Smith oracle and generators of
-random complexes, chain maps, and homotopy data whose hypotheses hold by
+"""Shared test helpers: an independent dense Smith oracle, column-by-column
+reference builders of the cube and crossing-change matrices, and generators
+of random complexes, chain maps, and homotopy data whose hypotheses hold by
 construction."""
 
 from fractions import Fraction
@@ -105,6 +106,106 @@ def summary_via_dense_oracle(cx: ChainComplex):
             cx.diff(i - 1).to_rows(), cx.diff(i).to_rows(), cx.rank(i))
         if free or torsion:
             out[i] = (free, torsion)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference matrices, one generator column at a time
+# ---------------------------------------------------------------------------
+
+
+def _check_sign(mask, c):
+    """(-1)^(number of crossings below c in the state)."""
+    return -1 if bin(mask & ((1 << c) - 1)).count("1") % 2 else 1
+
+
+def _saddle_targets(src_cfg, tgt_cfg, c, crossing):
+    """("merge", idx_map, i1, i2, m) or ("split", idx_map, i, d1, d2) for the
+    saddle at crossing c; idx_map sends untouched source circles to target
+    circles, free loops (("loop", k) markers) to the trailing slots."""
+    a, b = crossing[0], crossing[1]
+    i1, i2 = src_cfg.crossing_arcs[c]
+    real_src = [k for k, circ in enumerate(src_cfg.circles)
+                if not isinstance(circ[0], str)]
+    real_tgt = [k for k, circ in enumerate(tgt_cfg.circles)
+                if not isinstance(circ[0], str)]
+    idx_map = {k: tgt_cfg.edge_circle[src_cfg.circles[k][0]]
+               for k in real_src if k not in (i1, i2)}
+    for k in range(len(src_cfg.circles) - len(real_src)):
+        idx_map[len(real_src) + k] = len(real_tgt) + k
+    if i1 != i2:
+        return ("merge", idx_map, i1, i2, tgt_cfg.edge_circle[a])
+    return ("split", idx_map, i1, tgt_cfg.edge_circle[a],
+            tgt_cfg.edge_circle[b])
+
+
+def reference_bracket_differentials(cube):
+    """The differentials of an unnormalized bracket cube, rebuilt column by
+    column: for every (state, crossing) edge and every source generator the
+    saddle's circle bookkeeping and its image are worked out afresh, and
+    rows and columns are found by generator label.  {w: SparseMatrix}."""
+    d, F, cx = cube.diagram, cube.algebra, cube.complex
+    out = {}
+    for w in cx.degrees():
+        if w + 1 not in cx.ranks:
+            continue
+        rows = {label: r for r, label in enumerate(cx.basis[w + 1])}
+        entries = {}
+        for col, (mask, bits) in enumerate(cx.basis[w]):
+            src_cfg = d.resolve_bits(mask)
+            for c in range(d.n_crossings):
+                if mask >> c & 1:
+                    continue
+                tgt_mask = mask | (1 << c)
+                tgt_cfg = d.resolve_bits(tgt_mask)
+                kind = _saddle_targets(src_cfg, tgt_cfg, c, d.crossings[c])
+                base = [0] * tgt_cfg.n_circles
+                for ksrc, ktgt in kind[1].items():
+                    base[ktgt] = bits[ksrc]
+                if kind[0] == "merge":
+                    _, _, i1, i2, m = kind
+                    terms = [({m: bit}, coef)
+                             for bit, coef in F.mult_bits(bits[i1], bits[i2])]
+                else:
+                    _, _, i, d1, d2 = kind
+                    terms = [({d1: bl, d2: br}, coef)
+                             for bl, br, coef in F.comult_bits(bits[i])]
+                for touched, coef in terms:
+                    tb = list(base)
+                    for k, bit in touched.items():
+                        tb[k] = bit
+                    key = (rows[(tgt_mask, tuple(tb))], col)
+                    entries[key] = (entries.get(key, 0)
+                                    + _check_sign(mask, c) * coef)
+        out[w] = SparseMatrix(cx.rank(w + 1), cx.rank(w), cx.ring, entries)
+    return out
+
+
+def reference_genus_one_components(g1):
+    """The components of a ``GenusOneMap``, rebuilt column by column from
+    the generator labels (scheme, state, bits): on a state that 1-smooths
+    the crossing on two circles i1 != i2, (x on i2) - (x on i1) times the
+    check sign, summed term by term.  {degree: SparseMatrix}."""
+    F, c = g1.source.algebra, g1.crossing
+    src, tgt = g1.source.complex, g1.target.complex
+    out = {}
+    for deg, labels in src.basis.items():
+        rows = {label: r for r, label in enumerate(tgt.basis.get(deg, ()))}
+        entries = {}
+        for col, (rm, mask, bits) in enumerate(labels):
+            if not mask >> c & 1:
+                continue
+            i1, i2 = g1.source.pieces[rm].configs[mask].crossing_arcs[c]
+            if i1 == i2:
+                continue
+            for i, sign in ((i2, 1), (i1, -1)):
+                for bit, coef in F.x_bits(bits[i]):
+                    tb = bits[:i] + (bit,) + bits[i + 1:]
+                    key = (rows[(rm, mask & ~(1 << c), tb)], col)
+                    entries[key] = (entries.get(key, 0)
+                                    + sign * _check_sign(mask, c) * coef)
+        out[deg] = SparseMatrix(tgt.rank(deg), src.rank(deg), src.ring,
+                                entries)
     return out
 
 
