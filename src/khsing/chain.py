@@ -130,11 +130,12 @@ class ChainComplex:
         for i, m in self.diffs.items():
             qs = self.q.get(i, ())
             qt = self.q.get(i + 1, ())
-            for (r, c) in m.data:
-                if qt[r] != qs[c]:
-                    raise ContractViolation(
-                        f"entry ({r},{c}) at degree {i} shifts q by "
-                        f"{qt[r] - qs[c]}")
+            for r, row in m.row_items():
+                for c in row:
+                    if qt[r] != qs[c]:
+                        raise ContractViolation(
+                            f"entry ({r},{c}) at degree {i} shifts q by "
+                            f"{qt[r] - qs[c]}")
 
     # -- homology ---------------------------------------------------------------
 
@@ -413,7 +414,7 @@ def cone_inclusion(f: ChainMap) -> ChainMap:
     for i in Y.degrees():
         comps[i] = SparseMatrix(
             C.rank(i), Y.rank(i), Y.ring,
-            {(r, r): 1 for r in range(Y.rank(i))})
+            {r: {r: 1} for r in range(Y.rank(i))})
     return ChainMap(Y, C, comps)
 
 
@@ -428,7 +429,7 @@ def cone_projection(f: ChainMap) -> ChainMap:
         x_r = X.rank(i + 1)
         comps[i] = SparseMatrix(
             x_r, C.rank(i), X.ring,
-            {(r, y_r + r): 1 for r in range(x_r)})
+            {r: {y_r + r: 1} for r in range(x_r)})
     return ChainMap(C, Xs, comps)
 
 

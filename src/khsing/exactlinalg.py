@@ -3,7 +3,13 @@
 Everything downstream (cube complexes, mapping cones, homology) reduces to
 three primitives implemented here: exact rank, Smith normal form over the
 integers, and null-space bases.  All three run one elimination routine,
-``_eliminate``, on row-sparse integer matrices, over Z or modulo a prime p.
+``_eliminate``, on a copy of a matrix's rows, over Z or modulo a prime p.
+
+A ``SparseMatrix`` keeps one layout from assembly to elimination: rows,
+``{row: {col: int}}``.  The builders hand rows to its checked constructor;
+products, sums, q-blocks, blocks, transposes, ring changes and transforms
+are built unchecked from checked matrices.  Its ``data`` view, ``{(row,
+col): value}``, serves callers outside the package only.
 
 Every entry is a Python int.  Z and Q store the same integers, Z/p stores
 residues in [0, p); a value that is not an integer is refused.  The ring
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import ContractViolation
 
@@ -100,74 +107,92 @@ QQ = Ring.rationals()
 
 
 class SparseMatrix:
-    """Immutable sparse exact matrix with (row, col) -> int storage.
+    """Immutable sparse exact matrix stored as rows, ``{row: {col: int}}``,
+    0-based, with no zero entry and no empty row.
 
-    Zero entries are never stored; indices are 0-based.
+    The constructor takes ``data`` in that form from outside this module:
+    it refuses an index that is not an ``int`` in range, coerces each value
+    into the ring and drops zeros.  Matrices derived from checked ones are
+    built by ``_unchecked`` and may share rows with them.  ``row_items``
+    walks the rows, to be read only; ``data`` is a read-only
+    ``{(row, col): value}`` view built on each access.
     """
 
-    __slots__ = ("rows", "cols", "ring", "data")
+    __slots__ = ("rows", "cols", "ring", "_rows")
 
     def __init__(self, rows: int, cols: int, ring: Ring, data=None):
         if rows < 0 or cols < 0:
             raise ContractViolation("negative matrix dimension")
         cleaned = {}
-        for (r, c), v in (data or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ContractViolation(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = ring.coerce(v)
-            if v != 0:
-                cleaned[(r, c)] = v
-        self.rows = rows
-        self.cols = cols
-        self.ring = ring
-        self.data = cleaned
+        for r, row in (data or {}).items():
+            if not (type(r) is int and 0 <= r < rows):
+                raise ContractViolation(f"row {r!r} outside {rows}x{cols}")
+            out = {}
+            for c, v in row.items():
+                if not (type(c) is int and 0 <= c < cols):
+                    raise ContractViolation(
+                        f"entry ({r},{c!r}) outside {rows}x{cols}")
+                v = ring.coerce(v)
+                if v:
+                    out[c] = v
+            if out:
+                cleaned[r] = out
+        self.rows, self.cols, self.ring, self._rows = rows, cols, ring, cleaned
+
+    @classmethod
+    def _unchecked(cls, rows: int, cols: int, ring: Ring, data: dict):
+        """A matrix over rows that are already in the ring, in bounds and
+        free of zeros and empty rows; ``data`` is kept, not copied."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.ring, m._rows = rows, cols, ring, data
+        return m
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, rows: int, cols: int, ring: Ring) -> "SparseMatrix":
-        return cls(rows, cols, ring)
+        return cls._unchecked(rows, cols, ring, {})
 
     @classmethod
     def identity(cls, n: int, ring: Ring) -> "SparseMatrix":
-        return cls(n, n, ring, {(i, i): 1 for i in range(n)})
+        return cls._unchecked(n, n, ring, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows_list, ring: Ring) -> "SparseMatrix":
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
-        data = {}
-        for r, row in enumerate(rows_list):
-            if len(row) != cols:
-                raise ContractViolation("ragged row lengths")
-            for c, v in enumerate(row):
-                if v:
-                    data[(r, c)] = v
-        return cls(rows, cols, ring, data)
+        if any(len(row) != cols for row in rows_list):
+            raise ContractViolation("ragged row lengths")
+        return cls(rows, cols, ring,
+                   {r: {c: v for c, v in enumerate(row) if v}
+                    for r, row in enumerate(rows_list)})
 
     # -- basic access ------------------------------------------------------
 
+    @property
+    def data(self):
+        return MappingProxyType({(r, c): v for r, row in self._rows.items()
+                                 for c, v in row.items()})
+
+    def row_items(self):
+        """The stored ``(row, {col: value})`` pairs, to be read only."""
+        return self._rows.items()
+
     def entry(self, r: int, c: int):
-        return self.data.get((r, c), 0)
+        return self._rows.get(r, {}).get(c, 0)
 
     def to_rows(self):
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.data.items():
-            out[r][c] = v
+        for r, row in self._rows.items():
+            for c, v in row.items():
+                out[r][c] = v
         return out
 
     def nnz(self) -> int:
-        return len(self.data)
+        return sum(map(len, self._rows.values()))
 
     def is_zero(self) -> bool:
-        return not self.data
-
-    def columns(self):
-        """Group entries by column: {c: [(r, v), ...]}."""
-        cols = {}
-        for (r, c), v in self.data.items():
-            cols.setdefault(c, []).append((r, v))
-        return cols
+        return not self._rows
 
     # -- algebra -----------------------------------------------------------
 
@@ -178,30 +203,42 @@ class SparseMatrix:
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.ring, self.data) == (
-            other.rows, other.cols, other.ring, other.data)
+        return (self.rows, self.cols, self.ring, self._rows) == (
+            other.rows, other.cols, other.ring, other._rows)
 
     def __hash__(self):
         raise TypeError("SparseMatrix is not hashable")
 
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+    def _plus(self, f: int, other: "SparseMatrix") -> "SparseMatrix":
+        """self + f * other."""
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ContractViolation("shape mismatch in addition")
-        data = dict(self.data)
-        _axpy(data, 1, other.data, self.ring.p)
-        return SparseMatrix(self.rows, self.cols, self.ring, data)
+        p = self.ring.p
+        data = dict(self._rows)
+        for r, orow in other._rows.items():
+            row = data[r] = dict(data.get(r, ()))
+            _axpy(row, f, orow, p)
+            if not row:
+                del data[r]
+        return SparseMatrix._unchecked(self.rows, self.cols, self.ring, data)
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._plus(1, other)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + (-other)
+        return self._plus(-1, other)
 
     def __neg__(self) -> "SparseMatrix":
         return self.scale(-1)
 
     def scale(self, a) -> "SparseMatrix":
         a = self.ring.coerce(a)
-        return SparseMatrix(self.rows, self.cols, self.ring,
-                            {k: a * v for k, v in self.data.items()})
+        p = self.ring.p
+        # a field or Z has no zero divisors: a nonzero a keeps every entry
+        data = {r: {c: a * v % p if p else a * v for c, v in row.items()}
+                for r, row in self._rows.items()} if a else {}
+        return SparseMatrix._unchecked(self.rows, self.cols, self.ring, data)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_ring(other)
@@ -210,36 +247,35 @@ class SparseMatrix:
                 f"shape mismatch in product: {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
         p = self.ring.p
-        left_cols = self.columns()
-        acc = {}
-        for (k, j), v in other.data.items():
-            for i, w in left_cols.get(k, ()):
-                key = (i, j)
-                s = acc.get(key, 0) + w * v
-                if p:
-                    s %= p
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return SparseMatrix(self.rows, other.cols, self.ring, acc)
+        right = other._rows
+        data = {}
+        for r, row in self._rows.items():
+            acc = {}
+            for k, w in row.items():
+                orow = right.get(k)
+                if orow:
+                    _axpy(acc, w, orow, p)
+            if acc:
+                data[r] = acc
+        return SparseMatrix._unchecked(self.rows, other.cols, self.ring, data)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, self.ring,
-                            {(c, r): v for (r, c), v in self.data.items()})
+        return SparseMatrix._unchecked(self.cols, self.rows, self.ring,
+                                       _transposed(self._rows.items()))
 
     def submatrix(self, row_idx, col_idx) -> "SparseMatrix":
-        rmap = {r: i for i, r in enumerate(row_idx)}
         cmap = {c: j for j, c in enumerate(col_idx)}
-        data = {}
-        for (r, c), v in self.data.items():
-            if r in rmap and c in cmap:
-                data[(rmap[r], cmap[c])] = v
-        return SparseMatrix(len(row_idx), len(col_idx), self.ring, data)
+        rows = self._rows
+        data = {i: out for i, r in enumerate(row_idx)
+                if (out := {cmap[c]: v for c, v in rows.get(r, {}).items()
+                            if c in cmap})}
+        return SparseMatrix._unchecked(len(row_idx), len(col_idx), self.ring,
+                                       data)
 
     @classmethod
     def block(cls, grid, row_sizes, col_sizes, ring: Ring) -> "SparseMatrix":
-        """Assemble a block matrix; ``grid[i][j]`` may be None for zero."""
+        """Assemble a block matrix over ``ring``; ``grid[i][j]`` may be None
+        for zero."""
         roff = [0]
         for s in row_sizes:
             roff.append(roff[-1] + s)
@@ -251,25 +287,28 @@ class SparseMatrix:
             for j, blk in enumerate(row):
                 if blk is None:
                     continue
-                if (blk.rows, blk.cols) != (row_sizes[i], col_sizes[j]):
-                    raise ContractViolation("block shape mismatch")
-                for (r, c), v in blk.data.items():
-                    data[(roff[i] + r, coff[j] + c)] = v
-        return cls(roff[-1], coff[-1], ring, data)
+                if (blk.rows, blk.cols, blk.ring) != (row_sizes[i],
+                                                      col_sizes[j], ring):
+                    raise ContractViolation("block shape or ring mismatch")
+                for r, brow in blk._rows.items():
+                    data.setdefault(roff[i] + r, {}).update(
+                        (coff[j] + c, v) for c, v in brow.items())
+        return cls._unchecked(roff[-1], coff[-1], ring, data)
 
     def change_ring(self, ring: Ring) -> "SparseMatrix":
         """The same entries over ``ring``.  Only a change into Z/p rebuilds
-        them (mod p); otherwise the integers are shared, as the matrix is
+        them (mod p); otherwise the rows are shared, as the matrix is
         immutable.  Residues mod p do not lift, so Z/p changes to no other
         ring."""
         if self.ring.p and ring != self.ring:
             raise ContractViolation(
                 f"cannot change coefficients from {self.ring} to {ring}")
+        data = self._rows
         if ring.p and ring != self.ring:
-            return SparseMatrix(self.rows, self.cols, ring, self.data)
-        out = SparseMatrix(self.rows, self.cols, ring)
-        out.data = self.data
-        return out
+            p = ring.p
+            data = {r: out for r, row in data.items()
+                    if (out := {c: v % p for c, v in row.items() if v % p})}
+        return SparseMatrix._unchecked(self.rows, self.cols, ring, data)
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols} over {self.ring}, nnz={self.nnz()})"
@@ -299,8 +338,9 @@ class SmithDecomposition:
         return len(self.diagonal)
 
     def diagonal_matrix(self) -> SparseMatrix:
-        return SparseMatrix(self.rows, self.cols, ZZ,
-                            {(i, i): d for i, d in enumerate(self.diagonal)})
+        return SparseMatrix._unchecked(
+            self.rows, self.cols, ZZ,
+            {i: {i: d} for i, d in enumerate(self.diagonal)})
 
 
 def _axpy(y: dict, f: int, x: dict, p: int | None) -> None:
@@ -316,30 +356,40 @@ def _axpy(y: dict, f: int, x: dict, p: int | None) -> None:
             y.pop(k, None)
 
 
-def _eliminate(rows: dict, nrows: int, ncols: int, p: int | None = None,
-               track: bool = False):
-    """Reduce a row-sparse integer matrix until only pivots remain.
+def _transposed(vectors) -> dict:
+    """``{j: {i: v}}`` from pairs ``(i, {j: v})``: rows from columns, or
+    columns from rows."""
+    out = {}
+    for i, vec in vectors:
+        for j, v in vec.items():
+            out.setdefault(j, {})[i] = v
+    return out
 
-    ``rows`` maps row -> {col: nonzero int} and is consumed.  The arithmetic
-    is over Z, or over Z/p when ``p`` is given (entries already reduced).
+
+def _eliminate(m: SparseMatrix, track: bool = False):
+    """Reduce a copy of the rows of ``m`` until only pivots remain.
+
+    The arithmetic is over Z, or over Z/p when ``m`` is stored over Z/p.
     Returns ``(pivots, left, right)`` where ``pivots`` lists ``[row, col, d]``
     with d > 0.  With ``track``, ``left`` (row -> {col: v}) and ``right``
     (col -> {row: v}) are invertible and ``left * m * right`` is zero except
     for d at each pivot position; otherwise both are None.
     """
+    p = m.ring.p
+    rows = {r: dict(row) for r, row in m._rows.items()}
     cols = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    left = {r: {r: 1} for r in range(nrows)} if track else None
-    right = {c: {c: 1} for c in range(ncols)} if track else None
+    left = {r: {r: 1} for r in range(m.rows)} if track else None
+    right = {c: {c: 1} for c in range(m.cols)} if track else None
 
     def entry(r, row):
         return 1 if p else min(map(abs, row.values())), len(row), r
 
     # Entries go stale when their row changes; every change pushes a fresh
     # entry, so the smallest valid one always names the best active row.
-    heap = [entry(r, row) for r, row in rows.items() if row]
+    heap = [entry(r, row) for r, row in rows.items()]
     heapq.heapify(heap)
     pivots = []
     while heap:
@@ -453,14 +503,6 @@ def _divisor_chain(pivots: list, left=None, right=None) -> None:
             right[cb] = _comb(xa, -t * (b // g), xb, s * (a // g))
 
 
-def _row_dicts(m: SparseMatrix) -> dict:
-    """Row-sparse {row: {col: int}} copy of ``m``, for ``_eliminate``."""
-    rows = {}
-    for (r, c), v in m.data.items():
-        rows.setdefault(r, {})[c] = v
-    return rows
-
-
 def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
@@ -470,8 +512,7 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
     """
     if m.ring.kind != "Z":
         raise ContractViolation("Smith normal form requires integer entries")
-    pivots, left, right = _eliminate(_row_dicts(m), m.rows, m.cols,
-                                     track=transforms)
+    pivots, left, right = _eliminate(m, track=transforms)
     _divisor_chain(pivots, left, right)
     diag = tuple(d for _, _, d in pivots)
     if not transforms:
@@ -481,13 +522,12 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
     pcs = [c for _, c, _ in pivots]
     row_order = prs + sorted(set(range(m.rows)) - set(prs))
     col_order = pcs + sorted(set(range(m.cols)) - set(pcs))
-    ldata = {(k, c): v for k, r in enumerate(row_order)
-             for c, v in left[r].items()}
-    rdata = {(r, k): v for k, c in enumerate(col_order)
-             for r, v in right[c].items()}
-    return SmithDecomposition(diag, m.rows, m.cols,
-                              SparseMatrix(m.rows, m.rows, ZZ, ldata),
-                              SparseMatrix(m.cols, m.cols, ZZ, rdata))
+    return SmithDecomposition(
+        diag, m.rows, m.cols,
+        SparseMatrix._unchecked(m.rows, m.rows, ZZ,
+                                {k: left[r] for k, r in enumerate(row_order)}),
+        SparseMatrix._unchecked(m.cols, m.cols, ZZ, _transposed(
+            (k, right[c]) for k, c in enumerate(col_order))))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +537,7 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
 
 def rank(m: SparseMatrix) -> int:
     """Rank over the fraction field (Q for Z input) or over Z/p."""
-    return len(_eliminate(_row_dicts(m), m.rows, m.cols, m.ring.p)[0])
+    return len(_eliminate(m)[0])
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:
@@ -505,14 +545,13 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     ring = m.ring
     if not ring.is_field:
         raise ContractViolation("kernel basis requires a field")
-    pivots, _, right = _eliminate(_row_dicts(m), m.rows, m.cols, ring.p,
-                                  track=True)
+    pivots, _, right = _eliminate(m, track=True)
     # L m R is zero outside the pivot columns, so the other columns of R
     # span the kernel
     used = {c for _, c, _ in pivots}
     free = [c for c in range(m.cols) if c not in used]
-    data = {(r, j): v for j, c in enumerate(free) for r, v in right[c].items()}
-    return SparseMatrix(m.cols, len(free), ring, data)
+    return SparseMatrix._unchecked(m.cols, len(free), ring, _transposed(
+        (j, right[c]) for j, c in enumerate(free)))
 
 
 # ---------------------------------------------------------------------------

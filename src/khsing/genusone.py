@@ -28,7 +28,7 @@ from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary, SparseMatrix
 from .frobenius import FrobeniusAlgebra
-from .khcube import CubeComplex, _bracket_cube, _sign_bits, build_cube
+from .khcube import CubeComplex, _bracket_cube, _place, _sign_bits, build_cube
 
 
 def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
@@ -44,8 +44,8 @@ def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
             "component there")
     k = config.n_circles
     i1, i2 = config.crossing_arcs[crossing]
-    entries = {} if i1 == i2 else {
-        (r, col): v for r, col, v in _phi_block(F, k, i1, i2)}
+    entries = {}
+    _place(entries, 0, 0, 1, () if i1 == i2 else _phi_block(F, k, i1, i2))
     return SparseMatrix(1 << k, 1 << k, F.ring, entries)
 
 
@@ -153,17 +153,25 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     # no two blocks below share an entry: each lies in its own (source
     # piece, target piece) rectangle, within it in its own pair of states
     entries_by_deg = {deg: {} for deg in ranks}
+    diffs = {}
 
-    # cube blocks
+    # cube blocks; one that fills its whole degree is the only block there
+    # (any other block needs generators of another piece), so it is taken
+    # as is: with no double point, every degree
     for rmask in scheme_masks:
         cube = pieces[rmask]
         two_r = 2 * rmask.bit_count()
         for w, mtx in cube.complex.diffs.items():
-            acc = entries_by_deg[w + two_r]
+            deg = w + two_r
+            if (mtx.rows, mtx.cols) == (ranks[deg + 1], ranks[deg]):
+                diffs[deg] = mtx
+                continue
+            acc = entries_by_deg[deg]
             roff = offsets[(rmask, w + 1)]
             coff = offsets[(rmask, w)]
-            for (r, c), v in mtx.data.items():
-                acc[(roff + r, coff + c)] = v
+            for r, row in mtx.row_items():
+                acc.setdefault(roff + r, {}).update(
+                    (coff + c, v) for c, v in row.items())
 
     # crossing-change blocks, one per absent site, uniform minus sign
     for rmask in scheme_masks:
@@ -174,13 +182,10 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
             tmask = rmask | (1 << k)
             for w, row0, col0, sign, block in _phi_blocks(
                     pieces[rmask], pieces[tmask], b, F):
-                acc = entries_by_deg[w + two_r]
-                row0 += offsets[(tmask, w - 1)]
-                col0 += offsets[(rmask, w)]
-                for r, col, v in block:
-                    acc[(row0 + r, col0 + col)] = -sign * v
+                _place(entries_by_deg[w + two_r],
+                       row0 + offsets[(tmask, w - 1)],
+                       col0 + offsets[(rmask, w)], -sign, block)
 
-    diffs = {}
     for deg, acc in entries_by_deg.items():
         if deg + 1 in ranks and acc:
             diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], ring, acc)
@@ -285,11 +290,9 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
         deg_off = 2 * rmask.bit_count() + shift_m
         for w, row0, col0, sign, block in _phi_blocks(
                 cube, S_plus.pieces[rmask], c, F):
-            acc = comps.setdefault(w + deg_off, {})
-            row0 += off_p[(rmask, w - 1)]
-            col0 += off_m[(rmask, w)]
-            for r, col, v in block:
-                acc[(row0 + r, col0 + col)] = sign * v
+            _place(comps.setdefault(w + deg_off, {}),
+                   row0 + off_p[(rmask, w - 1)], col0 + off_m[(rmask, w)],
+                   sign, block)
 
     matrices = {}
     for deg, acc in comps.items():
@@ -334,7 +337,8 @@ def singular_complex_iterated(d: Diagram, F: FrobeniusAlgebra,
     key, crossing, remaining sites) and each bracket cube under its diagram
     key: every cube and every map is built once per call, and since
     ``cone`` keeps its result on the map, every cone is built and checked
-    once.
+    once.  A cube serves the m leaf maps along its edges of the cube of
+    resolutions, one per double point, and is dropped after the m-th.
     """
     sites = tuple(site_order) if site_order is not None else d.singular_indices
     if sorted(sites) != sorted(d.singular_indices):
@@ -343,7 +347,7 @@ def singular_complex_iterated(d: Diagram, F: FrobeniusAlgebra,
         return build_cube(d, F).complex
     b = sites[0]
     return cone(_iterated_phi(d.resolve_double_point(b, -1), b, F, sites[1:],
-                              {}))
+                              {}, len(sites)))
 
 
 def _diagram_key(d: Diagram) -> tuple:
@@ -353,27 +357,28 @@ def _diagram_key(d: Diagram) -> tuple:
 
 
 def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
-                  sites, built: dict) -> ChainMap:
+                  sites, built: dict, m: int) -> ChainMap:
     """Crossing-change map between iterated-cone complexes, looked up in or
-    added to ``built`` (see ``singular_complex_iterated``).  The remaining
-    ``sites`` are exactly the double points of ``d_minus``, so the key
-    (diagram key, c, sites) fixes the map."""
+    added to ``built`` (see ``singular_complex_iterated``; ``m`` counts all
+    its double points).  The remaining ``sites`` are exactly the double
+    points of ``d_minus``, so the key (diagram key, c, sites) fixes the
+    map."""
     key = (_diagram_key(d_minus), c, sites)
     if key in built:
         return built[key]
     d_plus = d_minus.crossing_change(c)
     if not sites:
-        phi = _phi_cube_chainmap(_cached_cube(d_minus, F, built),
-                                 _cached_cube(d_plus, F, built), c)
+        phi = _phi_cube_chainmap(_cached_cube(d_minus, F, built, m),
+                                 _cached_cube(d_plus, F, built, m), c)
     else:
         b, rest = sites[0], sites[1:]
         x_minus = d_minus.resolve_double_point(b, -1)
-        f_prime = _iterated_phi(x_minus, b, F, rest, built)
+        f_prime = _iterated_phi(x_minus, b, F, rest, built, m)
         f = _iterated_phi(d_plus.resolve_double_point(b, -1), b, F, rest,
-                          built)
-        u = _iterated_phi(x_minus, c, F, rest, built)
+                          built, m)
+        u = _iterated_phi(x_minus, c, F, rest, built, m)
         v = _iterated_phi(d_minus.resolve_double_point(b, +1), c, F, rest,
-                          built)
+                          built, m)
         # crossing-change maps at distinct sites anticommute (check signs),
         # so the square commutes strictly once the X-leg is negated
         phi = cone_functorial_map(f, f_prime, -u, v)
@@ -381,14 +386,19 @@ def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
     return phi
 
 
-def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict) -> tuple:
+def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict,
+                 uses: int) -> tuple:
     """(bracket cube of d, its normalized complex), looked up in or added
-    to ``built``."""
+    to ``built`` and dropped from it at its ``uses``-th lookup."""
     key = _diagram_key(d)
-    if key not in built:
+    entry = built.get(key)
+    if entry is None:
         cube = _bracket_cube(d, F)
-        built[key] = cube, cube.complex.shift(-cube.n_minus)
-    return built[key]
+        entry = built[key] = [cube, cube.complex.shift(-cube.n_minus), uses]
+    entry[2] -= 1
+    if not entry[2]:
+        del built[key]
+    return entry[0], entry[1]
 
 
 def _phi_cube_chainmap(minus: tuple, plus: tuple, c: int) -> ChainMap:
@@ -407,9 +417,7 @@ def _phi_cube_chainmap(minus: tuple, plus: tuple, c: int) -> ChainMap:
         raise ContractViolation(f"crossing {c} is not negative")
     comps = {}
     for w, row0, col0, sign, block in _phi_blocks(cm, cp, c, F):
-        acc = comps.setdefault(w + shift_m, {})
-        for r, col, v in block:
-            acc[(row0 + r, col0 + col)] = sign * v
+        _place(comps.setdefault(w + shift_m, {}), row0, col0, sign, block)
     matrices = {deg: SparseMatrix(ncp.rank(deg), ncm.rank(deg), ring, acc)
                 for deg, acc in comps.items()}
     return ChainMap(ncm, ncp, matrices)

@@ -24,69 +24,6 @@ from .errors import ContractViolation
 from .exactlinalg import SparseMatrix
 from .frobenius import FrobeniusAlgebra
 
-# ---------------------------------------------------------------------------
-# Sign modules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignModule:
-    """A subset A of a totally ordered finite label set."""
-
-    universe: tuple
-    subset: frozenset
-
-    def __post_init__(self):
-        if not self.subset <= set(self.universe):
-            raise ContractViolation("subset not contained in the universe")
-
-
-def _position(universe, c):
-    try:
-        return universe.index(c)
-    except ValueError:
-        raise ContractViolation(f"label {c!r} not in the universe")
-
-
-def wedge_sign(A: SignModule, c, side: str = "left"):
-    """Adjoin ``c`` to the subset; returns (sign, target) with sign 0 if c in A.
-
-    The left wedge counts smaller subset elements, the right wedge larger
-    ones; either way the sign is (-1) to that count.
-    """
-    pos = _position(A.universe, c)
-    if c in A.subset:
-        return 0, None
-    if side == "left":
-        count = sum(1 for a in A.subset if _position(A.universe, a) < pos)
-    elif side == "right":
-        count = sum(1 for a in A.subset if _position(A.universe, a) > pos)
-    else:
-        raise ContractViolation(f"unknown wedge side {side!r}")
-    return (-1) ** count, SignModule(A.universe, A.subset | {c})
-
-
-def check_sign(A: SignModule, c):
-    """Remove ``c`` from the subset; returns (sign, target) with sign 0 if absent."""
-    pos = _position(A.universe, c)
-    if c not in A.subset:
-        return 0, None
-    count = sum(1 for a in A.subset if _position(A.universe, a) < pos)
-    return (-1) ** count, SignModule(A.universe, A.subset - {c})
-
-
-def shuffle_sign(A: SignModule) -> int:
-    """Sign of the shuffle sorting (A, complement) into the universe order."""
-    order = {c: i for i, c in enumerate(A.universe)}
-    inside = sorted(order[c] for c in A.subset)
-    outside = sorted(order[c] for c in A.universe if c not in A.subset)
-    inversions = 0
-    for a in inside:
-        for b in outside:
-            if a > b:
-                inversions += 1
-    return (-1) ** inversions
-
 
 def _sign_bits(mask: int, c: int) -> int:
     """(-1)^(number of set bits below c): the wedge sign of adding bit c to
@@ -130,6 +67,13 @@ class CubeComplex:
 
     def homology(self, ring=None, graded=None):
         return self.complex.homology(ring=ring, graded=graded)
+
+
+def _place(rows: dict, row0: int, col0: int, sign: int, block) -> None:
+    """Write ``sign`` times a (row, col, value) ``block`` into the rows
+    ``{row: {col: value}}`` with its corner at (row0, col0)."""
+    for r, col, v in block:
+        rows.setdefault(row0 + r, {})[col0 + col] = sign * v
 
 
 def _state_order(n: int):
@@ -276,8 +220,7 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
                 if block is None:
                     block = blocks[pattern] = _saddle_block(F, pattern)
                 # distinct edges never share an entry, nor terms of one edge
-                for r, col, v in block:
-                    entries[(tgt_off + r, src_off + col)] = sign * v
+                _place(entries, tgt_off, src_off, sign, block)
         diffs[w] = SparseMatrix(ranks[w + 1], ranks[w], ring, entries)
 
     cx = ChainComplex._unchecked(ring, ranks, diffs, basis, qdeg)

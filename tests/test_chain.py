@@ -207,6 +207,23 @@ class TestHomology:
         if ring == ZZ:
             assert h.group((3, 9)) == (0, (2,))
 
+    @pytest.mark.parametrize("ring", [ZZ, Ring.prime_field(2)], ids=str)
+    def test_no_entry_coerced_again(self, ring, monkeypatch):
+        # the q-blocks and products homology forms derive from checked
+        # matrices, so no entry goes through Ring.coerce a second time
+        cube = build_cube(from_braid([(0, 1)] * 5, 2),
+                          FrobeniusAlgebra(ring, 0, 0))
+        calls = []
+        coerce = Ring.coerce
+
+        def counted(self, v):
+            calls.append(v)
+            return coerce(self, v)
+
+        monkeypatch.setattr(Ring, "coerce", counted)
+        cube.homology(graded=True)
+        assert len(calls) == 0
+
 
 def make_square(rng, ring):
     """Random homotopy-commutative square with hypotheses by construction."""

@@ -44,7 +44,7 @@ class TestNonIntegralRefused:
 
     def test_matrix_entry(self, ring, value):
         with pytest.raises(ContractViolation):
-            SparseMatrix(1, 1, ring, {(0, 0): value})
+            SparseMatrix(1, 1, ring, {0: {0: value}})
 
     def test_frobenius_parameter(self, ring, value):
         with pytest.raises(ContractViolation):
@@ -55,12 +55,19 @@ class TestNonIntegralRefused:
 
 class TestSparseMatrix:
     def test_no_zero_entries_stored(self):
-        m = SparseMatrix(2, 2, ZZ, {(0, 0): 1, (0, 1): 0})
+        m = SparseMatrix(2, 2, ZZ, {0: {0: 1, 1: 0}})
         assert m.nnz() == 1
 
     def test_out_of_range_entry(self):
         with pytest.raises(ContractViolation):
-            SparseMatrix(2, 2, ZZ, {(2, 0): 1})
+            SparseMatrix(2, 2, ZZ, {2: {0: 1}})
+
+    @pytest.mark.parametrize("index", [0.5, True, "0"], ids=repr)
+    @pytest.mark.parametrize("where", ["row", "col"])
+    def test_non_integer_index_refused(self, index, where):
+        data = {index: {0: 1}} if where == "row" else {0: {index: 1}}
+        with pytest.raises(ContractViolation):
+            SparseMatrix(2, 2, ZZ, data)
 
     def test_product_matches_dense(self):
         rng = random.Random(0)
@@ -178,9 +185,11 @@ def sparse_int_matrices(draw):
     rows, cols = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
     nnz = draw(st.integers(0, 3 * max(rows, cols)))
     rng = draw(st.randoms(use_true_random=False))
-    data = {(rng.randrange(rows), rng.randrange(cols)):
-            rng.choice((-12, -4, -3, -2, -1, -1, 1, 1, 2, 3, 6, 9))
-            for _ in range(nnz)}
+    data = {}
+    for _ in range(nnz):
+        r, c = rng.randrange(rows), rng.randrange(cols)
+        data.setdefault(r, {})[c] = rng.choice(
+            (-12, -4, -3, -2, -1, -1, 1, 1, 2, 3, 6, 9))
     return SparseMatrix(rows, cols, ZZ, data)
 
 
@@ -216,6 +225,106 @@ class TestEliminationProperties:
         assert (m * k).is_zero()
         assert k.cols == m.cols - rank(m)
         assert rank(k) == k.cols
+
+
+ENTRIES = st.sampled_from((0, 0, 0, -2, -1, 1, 2, 3))
+
+
+def dense(rows: int, cols: int):
+    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def reduced(rows, ring):
+    """Dense integer rows reduced into ``ring``."""
+    return [[v % ring.p if ring.p else v for v in row] for row in rows]
+
+
+def assert_stored_as(m, want):
+    """``m`` equals the dense ``want`` (already reduced) and stores no zero
+    entry, no empty row and nothing outside its shape."""
+    assert m.to_rows() == want
+    for r, row in m.row_items():
+        assert row and 0 <= r < m.rows
+        for c, v in row.items():
+            assert 0 <= c < m.cols and v
+            assert not m.ring.p or 0 < v < m.ring.p
+    assert m.is_zero() == (not any(map(any, want)))
+
+
+class TestRowAlgebraProperties:
+    """The row-sparse algebra against dense list arithmetic."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([ZZ, F2, F5]), st.data())
+    def test_product(self, ring, data):
+        n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a, b = data.draw(dense(n, k)), data.draw(dense(k, m))
+        # a last row that adds b's first row to its negation: it cancels
+        a = [row + [0] for row in a] + [[1] + [0] * (k - 1) + [1]]
+        b = b + [[-v for v in b[0]]]
+        want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+        assert_stored_as(M(a, ring) * M(b, ring), reduced(want, ring))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([ZZ, F2, F5]), st.data())
+    def test_sum_difference_scale_equality(self, ring, data):
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        a = data.draw(dense(n, m))
+        b = a if data.draw(st.booleans()) else data.draw(dense(n, m))
+        f = data.draw(st.sampled_from((-2, -1, 0, 1, 3, ring.p or 7)))
+        A, B = M(a, ring), M(b, ring)
+
+        def combine(op):
+            return reduced([[op(x, y) for x, y in zip(ra, rb)]
+                            for ra, rb in zip(a, b)], ring)
+
+        assert_stored_as(A + B, combine(lambda x, y: x + y))
+        assert_stored_as(A - B, combine(lambda x, y: x - y))
+        assert_stored_as(-A, combine(lambda x, y: -x))
+        assert_stored_as(A.scale(f), combine(lambda x, y: f * x))
+        assert (A == B) == (reduced(a, ring) == reduced(b, ring))
+        assert A == M(reduced(a, ring), ring)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([ZZ, F2, F5]), st.data())
+    def test_transpose_submatrix_block(self, ring, data):
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        a = data.draw(dense(n, m))
+        A = M(a, ring)
+        assert_stored_as(A.transpose(), reduced([list(c) for c in zip(*a)],
+                                                ring))
+        ri = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        ci = data.draw(st.lists(st.integers(0, m - 1), unique=True))
+        assert_stored_as(A.submatrix(ri, ci),
+                         reduced([[a[r][c] for c in ci] for r in ri], ring))
+        n2, m2 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        b, c = data.draw(dense(n2, m2)), data.draw(dense(n, m2))
+        # each block is present or None; a and c share their rows
+        a_on, b_on, c_on = (data.draw(st.booleans()) for _ in range(3))
+
+        def part(x, on, rows, cols):
+            return x if on else [[0] * cols for _ in range(rows)]
+
+        grid = [[A if a_on else None, M(c, ring) if c_on else None],
+                [None, M(b, ring) if b_on else None]]
+        want = ([ra + rc for ra, rc in zip(part(a, a_on, n, m),
+                                           part(c, c_on, n, m2))]
+                + [[0] * m + rb for rb in part(b, b_on, n2, m2)])
+        assert_stored_as(SparseMatrix.block(grid, [n, n2], [m, m2], ring),
+                         reduced(want, ring))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    def test_change_ring_into_prime_field(self, p, data):
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        a = data.draw(dense(n, m))
+        ring = Ring.prime_field(p)
+        out = M(a, ZZ).change_ring(ring)
+        assert out.ring == ring
+        assert_stored_as(out, reduced(a, ring))
+        assert out == M(a, ring)
 
 
 class TestHomologyAt:

@@ -35,7 +35,7 @@ def phi_matrix(F):
     for c, col in enumerate(order):
         for row_bits, v in cols[col].items():
             if ring.coerce(v) != 0:
-                data[(order.index(row_bits), c)] = v
+                data.setdefault(order.index(row_bits), {})[c] = v
     return SparseMatrix(4, 4, ring, data)
 
 
@@ -320,6 +320,27 @@ class TestIteratedAssemblyCounts:
         assert calls["cube"] == 16
 
 
+class TestNoCopyWithoutDoublePoint:
+    @pytest.mark.parametrize("ring", [ZZ, F2], ids=str)
+    def test_cube_differentials_taken_as_is(self, ring, monkeypatch):
+        calls = []
+        validate = ChainComplex.validate
+
+        def counting_validate(self):
+            calls.append(1)
+            return validate(self)
+
+        monkeypatch.setattr(ChainComplex, "validate", counting_validate)
+        d = from_braid([(0, 1)] * 5, 2)
+        assert d.n_minus == 0 and not d.n_singular
+        S = singular_complex(d, FrobeniusAlgebra(ring, 0, 0))
+        cube_diffs = S.pieces[0].complex.diffs
+        assert S.complex.diffs.keys() == cube_diffs.keys()
+        for w, m in S.complex.diffs.items():
+            assert m is cube_diffs[w]
+        assert len(calls) == 1
+
+
 def _skein_state_sum(d):
     """Kauffman state sum, extended to double points by the skein rule
     value(double point) = value(positive) - value(negative)."""
@@ -434,7 +455,7 @@ class TestConeFactorGenusOne:
                         cfg = cube.configs[mask]
                         blk = phi_local(cfg, c, F)
                         for (r, col), v in blk.data.items():
-                            entries[(start + r, start + col)] = v
+                            entries.setdefault(start + r, {})[start + col] = v
                     comps[i] = SparseMatrix(Y.rank(i), Y.rank(i), F.ring,
                                             entries)
                 phi = ChainMap(Y, Y, comps)
@@ -476,16 +497,16 @@ class TestR1Commutation:
         # landing on the 1-smoothed state; circle order puts the strand
         # (through slots 0/3) first and the loop (slots 1/2) second
         into_neg = {0: SparseMatrix(km.rank(0), 2, ring,
-                                    {(0, 0): 1, (2, 1): 1})}
+                                    {0: {0: 1}, 2: {1: 1}})}
         r1_neg = ChainMap(cu, km, into_neg)
 
         # insertion into the positive kink: v |-> v (x) x - (x v) (x) 1
-        data = {(1, 0): 1, (2, 0): -1}          # 1 |-> 1(x)x - x(x)1
-        data[(3, 1)] = 1                         # x |-> x(x)x - x^2(x)1
+        data = {1: {0: 1}, 2: {0: -1}}          # 1 |-> 1(x)x - x(x)1
+        data[3] = {1: 1}                         # x |-> x(x)x - x^2(x)1
         if F.t != 0:
-            data[(0, 1)] = -F.t
+            data[0] = {1: -F.t}
         if F.h != 0:
-            data[(2, 1)] = -F.h
+            data[2][1] = -F.h
         into_pos = {0: SparseMatrix(kp.rank(0), 2, ring, data)}
         r1_pos = ChainMap(cu, kp, into_pos)
         return g, r1_neg, r1_pos

@@ -8,10 +8,10 @@ from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import QQ, Ring, ZZ
 from khsing.frobenius import FrobeniusAlgebra
-from khsing.khcube import (SignModule, build_cube, check_sign, cone_pieces,
-                           dualize, shuffle_sign, wedge_sign)
+from khsing.khcube import build_cube, cone_pieces, dualize
 
-from util import reference_bracket_differentials
+from util import (SignModule, check_sign, reference_bracket_differentials,
+                  shuffle_sign, wedge_sign)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)

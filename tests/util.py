@@ -1,12 +1,78 @@
-"""Shared test helpers: an independent dense Smith oracle, column-by-column
-reference builders of the cube and crossing-change matrices, and generators
-of random complexes, chain maps, and homotopy data whose hypotheses hold by
-construction."""
+"""Shared test helpers: the sign modules behind the cube's signs, an
+independent dense Smith oracle, column-by-column reference builders of the
+cube and crossing-change matrices, and generators of random complexes, chain
+maps, and homotopy data whose hypotheses hold by construction."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from khsing.chain import ChainComplex, ChainMap, Homotopy
+from khsing.errors import ContractViolation
 from khsing.exactlinalg import Ring, SparseMatrix
+
+
+# ---------------------------------------------------------------------------
+# Sign modules: the oracle for khcube._sign_bits
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SignModule:
+    """A subset A of a totally ordered finite label set."""
+
+    universe: tuple
+    subset: frozenset
+
+    def __post_init__(self):
+        if not self.subset <= set(self.universe):
+            raise ContractViolation("subset not contained in the universe")
+
+
+def _position(universe, c):
+    try:
+        return universe.index(c)
+    except ValueError:
+        raise ContractViolation(f"label {c!r} not in the universe")
+
+
+def wedge_sign(A: SignModule, c, side: str = "left"):
+    """Adjoin ``c`` to the subset; returns (sign, target) with sign 0 if c in A.
+
+    The left wedge counts smaller subset elements, the right wedge larger
+    ones; either way the sign is (-1) to that count.
+    """
+    pos = _position(A.universe, c)
+    if c in A.subset:
+        return 0, None
+    if side == "left":
+        count = sum(1 for a in A.subset if _position(A.universe, a) < pos)
+    elif side == "right":
+        count = sum(1 for a in A.subset if _position(A.universe, a) > pos)
+    else:
+        raise ContractViolation(f"unknown wedge side {side!r}")
+    return (-1) ** count, SignModule(A.universe, A.subset | {c})
+
+
+def check_sign(A: SignModule, c):
+    """Remove ``c`` from the subset; returns (sign, target) with sign 0 if absent."""
+    pos = _position(A.universe, c)
+    if c not in A.subset:
+        return 0, None
+    count = sum(1 for a in A.subset if _position(A.universe, a) < pos)
+    return (-1) ** count, SignModule(A.universe, A.subset - {c})
+
+
+def shuffle_sign(A: SignModule) -> int:
+    """Sign of the shuffle sorting (A, complement) into the universe order."""
+    order = {c: i for i, c in enumerate(A.universe)}
+    inside = sorted(order[c] for c in A.subset)
+    outside = sorted(order[c] for c in A.universe if c not in A.subset)
+    inversions = 0
+    for a in inside:
+        for b in outside:
+            if a > b:
+                inversions += 1
+    return (-1) ** inversions
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +240,8 @@ def reference_bracket_differentials(cube):
                     tb = list(base)
                     for k, bit in touched.items():
                         tb[k] = bit
-                    key = (rows[(tgt_mask, tuple(tb))], col)
-                    entries[key] = (entries.get(key, 0)
-                                    + _check_sign(mask, c) * coef)
+                    row = entries.setdefault(rows[(tgt_mask, tuple(tb))], {})
+                    row[col] = row.get(col, 0) + _check_sign(mask, c) * coef
         out[w] = SparseMatrix(cx.rank(w + 1), cx.rank(w), cx.ring, entries)
     return out
 
@@ -201,9 +266,10 @@ def reference_genus_one_components(g1):
             for i, sign in ((i2, 1), (i1, -1)):
                 for bit, coef in F.x_bits(bits[i]):
                     tb = bits[:i] + (bit,) + bits[i + 1:]
-                    key = (rows[(rm, mask & ~(1 << c), tb)], col)
-                    entries[key] = (entries.get(key, 0)
-                                    + sign * _check_sign(mask, c) * coef)
+                    row = entries.setdefault(
+                        rows[(rm, mask & ~(1 << c), tb)], {})
+                    row[col] = (row.get(col, 0)
+                                + sign * _check_sign(mask, c) * coef)
         out[deg] = SparseMatrix(tgt.rank(deg), src.rank(deg), src.ring,
                                 entries)
     return out
@@ -293,7 +359,7 @@ def random_family(rng, X: ChainComplex, Y: ChainComplex, degree: int,
         for r in range(rows):
             for c in range(cols):
                 if rng.random() < density:
-                    data[(r, c)] = rng.choice(span_vals)
+                    data.setdefault(r, {})[c] = rng.choice(span_vals)
         if data:
             comps[i] = SparseMatrix(rows, cols, X.ring, data)
     return Homotopy(X, Y, comps, degree)
@@ -340,19 +406,19 @@ def direct_sum(A: ChainComplex, B: ChainComplex):
     S = ChainComplex(ring, ranks, diffs)
     inc_a = ChainMap(A, S, {
         i: SparseMatrix(S.rank(i), A.rank(i), ring,
-                        {(r, r): 1 for r in range(A.rank(i))})
+                        {r: {r: 1} for r in range(A.rank(i))})
         for i in A.degrees()})
     inc_b = ChainMap(B, S, {
         i: SparseMatrix(S.rank(i), B.rank(i), ring,
-                        {(A.rank(i) + r, r): 1 for r in range(B.rank(i))})
+                        {A.rank(i) + r: {r: 1} for r in range(B.rank(i))})
         for i in B.degrees()})
     pr_a = ChainMap(S, A, {
         i: SparseMatrix(A.rank(i), S.rank(i), ring,
-                        {(r, r): 1 for r in range(A.rank(i))})
+                        {r: {r: 1} for r in range(A.rank(i))})
         for i in S.degrees()})
     pr_b = ChainMap(S, B, {
         i: SparseMatrix(B.rank(i), S.rank(i), ring,
-                        {(r, A.rank(i) + r): 1 for r in range(B.rank(i))})
+                        {r: {A.rank(i) + r: 1} for r in range(B.rank(i))})
         for i in S.degrees()})
     return S, inc_a, inc_b, pr_a, pr_b
 
