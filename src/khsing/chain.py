@@ -671,20 +671,24 @@ def _block_homology(blocks, reduced, i: int, j):
     return len(blocks.get(i, {}).get(j, ())) - rank_out - rank_in, torsion
 
 
+def _les_rows(data: dict, h_cone: HomologySummary):
+    """``(rows, exact)`` of the long exact sequence of a cone over a field,
+    from the ``homology_functor_ranks`` data of its map f and the homology
+    of the cone: a row is (i, dim H^i(Cone f), dim coker H^i(f),
+    dim ker H^(i+1)(f)), and ``exact`` says each row's first dimension is
+    the sum of the other two."""
+    rows = []
+    for i in sorted(set(h_cone.keys()) | set(data) | {i - 1 for i in data}):
+        hx, hy, r = data.get(i, (0, 0, 0))
+        hx1, _, r1 = data.get(i + 1, (0, 0, 0))
+        rows.append((i, h_cone.free_rank(i), hy - r, hx1 - r1))
+    return tuple(rows), all(a == b + k for _, a, b, k in rows)
+
+
 def les_cone_check(f: ChainMap) -> bool:
     """Long-exact-sequence rank identity for a cone over a field:
 
     dim H^i(Cone f) = dim coker H^i(f) + dim ker H^(i+1)(f).
     """
-    C = cone(f)
-    hc = C.homology(graded=False)
-    data = homology_functor_ranks(f)
-    degs = set(hc.keys()) | set(data) | {i - 1 for i in data}
-    for i in sorted(degs):
-        hx, hy, r = data.get(i, (0, 0, 0))
-        hx1, _, r1 = data.get(i + 1, (0, 0, 0))
-        coker_i = hy - r
-        ker_next = hx1 - r1
-        if hc.free_rank(i) != coker_i + ker_next:
-            return False
-    return True
+    hc = cone(f).homology(graded=False)
+    return _les_rows(homology_functor_ranks(f), hc)[1]

@@ -247,19 +247,7 @@ class Diagram:
     def smooth_crossing(self, i: int, choice: int) -> "Diagram":
         """Delete crossing ``i`` after joining its edges per the smoothing."""
         a, b, c, d = self.crossings[i]
-        pairs = ((a, b), (c, d)) if choice == 0 else ((a, d), (b, c))
-        parent = {}
-
-        def find(e):
-            while parent.get(e, e) != e:
-                parent[e] = parent.get(parent[e], parent[e])
-                e = parent[e]
-            return e
-
-        for u, v in pairs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
+        find = _joined(((a, b), (c, d)) if choice == 0 else ((a, d), (b, c)))
         keep = [j for j in range(self.n_crossings) if j != i]
         kinds = [self.kinds[j] for j in keep]
         new_rest = [tuple(find(e) for e in self.crossings[j]) for j in keep]
@@ -443,6 +431,24 @@ def parse(text) -> Diagram:
     return Diagram(pd, kinds, free_loops, obj.get("name"))
 
 
+def _joined(pairs):
+    """Union-find over edge labels with each pair of ``pairs`` joined: the
+    returned ``find`` maps a label to the smallest label of its class."""
+    parent = {}
+
+    def find(e):
+        while parent.get(e, e) != e:
+            parent[e] = parent.get(parent[e], parent[e])
+            e = parent[e]
+        return e
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    return find
+
+
 def _is_int(v) -> bool:
     """JSON integers only: bool is an int subclass and floats truncate."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -481,18 +487,7 @@ def from_braid(word, strands: int, name=None) -> Diagram:
         cur[p], cur[p + 1] = u2, v2
 
     # close up: identify the top of each strand with its bottom
-    parent = {}
-
-    def find(e):
-        while parent.get(e, e) != e:
-            parent[e] = parent.get(parent[e], parent[e])
-            e = parent[e]
-        return e
-
-    for p in range(strands):
-        ru, rv = find(cur[p]), find(p + 1)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+    find = _joined((cur[p], p + 1) for p in range(strands))
     merged = [tuple(find(e) for e in t) for t in crossings]
     used = sorted({e for t in merged for e in t})
     relabel = {e: i + 1 for i, e in enumerate(used)}

@@ -15,20 +15,23 @@ complexes.
 A diagram with double points is evaluated by resolving every double point
 both ways and gluing the resulting cubes along these crossing-change maps;
 the result is the iterated mapping cone over the double points, built here
-in flattened form.  Degrees follow the shift -(n_minus + 2 * n_double).
+in flattened form.  Degrees follow the shift -(n_minus + 2 * n_double): each
+resolution's cube is built in place at its final degrees, so no complex is
+shifted after it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import (ChainComplex, ChainMap, cone, cone_functorial_map,
-                    homology_functor_ranks, is_chain_map)
+from .chain import (ChainComplex, ChainMap, _les_rows, cone,
+                    cone_functorial_map, homology_functor_ranks, is_chain_map)
 from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary, SparseMatrix
 from .frobenius import FrobeniusAlgebra
-from .khcube import CubeComplex, _bracket_cube, _place, _sign_bits, build_cube
+from .khcube import (CubeComplex, _bracket_cube, _place, _sign_bits,
+                     _state_order, build_cube)
 
 
 def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
@@ -75,14 +78,16 @@ class SingularComplex:
     Pieces are indexed by resolution schemes (bitmask over ``sites``; a set
     bit resolves the double point positively).  Generators are labelled
     (scheme_mask, state_mask, bits); the cone iteration order over the
-    double points is recorded in ``sites``.
+    double points is recorded in ``sites``.  Piece r of ``complex`` at
+    degree i starts at index ``offsets[(r, i)]`` of that degree.
     """
 
     diagram: Diagram
     algebra: FrobeniusAlgebra
     complex: ChainComplex
     sites: tuple
-    pieces: dict  # scheme mask -> unnormalized bracket cube, checked in complex
+    pieces: dict  # scheme mask -> cube built in place, checked in complex
+    offsets: dict
 
     def homology(self, ring=None, graded=None) -> HomologySummary:
         return self.complex.homology(ring=ring, graded=graded)
@@ -95,22 +100,19 @@ def _resolved(d: Diagram, sites, rmask: int) -> Diagram:
     return out
 
 
-def _scheme_order(m: int):
-    masks = list(range(1 << m))
-    masks.sort(key=lambda mm: tuple((mm >> i) & 1 for i in range(m)))
-    return masks
-
-
 def singular_complex(d: Diagram, F: FrobeniusAlgebra,
                      site_order=None) -> SingularComplex:
     """Flattened iterated-cone complex of a singular diagram.
 
     With no double points this is exactly the normalized cube.  Otherwise
-    each resolution scheme contributes its bracket cube shifted up by twice
-    the number of positive resolutions, glued by the crossing-change maps
-    (with a uniform minus sign; the alternating signs that make distinct
-    double points anticommute live in the state-level check signs).  The
-    total complex is then shifted by -(n_minus + 2 * n_double).
+    each resolution scheme r contributes its bracket cube shifted up by
+    twice the number |r| of positive resolutions, glued by the
+    crossing-change maps (with a uniform minus sign; the alternating signs
+    that make distinct double points anticommute live in the state-level
+    check signs), and the total is shifted by -(n_minus + 2 * n_double).
+    Both shifts are made in place: piece r is built at its final degrees,
+    shift 2|r| - n_minus - 2 * n_double, and the crossing-change blocks
+    carry the sign (-1)^n_minus that the total shift gives them.
 
     d^2 = 0 is checked once, on the total complex, and not on the pieces:
     its diagonal blocks are the d^2 of each bracket cube, and its
@@ -122,30 +124,25 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
         raise ContractViolation("site order must enumerate the double points")
     m = len(sites)
     ring = F.ring
+    pieces = {rmask: _bracket_cube(_resolved(d, sites, rmask), F,
+                                   2 * rmask.bit_count() - d.n_minus - 2 * m)
+              for rmask in range(1 << m)}
+    scheme_masks = _state_order(m)
 
-    pieces = {}
-    for rmask in range(1 << m):
-        pieces[rmask] = _bracket_cube(_resolved(d, sites, rmask), F)
-
-    # generator layout per total (bracket) degree
+    # generator layout per degree
     ranks = {}
-    offsets = {}  # (rmask, weight) -> offset of the piece block
+    offsets = {}  # (rmask, degree) -> offset of the piece block
     basis = {}
     qdeg = {} if F.graded else None
-    scheme_masks = _scheme_order(m)
     for rmask in scheme_masks:
-        cube = pieces[rmask]
-        for w in cube.complex.degrees():
-            deg = w + 2 * rmask.bit_count()
-            ranks.setdefault(deg, 0)
-            offsets[(rmask, w)] = ranks[deg]
-            labels = cube.complex.basis[w]
-            basis.setdefault(deg, [])
-            basis[deg].extend((rmask, mask, bits) for mask, bits in labels)
+        cx = pieces[rmask].complex
+        for deg in cx.degrees():
+            offsets[(rmask, deg)] = ranks.get(deg, 0)
+            ranks[deg] = offsets[(rmask, deg)] + cx.rank(deg)
+            basis.setdefault(deg, []).extend(
+                (rmask, mask, bits) for mask, bits in cx.basis[deg])
             if qdeg is not None:
-                qdeg.setdefault(deg, [])
-                qdeg[deg].extend(cube.complex.q[w])
-            ranks[deg] += cube.complex.rank(w)
+                qdeg.setdefault(deg, []).extend(cx.q[deg])
     basis = {deg: tuple(v) for deg, v in basis.items()}
     if qdeg is not None:
         qdeg = {deg: tuple(v) for deg, v in qdeg.items()}
@@ -159,85 +156,68 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     # (any other block needs generators of another piece), so it is taken
     # as is: with no double point, every degree
     for rmask in scheme_masks:
-        cube = pieces[rmask]
-        two_r = 2 * rmask.bit_count()
-        for w, mtx in cube.complex.diffs.items():
-            deg = w + two_r
+        for deg, mtx in pieces[rmask].complex.diffs.items():
             if (mtx.rows, mtx.cols) == (ranks[deg + 1], ranks[deg]):
                 diffs[deg] = mtx
                 continue
             acc = entries_by_deg[deg]
-            roff = offsets[(rmask, w + 1)]
-            coff = offsets[(rmask, w)]
+            roff = offsets[(rmask, deg + 1)]
+            coff = offsets[(rmask, deg)]
             for r, row in mtx.row_items():
                 acc.setdefault(roff + r, {}).update(
                     (coff + c, v) for c, v in row.items())
 
-    # crossing-change blocks, one per absent site, uniform minus sign
+    # crossing-change blocks, one per absent site: the uniform minus sign
+    # times the (-1)^n_minus of the total shift
+    sign = 1 if d.n_minus % 2 else -1
     for rmask in scheme_masks:
-        two_r = 2 * rmask.bit_count()
         for k, b in enumerate(sites):
             if (rmask >> k) & 1:
                 continue
             tmask = rmask | (1 << k)
-            for w, row0, col0, sign, block in _phi_blocks(
+            for deg, row0, col0, check, block in _phi_blocks(
                     pieces[rmask], pieces[tmask], b, F):
-                _place(entries_by_deg[w + two_r],
-                       row0 + offsets[(tmask, w - 1)],
-                       col0 + offsets[(rmask, w)], -sign, block)
+                _place(entries_by_deg[deg], row0 + offsets[(tmask, deg + 1)],
+                       col0 + offsets[(rmask, deg)], sign * check, block)
 
     for deg, acc in entries_by_deg.items():
         if deg + 1 in ranks and acc:
             diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], ring, acc)
     total = ChainComplex(ring, ranks, diffs, basis=basis, q=qdeg)
-    shift = -(d.n_minus + 2 * m)
-    return SingularComplex(d, F, total.shift(shift), sites, pieces)
+    return SingularComplex(d, F, total, sites, pieces, offsets)
 
 
 def _phi_blocks(src_cube: CubeComplex, tgt_cube: CubeComplex, c: int,
                 F: FrobeniusAlgebra):
-    """Crossing-change components between two bracket cubes.
+    """Crossing-change components between two cubes.
 
     For every state of the source cube that 1-smooths crossing c on two
-    distinct circles, yields ``(w, row0, col0, sign, block)``: the state
-    sits at weight w, its generators start at ``col0`` in level w of the
-    source cube and their images at ``row0`` in level w - 1 of the target
-    cube, and the component is ``sign`` (the check sign) times ``block``,
-    the ``_phi_block`` of its (k, i1, i2).  Each block is built once per
-    call, in a dict that lives for the call.
+    distinct circles, yields ``(deg, row0, col0, sign, block)``: the state
+    sits in degree ``deg`` of the source cube, its generators start at
+    ``col0`` there and their images at ``row0`` in the target cube's degree
+    of the state without c, and the component is ``sign`` (the check sign)
+    times ``block``, the ``_phi_block`` of its (k, i1, i2).  Each block is
+    built once per call, in a dict that lives for the call.
     """
-    src_cx = src_cube.complex
     bit = 1 << c
-    src_pos = {w: _state_offsets(src_cx.basis[w]) for w in src_cx.degrees()}
-    tgt_pos = {w: _state_offsets(tgt_cube.complex.basis[w])
-               for w in tgt_cube.complex.degrees()}
     blocks = {}
-    for w in src_cx.degrees():
-        for mask, start in src_pos[w].items():
-            if not mask & bit:
-                continue
-            cfg = src_cube.configs[mask]
-            i1, i2 = cfg.crossing_arcs[c]
-            if i1 == i2:
-                continue
-            tmask = mask & ~bit
-            if tgt_cube.configs[tmask].circles != cfg.circles:
-                raise ContractViolation(
-                    "resolved configurations disagree; inconsistent cubes")
-            key = (cfg.n_circles, i1, i2)
-            block = blocks.get(key)
-            if block is None:
-                block = blocks[key] = _phi_block(F, *key)
-            yield w, tgt_pos[w - 1][tmask], start, _sign_bits(mask, c), block
-
-
-def _state_offsets(labels) -> dict:
-    """Offset of each state's generator block within a level's basis."""
-    out = {}
-    for ix, (mask, _bits) in enumerate(labels):
-        if mask not in out:
-            out[mask] = ix
-    return out
+    for mask, col0 in src_cube.offsets.items():
+        if not mask & bit:
+            continue
+        cfg = src_cube.configs[mask]
+        i1, i2 = cfg.crossing_arcs[c]
+        if i1 == i2:
+            continue
+        tmask = mask & ~bit
+        if tgt_cube.configs[tmask].circles != cfg.circles:
+            raise ContractViolation(
+                "resolved configurations disagree; inconsistent cubes")
+        key = (cfg.n_circles, i1, i2)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _phi_block(F, *key)
+        yield (mask.bit_count() + src_cube.shift, tgt_cube.offsets[tmask],
+               col0, _sign_bits(mask, c), block)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +258,20 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
     d_plus = d_minus.crossing_change(c)
     S_minus = singular_complex(d_minus, F, site_order)
     S_plus = singular_complex(d_plus, F, site_order)
-    ring = F.ring
-    m = len(S_minus.sites)
-    shift_m = -(d_minus.n_minus + 2 * m)
-    off_m = _piece_offsets(S_minus)
-    off_p = _piece_offsets(S_plus)
 
+    # c is negative, so each piece of S_plus sits one degree above that of
+    # S_minus, and the target state (one weight down) in the same degree
     comps = {}
     for rmask, cube in S_minus.pieces.items():
-        # c is negative, so target weight w - 1 sits in the same degree
-        deg_off = 2 * rmask.bit_count() + shift_m
-        for w, row0, col0, sign, block in _phi_blocks(
+        for deg, row0, col0, sign, block in _phi_blocks(
                 cube, S_plus.pieces[rmask], c, F):
-            _place(comps.setdefault(w + deg_off, {}),
-                   row0 + off_p[(rmask, w - 1)], col0 + off_m[(rmask, w)],
-                   sign, block)
+            _place(comps.setdefault(deg, {}),
+                   row0 + S_plus.offsets[(rmask, deg)],
+                   col0 + S_minus.offsets[(rmask, deg)], sign, block)
 
-    matrices = {}
-    for deg, acc in comps.items():
-        matrices[deg] = SparseMatrix(S_plus.complex.rank(deg),
-                                     S_minus.complex.rank(deg), ring, acc)
+    matrices = {deg: SparseMatrix(S_plus.complex.rank(deg),
+                                  S_minus.complex.rank(deg), F.ring, acc)
+                for deg, acc in comps.items()}
     f = ChainMap(S_minus.complex, S_plus.complex, matrices)
     check = is_chain_map(f)
     if not check.ok:
@@ -305,17 +279,6 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
             f"crossing-change map fails to be a chain map at degree "
             f"{check.degree}")
     return GenusOneMap(S_minus, S_plus, f, c)
-
-
-def _piece_offsets(S: SingularComplex) -> dict:
-    """Offset of each (scheme, weight) block inside its normalized degree."""
-    out = {}
-    for labels in S.complex.basis.values():
-        for ix, (rm, mask, _bits) in enumerate(labels):
-            key = (rm, mask.bit_count())
-            if key not in out:
-                out[key] = ix
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,40 +350,36 @@ def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
 
 
 def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict,
-                 uses: int) -> tuple:
-    """(bracket cube of d, its normalized complex), looked up in or added
-    to ``built`` and dropped from it at its ``uses``-th lookup."""
+                 uses: int) -> CubeComplex:
+    """Normalized cube of d, looked up in or added to ``built`` and dropped
+    from it at its ``uses``-th lookup."""
     key = _diagram_key(d)
     entry = built.get(key)
     if entry is None:
-        cube = _bracket_cube(d, F)
-        entry = built[key] = [cube, cube.complex.shift(-cube.n_minus), uses]
-    entry[2] -= 1
-    if not entry[2]:
+        entry = built[key] = [_bracket_cube(d, F, -d.n_minus), uses]
+    entry[1] -= 1
+    if not entry[1]:
         del built[key]
-    return entry[0], entry[1]
+    return entry[0]
 
 
-def _phi_cube_chainmap(minus: tuple, plus: tuple, c: int) -> ChainMap:
-    """Crossing-change map between two bracket cubes, each given as
-    (cube, normalized complex), returned against the normalized complexes.
+def _phi_cube_chainmap(cm: CubeComplex, cp: CubeComplex, c: int) -> ChainMap:
+    """Crossing-change map between two normalized cubes.
 
     Neither the map nor the cubes are checked here.  Every such map is
     coned, and the d^2 = 0 check of the cone covers both; a leg of
     ``cone_functorial_map`` is covered by its check of the induced map.
     """
-    (cm, ncm), (cp, ncp) = minus, plus
-    F = cm.algebra
-    ring = F.ring
-    shift_m = -cm.n_minus
     if cp.n_minus != cm.n_minus - 1:
         raise ContractViolation(f"crossing {c} is not negative")
+    F = cm.algebra
     comps = {}
-    for w, row0, col0, sign, block in _phi_blocks(cm, cp, c, F):
-        _place(comps.setdefault(w + shift_m, {}), row0, col0, sign, block)
-    matrices = {deg: SparseMatrix(ncp.rank(deg), ncm.rank(deg), ring, acc)
+    for deg, row0, col0, sign, block in _phi_blocks(cm, cp, c, F):
+        _place(comps.setdefault(deg, {}), row0, col0, sign, block)
+    matrices = {deg: SparseMatrix(cp.complex.rank(deg), cm.complex.rank(deg),
+                                  F.ring, acc)
                 for deg, acc in comps.items()}
-    return ChainMap(ncm, ncp, matrices)
+    return ChainMap(cm.complex, cp.complex, matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +445,14 @@ def skein_triangle_report(d_minus: Diagram, d_plus: Diagram, d_sing: Diagram,
     b = skein_site(d_minus, d_plus, d_sing)
     g1 = genus_one_map(d_minus, b, F)
     S_sing = singular_complex(d_sing, F)
-    h_minus = g1.source.homology(graded=False)
-    h_plus = g1.target.homology(graded=False)
     h_sing = S_sing.homology(graded=False)
-
     data = homology_functor_ranks(g1.map)
-    degs = sorted(set(h_sing.keys()) | set(data) | {i - 1 for i in data})
-    rows = []
-    ok = True
-    for i in degs:
-        hx, hy, r = data.get(i, (0, 0, 0))
-        hx1, _, r1 = data.get(i + 1, (0, 0, 0))
-        coker = hy - r
-        ker_next = hx1 - r1
-        dim_sing = h_sing.free_rank(i)
-        rows.append((i, dim_sing, coker, ker_next))
-        if dim_sing != coker + ker_next:
-            ok = False
+    # over a field the homology of the source and target is their dimension
+    h_minus = HomologySummary.build(
+        F.ring, {i: (hx, ()) for i, (hx, _, _) in data.items()})
+    h_plus = HomologySummary.build(
+        F.ring, {i: (hy, ()) for i, (_, hy, _) in data.items()})
+    rows, ok = _les_rows(data, h_sing)
 
     chi_ok = None
     if F.graded:
@@ -513,5 +463,5 @@ def skein_triangle_report(d_minus: Diagram, d_plus: Diagram, d_sing: Diagram,
         for j, cc in chi_m.items():
             diff[j] = diff.get(j, 0) - cc
         chi_ok = {j: cc for j, cc in diff.items() if cc} == chi_s
-    return SkeinReport(b, str(F.ring), tuple(rows), ok, chi_ok,
+    return SkeinReport(b, str(F.ring), rows, ok, chi_ok,
                        h_minus, h_plus, h_sing)

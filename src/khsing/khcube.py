@@ -15,7 +15,7 @@ block once, in a dict keyed by that pattern that lives for the build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .chain import ChainComplex, ChainMap
@@ -42,8 +42,10 @@ class CubeComplex:
 
     ``complex`` holds the matrices; basis labels are (state_mask, bits)
     pairs, where ``bits`` assigns 0 (the unit) or 1 (the generator x) to each
-    circle of the state in canonical circle order.  ``configs`` caches the
-    circle configuration of every state.
+    circle of the state in canonical circle order.  A state of weight w sits
+    in degree w + ``shift``, its generators from index ``offsets[mask]`` of
+    that degree on.  ``configs`` caches the circle configuration of every
+    state.
     """
 
     complex: ChainComplex
@@ -51,19 +53,9 @@ class CubeComplex:
     algebra: FrobeniusAlgebra
     n_plus: int
     n_minus: int
-    normalized: bool
+    shift: int
     configs: dict
-
-    def degree_of_state(self, mask: int) -> int:
-        w = mask.bit_count()
-        return w - self.n_minus if self.normalized else w
-
-    def generator_index(self, mask: int, bits) -> tuple:
-        """(degree, index) of a generator given by state mask and circle bits."""
-        deg = self.degree_of_state(mask)
-        label = (mask, tuple(bits))
-        basis = self.complex.basis[deg]
-        return deg, basis.index(label)
+    offsets: dict
 
     def homology(self, ring=None, graded=None):
         return self.complex.homology(ring=ring, graded=graded)
@@ -142,32 +134,32 @@ def _saddle_block(F: FrobeniusAlgebra, pattern):
 def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeComplex:
     """Evaluated cube of resolutions of a diagram without double points.
 
-    With ``normalize`` the homological grading is shifted by -n_minus (and
-    the differential picks up the matching sign); at (h, t) = (0, 0) the
-    quantum grading j = internal + |s| + n_plus - 2*n_minus is attached.
-    d^2 = 0 is checked once, on the bracket cube.
+    With ``normalize`` the cube is built in its final degrees, shifted by
+    -n_minus (see ``_bracket_cube``); at (h, t) = (0, 0) the quantum
+    grading j = internal + |s| + n_plus - 2*n_minus is attached either way.
+    d^2 = 0 is checked once, on the cube as built.
     """
-    cube = _bracket_cube(d, F)
+    cube = _bracket_cube(d, F, -d.n_minus if normalize else 0)
     cube.complex.validate()
-    if not normalize:
-        return cube
-    return replace(cube, complex=cube.complex.shift(-cube.n_minus),
-                   normalized=True)
+    return cube
 
 
-def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
-    """The unnormalized cube of ``build_cube``, unchecked: the caller checks
-    d^2 = 0 on it or on the complex it is assembled into.
+def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int) -> CubeComplex:
+    """The bracket cube of ``d`` built in place as W[shift], unchecked: the
+    caller checks d^2 = 0 on it or on the complex it is assembled into.
 
-    Each (state, crossing) edge is its check sign times the
-    ``_saddle_block`` of its ``_saddle_pattern``; the blocks are kept in a
-    dict keyed by pattern for the length of this call."""
+    A state of weight w sits in degree w + shift.  Each (state, crossing)
+    edge is its check sign times the ``_saddle_block`` of its
+    ``_saddle_pattern``, and times (-1)^shift, the sign W[shift] gives its
+    differential; the blocks are kept in a dict keyed by pattern for the
+    length of this call."""
     if d.n_singular:
         raise ContractViolation(
             "diagram has double points; build the singular complex instead")
     n = d.n_crossings
     n_plus, n_minus = d.n_plus, d.n_minus
     ring = F.ring
+    parity = -1 if shift % 2 else 1
 
     configs = {mask: d.resolve_bits(mask) for mask in range(1 << n)}
     levels = {}
@@ -176,28 +168,23 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
 
     offsets = {}
     ranks = {}
-    for w, masks in levels.items():
-        off = 0
-        for mask in masks:
-            offsets[mask] = off
-            off += 1 << configs[mask].n_circles
-        ranks[w] = off
-
     basis = {}
     qdeg = {} if F.graded else None
     for w, masks in levels.items():
         labels = []
         qs = []
         for mask in masks:
+            offsets[mask] = len(labels)
             k = configs[mask].n_circles
             for bits in _bits_tuples(k):
                 labels.append((mask, bits))
                 if qdeg is not None:
                     internal = k - 2 * sum(bits)
                     qs.append(internal + w + n_plus - 2 * n_minus)
-        basis[w] = tuple(labels)
+        ranks[w + shift] = len(labels)
+        basis[w + shift] = tuple(labels)
         if qdeg is not None:
-            qdeg[w] = tuple(qs)
+            qdeg[w + shift] = tuple(qs)
 
     blocks = {}  # circle pattern -> _saddle_block, for this call only
     diffs = {}
@@ -211,20 +198,20 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
             for c in range(n):
                 if mask >> c & 1:
                     continue
-                sign = _sign_bits(mask, c)
                 tgt_mask = mask | (1 << c)
-                tgt_off = offsets[tgt_mask]
                 pattern = _saddle_pattern(src_cfg, configs[tgt_mask], c,
                                           d.crossings[c])
                 block = blocks.get(pattern)
                 if block is None:
                     block = blocks[pattern] = _saddle_block(F, pattern)
                 # distinct edges never share an entry, nor terms of one edge
-                _place(entries, tgt_off, src_off, sign, block)
-        diffs[w] = SparseMatrix(ranks[w + 1], ranks[w], ring, entries)
+                _place(entries, offsets[tgt_mask], src_off,
+                       parity * _sign_bits(mask, c), block)
+        deg = w + shift
+        diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], ring, entries)
 
     cx = ChainComplex._unchecked(ring, ranks, diffs, basis, qdeg)
-    return CubeComplex(cx, d, F, n_plus, n_minus, False, configs)
+    return CubeComplex(cx, d, F, n_plus, n_minus, shift, configs, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +235,7 @@ def cone_pieces(cube: CubeComplex, c: int):
     is Cone(g) shifted by one.  X and Y are not checked again: their d^2
     are diagonal blocks of the cube's, as d never leaves the Y states.
     """
-    if cube.normalized:
+    if cube.shift:
         raise ContractViolation("cone splitting works on the bracket cube")
     cx = cube.complex
     bit = 1 << c

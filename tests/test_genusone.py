@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khsing import genusone
+from khsing import exactlinalg, genusone
 from khsing.chain import ChainComplex, ChainMap, cone, is_chain_map
 from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
@@ -331,14 +331,37 @@ class TestNoCopyWithoutDoublePoint:
             return validate(self)
 
         monkeypatch.setattr(ChainComplex, "validate", counting_validate)
-        d = from_braid([(0, 1)] * 5, 2)
-        assert d.n_minus == 0 and not d.n_singular
-        S = singular_complex(d, FrobeniusAlgebra(ring, 0, 0))
-        cube_diffs = S.pieces[0].complex.diffs
-        assert S.complex.diffs.keys() == cube_diffs.keys()
-        for w, m in S.complex.diffs.items():
-            assert m is cube_diffs[w]
-        assert len(calls) == 1
+        # T(2,5) and its mirror: an even and an odd normalization shift
+        for kind, n_minus in ((1, 0), (-1, 5)):
+            calls.clear()
+            d = from_braid([(0, kind)] * 5, 2)
+            assert d.n_minus == n_minus and not d.n_singular
+            S = singular_complex(d, FrobeniusAlgebra(ring, 0, 0))
+            cube_diffs = S.pieces[0].complex.diffs
+            assert S.complex.diffs.keys() == cube_diffs.keys()
+            for w, m in S.complex.diffs.items():
+                assert m is cube_diffs[w]
+            assert len(calls) == 1
+
+
+class TestBuiltInPlace:
+    def test_no_complex_shifted_after_it_is_built(self, monkeypatch):
+        # every cube is built in its final degrees, odd shifts included
+        calls = []
+        shift = ChainComplex.shift
+
+        def counting_shift(self, k):
+            calls.append(k)
+            return shift(self, k)
+
+        monkeypatch.setattr(ChainComplex, "shift", counting_shift)
+        F = FrobeniusAlgebra(QQ, 0, 0)
+        build_cube(from_braid([(0, -1)] * 5, 2), F)
+        assert calls == []
+        singular_complex(from_braid([(0, 0), (0, -1), (0, 0)], 2), F)
+        assert calls == []
+        singular_complex_iterated(from_braid(S6_3DP, 3), F)
+        assert calls == []
 
 
 def _skein_state_sum(d):
@@ -406,6 +429,37 @@ class TestSkeinTriangle:
             assert rep.les_ok
             if F.graded:
                 assert rep.chi_ok
+
+    def _braid_triple(self):
+        d_sing = from_braid([(0, 1), (0, 0), (0, -1), (0, 1)], 2)
+        return (d_sing.resolve_double_point(1, -1),
+                d_sing.resolve_double_point(1, +1), d_sing)
+
+    @pytest.mark.parametrize("ring,h,t", [(QQ, 0, 0), (F2, 1, 0), (QQ, 0, 1)],
+                             ids=["Q00", "F2_10", "Q01"])
+    def test_source_and_target_homology(self, ring, h, t):
+        d_minus, d_plus, d_sing = self._braid_triple()
+        F = FrobeniusAlgebra(ring, h, t)
+        rep = skein_triangle_report(d_minus, d_plus, d_sing, F)
+        g1 = genus_one_map(d_minus, 1, F)
+        assert rep.h_minus == g1.source.homology(graded=False)
+        assert rep.h_plus == g1.target.homology(graded=False)
+
+    def test_each_differential_reduced_once(self, monkeypatch):
+        # X and Y have 4 differentials each and S_sing 6, each reduced once;
+        # H(f) can be nonzero in one degree, which adds a kernel basis and
+        # a rank.  Reducing X and Y again for h_minus and h_plus made 24.
+        calls = []
+        eliminate = exactlinalg._eliminate
+
+        def counting_eliminate(m, track=False):
+            calls.append(1)
+            return eliminate(m, track)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", counting_eliminate)
+        skein_triangle_report(*self._braid_triple(),
+                              FrobeniusAlgebra(QQ, 0, 0))
+        assert len(calls) == 16
 
     def test_site_mismatch_rejected(self):
         d_minus, d_plus, d_sing = self._kink_triple()
