@@ -30,17 +30,19 @@ class ChainComplex:
     """Bounded complex of finite free modules with sparse differentials.
 
     ``ranks`` maps degree -> rank (positive entries only); ``diffs`` maps
-    degree i to the matrix of d^i (target rank x source rank).  ``basis``
-    and ``q`` optionally attach labels and quantum degrees per generator.
+    degree i to the matrix of d^i (target rank x source rank).  ``q``
+    optionally attaches quantum degrees per generator.  Generators carry no
+    labels: a builder identifies each by its place, e.g. a cube generator by
+    its state's offset in its degree plus the index of its circle bits.
     """
 
-    __slots__ = ("ring", "ranks", "diffs", "basis", "q")
+    __slots__ = ("ring", "ranks", "diffs", "q")
 
-    def __init__(self, ring: Ring, ranks, diffs, basis=None, q=None):
-        self._store(ring, ranks, diffs, basis, q)
+    def __init__(self, ring: Ring, ranks, diffs, q=None):
+        self._store(ring, ranks, diffs, q)
         self.validate()
 
-    def _store(self, ring, ranks, diffs, basis, q):
+    def _store(self, ring, ranks, diffs, q):
         self.ring = ring
         self.ranks = {i: r for i, r in ranks.items() if r > 0}
         self.diffs = {}
@@ -48,15 +50,14 @@ class ChainComplex:
             if m is None or (m.rows == 0 or m.cols == 0):
                 continue
             self.diffs[i] = m
-        self.basis = dict(basis) if basis else None
         self.q = dict(q) if q else None
 
     @classmethod
-    def _unchecked(cls, ring: Ring, ranks, diffs, basis=None, q=None):
+    def _unchecked(cls, ring: Ring, ranks, diffs, q=None):
         """A complex built without ``validate()``: an exact image of a checked
         complex, or a piece checked as part of the complex it is built into."""
         cx = cls.__new__(cls)
-        cx._store(ring, ranks, diffs, basis, q)
+        cx._store(ring, ranks, diffs, q)
         return cx
 
     # -- shape bookkeeping ---------------------------------------------------
@@ -88,12 +89,10 @@ class ChainComplex:
             if i + 1 in self.diffs:
                 if not (self.diffs[i + 1] * self.diffs[i]).is_zero():
                     raise ContractViolation(f"d^2 != 0 at degree {i}")
-        for extra, name in ((self.basis, "basis"), (self.q, "quantum degrees")):
-            if extra is None:
-                continue
-            for i, labels in extra.items():
-                if len(labels) != self.rank(i):
-                    raise ContractViolation(f"{name} length mismatch at {i}")
+        for i, qs in (self.q or {}).items():
+            if len(qs) != self.rank(i):
+                raise ContractViolation(
+                    f"quantum degrees length mismatch at {i}")
 
     # -- constructions ---------------------------------------------------------
 
@@ -102,9 +101,8 @@ class ChainComplex:
         ranks = {i + k: r for i, r in self.ranks.items()}
         sign = -1 if k % 2 else 1
         diffs = {i + k: (m if sign > 0 else -m) for i, m in self.diffs.items()}
-        basis = {i + k: v for i, v in self.basis.items()} if self.basis else None
         q = {i + k: v for i, v in self.q.items()} if self.q else None
-        return ChainComplex._unchecked(self.ring, ranks, diffs, basis, q)
+        return ChainComplex._unchecked(self.ring, ranks, diffs, q)
 
     def dual(self) -> "ChainComplex":
         """Transpose dual: degree i becomes -i, quantum degrees negate."""
@@ -112,15 +110,13 @@ class ChainComplex:
         diffs = {}
         for i, m in self.diffs.items():
             diffs[-i - 1] = m.transpose()
-        basis = {-i: v for i, v in self.basis.items()} if self.basis else None
         q = ({-i: tuple(-x for x in v) for i, v in self.q.items()}
              if self.q else None)
-        return ChainComplex._unchecked(self.ring, ranks, diffs, basis, q)
+        return ChainComplex._unchecked(self.ring, ranks, diffs, q)
 
     def change_ring(self, ring: Ring) -> "ChainComplex":
         diffs = {i: m.change_ring(ring) for i, m in self.diffs.items()}
-        return ChainComplex._unchecked(ring, self.ranks, diffs, self.basis,
-                                       self.q)
+        return ChainComplex._unchecked(ring, self.ranks, diffs, self.q)
 
     def check_bidegree(self):
         """Verify every differential entry preserves the quantum grading
@@ -368,6 +364,9 @@ def homology(c: ChainComplex, ring: Ring | None = None,
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: Cone(f)^i = Y^i (+) X^(i+1), d = [[d_Y, f], [0, -d_X]].
 
+    Generators are identified by place: index k of Cone(f)^i is generator k
+    of Y^i when k < rank Y^i, else generator k - rank Y^i of X^(i+1).
+
     The off-diagonal block of d d is d_Y f - f d_X, so the cone's own
     d^2 = 0 check rejects an ``f`` that is not a chain map.  The cone is
     kept on ``f`` and returned by later calls, so a map coned in several
@@ -385,13 +384,9 @@ def _cone(f: ChainMap) -> ChainComplex:
     ring = Y.ring
     degs = sorted(set(Y.degrees()) | {i - 1 for i in X.degrees()})
     ranks = {}
-    basis = {}
     q = {} if (X.q is not None and Y.q is not None) else None
     for i in degs:
         ranks[i] = Y.rank(i) + X.rank(i + 1)
-        ylab = (Y.basis or {}).get(i) or tuple(("y", i, k) for k in range(Y.rank(i)))
-        xlab = (X.basis or {}).get(i + 1) or tuple(("x", i + 1, k) for k in range(X.rank(i + 1)))
-        basis[i] = tuple(("y", l) for l in ylab) + tuple(("x", l) for l in xlab)
         if q is not None:
             q[i] = tuple(Y.q.get(i, ())) + tuple(X.q.get(i + 1, ()))
     diffs = {}
@@ -403,7 +398,7 @@ def _cone(f: ChainMap) -> ChainComplex:
              [None, -X.diff(i + 1)]],
             [Y.rank(i + 1), X.rank(i + 2)],
             [Y.rank(i), X.rank(i + 1)], ring)
-    return ChainComplex(ring, ranks, diffs, basis=basis, q=q)
+    return ChainComplex(ring, ranks, diffs, q=q)
 
 
 def cone_inclusion(f: ChainMap) -> ChainMap:

@@ -101,12 +101,29 @@ def cmd_skein_check(args) -> int:
     return 0 if report.ok else 1
 
 
+def _load_groups(root: pathlib.Path) -> list:
+    """The groups of ``root/groups.json``, each with a name and files."""
+    path = root / "groups.json"
+    try:
+        spec = json.loads(path.read_text())
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+    groups = spec.get("groups") if isinstance(spec, dict) else None
+    if not isinstance(groups, list) or not all(
+            isinstance(g, dict) and isinstance(g.get("name"), str)
+            and isinstance(g.get("files"), list) and g["files"]
+            for g in groups):
+        raise ParseError(f"{path}: \"groups\" must list objects, each with "
+                         "a \"name\" and a nonempty list of \"files\"")
+    return groups
+
+
 def cmd_invariance(args) -> int:
     root = pathlib.Path(args.corpus) if args.corpus else corpus_dir()
-    spec = json.loads((root / "groups.json").read_text())
+    groups = _load_groups(root)
     ring = _RINGS[args.ring]()
     mismatches = 0
-    for group in spec["groups"]:
+    for group in groups:
         sigs = []
         for name in group["files"]:
             d = _load(str(root / f"{name}.json"))

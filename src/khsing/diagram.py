@@ -389,9 +389,6 @@ class CircleConfiguration:
     def n_circles(self) -> int:
         return len(self.circles)
 
-    def circle_of_edge(self, e) -> int:
-        return self.edge_circle[e]
-
 
 def parse(text) -> Diagram:
     """Parse the JSON diagram format into a validated Diagram.

@@ -76,10 +76,11 @@ class SingularComplex:
     """Evaluated complex of a diagram with double points.
 
     Pieces are indexed by resolution schemes (bitmask over ``sites``; a set
-    bit resolves the double point positively).  Generators are labelled
-    (scheme_mask, state_mask, bits); the cone iteration order over the
-    double points is recorded in ``sites``.  Piece r of ``complex`` at
-    degree i starts at index ``offsets[(r, i)]`` of that degree.
+    bit resolves the double point positively); the cone iteration order over
+    the double points is recorded in ``sites``.  A generator is identified
+    by its place: piece r of ``complex`` at degree i starts at index
+    ``offsets[(r, i)]`` of that degree, and within it a generator sits where
+    it sits in degree i of ``pieces[r]`` (its state offset plus bit index).
     """
 
     diagram: Diagram
@@ -132,20 +133,14 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     # generator layout per degree
     ranks = {}
     offsets = {}  # (rmask, degree) -> offset of the piece block
-    basis = {}
     qdeg = {} if F.graded else None
     for rmask in scheme_masks:
         cx = pieces[rmask].complex
         for deg in cx.degrees():
             offsets[(rmask, deg)] = ranks.get(deg, 0)
             ranks[deg] = offsets[(rmask, deg)] + cx.rank(deg)
-            basis.setdefault(deg, []).extend(
-                (rmask, mask, bits) for mask, bits in cx.basis[deg])
             if qdeg is not None:
                 qdeg.setdefault(deg, []).extend(cx.q[deg])
-    basis = {deg: tuple(v) for deg, v in basis.items()}
-    if qdeg is not None:
-        qdeg = {deg: tuple(v) for deg, v in qdeg.items()}
 
     # no two blocks below share an entry: each lies in its own (source
     # piece, target piece) rectangle, within it in its own pair of states
@@ -183,7 +178,7 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     for deg, acc in entries_by_deg.items():
         if deg + 1 in ranks and acc:
             diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], ring, acc)
-    total = ChainComplex(ring, ranks, diffs, basis=basis, q=qdeg)
+    total = ChainComplex(ring, ranks, diffs, q=qdeg)
     return SingularComplex(d, F, total, sites, pieces, offsets)
 
 
@@ -370,7 +365,7 @@ def _phi_cube_chainmap(cm: CubeComplex, cp: CubeComplex, c: int) -> ChainMap:
     coned, and the d^2 = 0 check of the cone covers both; a leg of
     ``cone_functorial_map`` is covered by its check of the induced map.
     """
-    if cp.n_minus != cm.n_minus - 1:
+    if cp.diagram.n_minus != cm.diagram.n_minus - 1:
         raise ContractViolation(f"crossing {c} is not negative")
     F = cm.algebra
     comps = {}

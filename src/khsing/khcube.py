@@ -16,7 +16,6 @@ block once, in a dict keyed by that pattern that lives for the build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .chain import ChainComplex, ChainMap
 from .diagram import Diagram
@@ -40,19 +39,17 @@ def _sign_bits(mask: int, c: int) -> int:
 class CubeComplex:
     """Evaluated complex of an ordinary diagram plus generator metadata.
 
-    ``complex`` holds the matrices; basis labels are (state_mask, bits)
-    pairs, where ``bits`` assigns 0 (the unit) or 1 (the generator x) to each
-    circle of the state in canonical circle order.  A state of weight w sits
-    in degree w + ``shift``, its generators from index ``offsets[mask]`` of
-    that degree on.  ``configs`` caches the circle configuration of every
-    state.
+    ``complex`` holds the matrices.  A generator is identified by its state
+    offset and bit index: a state of weight w sits in degree w + ``shift``,
+    and generator ``offsets[mask] + r`` of that degree assigns to circle i
+    of the state (in canonical circle order) the bit of r at weight
+    2^(k - 1 - i), 0 for the unit and 1 for x.  ``configs`` caches the
+    circle configuration of every state.
     """
 
     complex: ChainComplex
     diagram: Diagram
     algebra: FrobeniusAlgebra
-    n_plus: int
-    n_minus: int
     shift: int
     configs: dict
     offsets: dict
@@ -73,10 +70,6 @@ def _state_order(n: int):
     masks = list(range(1 << n))
     masks.sort(key=lambda m: tuple((m >> i) & 1 for i in range(n)))
     return masks
-
-
-def _bits_tuples(k: int):
-    return list(product((0, 1), repeat=k))
 
 
 def _saddle_pattern(src_cfg, tgt_cfg, c: int, crossing):
@@ -162,29 +155,22 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int) -> CubeComplex:
     parity = -1 if shift % 2 else 1
 
     configs = {mask: d.resolve_bits(mask) for mask in range(1 << n)}
+    # circle count k -> internal q-degree of each of its 2^k generators
+    internal = {k: [k - 2 * r.bit_count() for r in range(1 << k)]
+                for k in {cfg.n_circles for cfg in configs.values()}}
     levels = {}
-    for mask in _state_order(n):
-        levels.setdefault(mask.bit_count(), []).append(mask)
-
     offsets = {}
     ranks = {}
-    basis = {}
     qdeg = {} if F.graded else None
-    for w, masks in levels.items():
-        labels = []
-        qs = []
-        for mask in masks:
-            offsets[mask] = len(labels)
-            k = configs[mask].n_circles
-            for bits in _bits_tuples(k):
-                labels.append((mask, bits))
-                if qdeg is not None:
-                    internal = k - 2 * sum(bits)
-                    qs.append(internal + w + n_plus - 2 * n_minus)
-        ranks[w + shift] = len(labels)
-        basis[w + shift] = tuple(labels)
+    for mask in _state_order(n):
+        w = mask.bit_count()
+        levels.setdefault(w, []).append(mask)
+        k = configs[mask].n_circles
+        offsets[mask] = ranks.get(w + shift, 0)
+        ranks[w + shift] = offsets[mask] + (1 << k)
         if qdeg is not None:
-            qdeg[w + shift] = tuple(qs)
+            qdeg.setdefault(w + shift, []).extend(
+                v + w + n_plus - 2 * n_minus for v in internal[k])
 
     blocks = {}  # circle pattern -> _saddle_block, for this call only
     diffs = {}
@@ -210,8 +196,8 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int) -> CubeComplex:
         deg = w + shift
         diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], ring, entries)
 
-    cx = ChainComplex._unchecked(ring, ranks, diffs, basis, qdeg)
-    return CubeComplex(cx, d, F, n_plus, n_minus, shift, configs, offsets)
+    cx = ChainComplex._unchecked(ring, ranks, diffs, qdeg)
+    return CubeComplex(cx, d, F, shift, configs, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -229,62 +215,36 @@ def dualize(c) -> ChainComplex:
 def cone_pieces(cube: CubeComplex, c: int):
     """Split the unnormalized bracket cube at crossing c into cone data.
 
-    Returns (X, Y, g) where X collects the states with c unsmoothed, Y the
-    states with c smoothed (reindexed one degree down, differential negated),
-    and g: X -> Y is minus the connecting block, so that the bracket complex
-    is Cone(g) shifted by one.  X and Y are not checked again: their d^2
-    are diagonal blocks of the cube's, as d never leaves the Y states.
+    Returns (X, Y, g) where X collects the states with c 0-smoothed, Y the
+    states with c 1-smoothed (as W[-1]: one degree down, differential
+    negated), and g: X -> Y is minus the connecting block, so that the
+    bracket complex is Cone(g) shifted by one.  Generators are found by
+    state offset and bit index, and keep their order in the cube.  X and Y
+    are not checked again: their d^2 are diagonal blocks of the cube's, as
+    d never leaves the Y states.
     """
     if cube.shift:
         raise ContractViolation("cone splitting works on the bracket cube")
     cx = cube.complex
     bit = 1 << c
-    x_index = {}
-    y_index = {}
-    for deg, labels in cx.basis.items():
-        xs = [i for i, (mask, _) in enumerate(labels) if not mask & bit]
-        ys = [i for i, (mask, _) in enumerate(labels) if mask & bit]
-        if xs:
-            x_index[deg] = xs
-        if ys:
-            y_index[deg - 1] = (deg, ys)
-
-    def sub(ranks_idx, shift_diff_sign, which):
-        ranks = {}
-        diffs = {}
-        basis = {}
-        for deg in ranks_idx:
-            if which == "x":
-                idx = ranks_idx[deg]
-                src_deg = deg
-            else:
-                src_deg, idx = ranks_idx[deg]
-            ranks[deg] = len(idx)
-            basis[deg] = tuple(cx.basis[src_deg][i] for i in idx)
-        for deg in ranks:
-            if deg + 1 not in ranks:
-                continue
-            if which == "x":
-                src_deg, idx_s = deg, ranks_idx[deg]
-                tgt_deg, idx_t = deg + 1, ranks_idx[deg + 1]
-            else:
-                src_deg, idx_s = ranks_idx[deg]
-                tgt_deg, idx_t = ranks_idx[deg + 1]
-            m = cx.diff(src_deg).submatrix(idx_t, idx_s)
-            if shift_diff_sign:
-                m = -m
-            diffs[deg] = m
-        return ChainComplex._unchecked(cx.ring, ranks, diffs, basis)
-
-    X = sub(x_index, False, "x")
-    Y = sub(y_index, True, "y")
-    comps = {}
-    for deg, xs in x_index.items():
-        if deg not in y_index:
-            continue
-        src_full_deg = deg
-        tgt_full_deg, ys = y_index[deg]
-        if tgt_full_deg != deg + 1:
-            continue
-        comps[deg] = -cx.diff(src_full_deg).submatrix(ys, xs)
+    x_idx = {}  # degree of the cube -> indices there of X's generators
+    y_idx = {}
+    for mask, off in sorted(cube.offsets.items(), key=lambda kv: kv[1]):
+        idx = y_idx if mask & bit else x_idx
+        idx.setdefault(mask.bit_count(), []).extend(
+            range(off, off + (1 << cube.configs[mask].n_circles)))
+    X = _sub_complex(cx, x_idx)
+    Y = _sub_complex(cx, y_idx).shift(-1)
+    comps = {w: -cx.diff(w).submatrix(y_idx[w + 1], xs)
+             for w, xs in x_idx.items() if w + 1 in y_idx}
     return X, Y, ChainMap(X, Y, comps)
+
+
+def _sub_complex(cx: ChainComplex, idx: dict) -> ChainComplex:
+    """The generators ``idx[w]`` of each degree w of ``cx`` with the
+    restricted differential; unchecked, as a diagonal block of a checked
+    complex."""
+    diffs = {w: cx.diff(w).submatrix(idx[w + 1], ix)
+             for w, ix in idx.items() if w + 1 in idx}
+    return ChainComplex._unchecked(
+        cx.ring, {w: len(ix) for w, ix in idx.items()}, diffs)

@@ -172,6 +172,21 @@ class TestInvarianceCommand:
         assert code == 1
         assert "MISMATCH" in out
 
+    @pytest.mark.parametrize("groups", [
+        None,                              # no groups.json at all
+        "{broken",
+        json.dumps({"groups": 3}),
+        json.dumps({"groups": [{"name": "x"}]}),
+        json.dumps({"groups": [{"name": "x", "files": []}]}),
+    ], ids=["missing", "invalid_json", "not_a_list", "no_files",
+            "empty_files"])
+    def test_bad_groups_file_exit_one(self, tmp_path, groups):
+        if groups is not None:
+            (tmp_path / "groups.json").write_text(groups)
+        code, out, err = run(["invariance", "--corpus", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestInProcessMain:
     def test_main_returns_zero(self, corpus, capsys):

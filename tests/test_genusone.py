@@ -13,7 +13,8 @@ from khsing.genusone import (genus_one_map, phi_local, singular_complex,
 from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
 from khsing.khcube import build_cube
 
-from util import reference_genus_one_components
+from util import (reference_genus_one_components, reference_labels,
+                  reference_singular_labels)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -146,10 +147,10 @@ class TestGenusOneMap:
         d = parse({"pd": HOPF_NEG_PD})
         F = FrobeniusAlgebra(ZZ, 0, 0)
         g = genus_one_map(d, 0, F)
-        src = g.source.complex
         bit = 1 << 0
+        src_labels = reference_singular_labels(g.source)
         for i, mtx in g.map.components.items():
-            labels = src.basis[i]
+            labels = src_labels[i]
             for (_r, c) in mtx.data:
                 _rm, mask, _bits = labels[c]
                 assert mask & bit
@@ -495,13 +496,16 @@ class TestConeFactorGenusOne:
         d = parse({"pd": HOPF_NEG_PD})
         for F in algebra_points():
             cube = build_cube(d, F, normalize=False)
+            labels_by_deg = reference_labels(d)
             for c in (0, 1):
                 X, Y, g = cone_pieces(cube, c)
-                # phi on the c-smoothed half, state by state
+                # phi on the c-smoothed half, state by state; Y^i holds the
+                # states of degree i + 1 that 1-smooth c
                 comps = {}
                 for i in Y.degrees():
                     entries = {}
-                    labels = Y.basis[i]
+                    labels = [lbl for lbl in labels_by_deg[i + 1]
+                              if lbl[0] >> c & 1]
                     offset = {}
                     for ix, (mask, _bits) in enumerate(labels):
                         offset.setdefault(mask, ix)

@@ -11,7 +11,7 @@ from khsing.frobenius import FrobeniusAlgebra
 from khsing.khcube import build_cube, cone_pieces, dualize
 
 from util import (SignModule, check_sign, reference_bracket_differentials,
-                  shuffle_sign, wedge_sign)
+                  reference_labels, shuffle_sign, wedge_sign)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -115,17 +115,15 @@ class TestBuildCube:
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
         assert [cube.configs[m].n_circles for m in (0, 1, 2, 3)] == [2, 1, 1, 2]
-        assert [len({lbl[0] for lbl in cube.complex.basis[w]})
-                for w in (0, 1, 2)] == [1, 2, 1]
+        assert sorted(m.bit_count() for m in cube.offsets) == [0, 1, 1, 2]
+        assert [cube.complex.rank(w) for w in (0, 1, 2)] == [4, 4, 4]
 
     def test_generator_order_is_lexicographic(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
-        # weight-1 states in bit-tuple order: (0, 1) sorts before (1, 0)
-        masks = [lbl[0] for lbl in cube.complex.basis[1]]
-        assert masks == [0b10, 0b10, 0b01, 0b01]
-        bits = [lbl[1] for lbl in cube.complex.basis[0]]
-        assert bits == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        # weight-1 states in bit-tuple order: (0, 1) sorts before (1, 0);
+        # the bit order within a state is pinned by the golden matrices
+        assert cube.offsets[0b10] == 0 and cube.offsets[0b01] == 2
 
     def test_d_squared_zero_trefoil(self):
         for F in (FrobeniusAlgebra(ZZ, 0, 0), FrobeniusAlgebra(ZZ, 1, 0),
@@ -208,6 +206,26 @@ class TestConeVsBracket:
         assert is_chain_map(g).ok
         assert cone(g).shift(1).homology(graded=False).groups == \
             cube.complex.homology(graded=False).groups
+
+    @pytest.mark.parametrize("ring,h,t", [(ZZ, 0, 0), (QQ, 1, 1)],
+                             ids=["Z00", "Q11"])
+    @pytest.mark.parametrize("pd", [HOPF_PD, TREFOIL_PD],
+                             ids=["hopf", "trefoil"])
+    def test_split_is_the_cube_permuted(self, pd, ring, h, t):
+        # degree w of Cone(g)[1] is Y^(w-1) (+) X^w: the cube's generators
+        # of degree w whose state 1-smooths c, then those that 0-smooth it
+        d = parse({"pd": pd})
+        cube = build_cube(d, FrobeniusAlgebra(ring, h, t), normalize=False)
+        labels = reference_labels(d)
+        for c in range(d.n_crossings):
+            P = {w: [i for i, (m, _) in enumerate(lbls) if m >> c & 1]
+                 + [i for i, (m, _) in enumerate(lbls) if not m >> c & 1]
+                 for w, lbls in labels.items()}
+            split = cone(cone_pieces(cube, c)[2]).shift(1)
+            assert split.ranks == cube.complex.ranks
+            for w in labels:
+                assert (cube.complex.diff(w).submatrix(P.get(w + 1, []), P[w])
+                        == split.diff(w)), (c, w)
 
 
 class TestGoldenMatrices:

@@ -1,10 +1,12 @@
 """Shared test helpers: the sign modules behind the cube's signs, an
-independent dense Smith oracle, column-by-column reference builders of the
-cube and crossing-change matrices, and generators of random complexes, chain
+independent dense Smith oracle, an enumerator of generator labels,
+column-by-column reference builders of the cube and crossing-change
+matrices, and generators of random complexes, chain
 maps, and homotopy data whose hypotheses hold by construction."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from khsing.chain import ChainComplex, ChainMap, Homotopy
 from khsing.errors import ContractViolation
@@ -205,19 +207,56 @@ def _saddle_targets(src_cfg, tgt_cfg, c, crossing):
             tgt_cfg.edge_circle[b])
 
 
+def reference_labels(d, shift=0):
+    """The generators of the cube of ``d`` laid out as W[shift], labelled
+    (state mask, circle bits): degree |state| + shift lists its states in
+    bit-tuple order (b0, ..., bn-1), each state's bits in lexicographic
+    order.  Enumerated from the diagram alone.  {degree: [label]}."""
+    n = d.n_crossings
+    out = {}
+    for mask in sorted(range(1 << n),
+                       key=lambda m: [m >> i & 1 for i in range(n)]):
+        k = d.resolve_bits(mask).n_circles
+        out.setdefault(bin(mask).count("1") + shift, []).extend(
+            (mask, bits) for bits in product((0, 1), repeat=k))
+    return out
+
+
+def reference_singular_labels(S):
+    """The generators of a ``SingularComplex``, labelled (scheme, state
+    mask, circle bits): each degree concatenates the pieces in scheme
+    bit-tuple order, piece r resolving ``S.sites`` by the bits of r and laid
+    out at shift 2|r| - n_minus - 2 * (number of sites).
+    {degree: [label]}."""
+    d, sites = S.diagram, S.sites
+    m = len(sites)
+    out = {}
+    for r in sorted(range(1 << m),
+                    key=lambda r: [r >> k & 1 for k in range(m)]):
+        piece = d
+        for k, b in enumerate(sites):
+            piece = piece.resolve_double_point(b, 1 if r >> k & 1 else -1)
+        shift = 2 * bin(r).count("1") - d.n_minus - 2 * m
+        for deg, labels in reference_labels(piece, shift).items():
+            out.setdefault(deg, []).extend((r,) + lbl for lbl in labels)
+    return out
+
+
 def reference_bracket_differentials(cube):
     """The differentials of an unnormalized bracket cube, rebuilt column by
     column: for every (state, crossing) edge and every source generator the
     saddle's circle bookkeeping and its image are worked out afresh, and
-    rows and columns are found by generator label.  {w: SparseMatrix}."""
-    d, F, cx = cube.diagram, cube.algebra, cube.complex
+    rows and columns are found by the labels of ``reference_labels``.
+    {w: SparseMatrix}."""
+    d, F, ring = cube.diagram, cube.algebra, cube.complex.ring
+    labels = reference_labels(d)
     out = {}
-    for w in cx.degrees():
-        if w + 1 not in cx.ranks:
+    for w in labels:
+        if w + 1 not in labels:
             continue
-        rows = {label: r for r, label in enumerate(cx.basis[w + 1])}
+        rows = {label: r for r, label in enumerate(labels[w + 1])}
         entries = {}
-        for col, (mask, bits) in enumerate(cx.basis[w]):
+        for col, (mask, bits) in enumerate(labels[w]):
             src_cfg = d.resolve_bits(mask)
             for c in range(d.n_crossings):
                 if mask >> c & 1:
@@ -242,25 +281,29 @@ def reference_bracket_differentials(cube):
                         tb[k] = bit
                     row = entries.setdefault(rows[(tgt_mask, tuple(tb))], {})
                     row[col] = row.get(col, 0) + _check_sign(mask, c) * coef
-        out[w] = SparseMatrix(cx.rank(w + 1), cx.rank(w), cx.ring, entries)
+        out[w] = SparseMatrix(len(labels[w + 1]), len(labels[w]), ring,
+                              entries)
     return out
 
 
 def reference_genus_one_components(g1):
     """The components of a ``GenusOneMap``, rebuilt column by column from
-    the generator labels (scheme, state, bits): on a state that 1-smooths
-    the crossing on two circles i1 != i2, (x on i2) - (x on i1) times the
-    check sign, summed term by term.  {degree: SparseMatrix}."""
+    the labels (scheme, state, bits) of ``reference_singular_labels``: on a
+    state that 1-smooths the crossing on two circles i1 != i2, (x on i2) -
+    (x on i1) times the check sign, summed term by term.
+    {degree: SparseMatrix}."""
     F, c = g1.source.algebra, g1.crossing
-    src, tgt = g1.source.complex, g1.target.complex
+    src_labels = reference_singular_labels(g1.source)
+    tgt_labels = reference_singular_labels(g1.target)
     out = {}
-    for deg, labels in src.basis.items():
-        rows = {label: r for r, label in enumerate(tgt.basis.get(deg, ()))}
+    for deg, labels in src_labels.items():
+        rows = {label: r for r, label in enumerate(tgt_labels.get(deg, ()))}
         entries = {}
         for col, (rm, mask, bits) in enumerate(labels):
             if not mask >> c & 1:
                 continue
-            i1, i2 = g1.source.pieces[rm].configs[mask].crossing_arcs[c]
+            cfg = g1.source.pieces[rm].diagram.resolve_bits(mask)
+            i1, i2 = cfg.crossing_arcs[c]
             if i1 == i2:
                 continue
             for i, sign in ((i2, 1), (i1, -1)):
@@ -270,8 +313,8 @@ def reference_genus_one_components(g1):
                         rows[(rm, mask & ~(1 << c), tb)], {})
                     row[col] = (row.get(col, 0)
                                 + sign * _check_sign(mask, c) * coef)
-        out[deg] = SparseMatrix(tgt.rank(deg), src.rank(deg), src.ring,
-                                entries)
+        out[deg] = SparseMatrix(len(tgt_labels.get(deg, ())), len(labels),
+                                F.ring, entries)
     return out
 
 
