@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation
-# homology_at is re-exported: tools that wrap it look it up here too
+# homology_at and kernel_basis are re-exported: tools that wrap them look
+# them up here too
 from .exactlinalg import (HomologySummary, Ring, SparseMatrix, _rank_torsion,
                           homology_at, kernel_basis, rank)  # noqa: F401
 
@@ -626,7 +627,9 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
     Returns {key: (dim H_source, dim H_target, rank H(f))}; keys are degrees
     or (i, j) pairs when ``graded``.  Each q-block of each differential of
     the source and the target is reduced once, as in
-    ``ChainComplex.homology``.
+    ``ChainComplex.homology``, and H^i(f) takes one more rank: that of the
+    bordered matrix [[f_i, d_Y^(i-1)], [d_X^i, 0]], which is
+    rank H^i(f) + rank d_Y^(i-1) + rank d_X^i.
     """
     X, Y = f.source, f.target
     ring = X.ring
@@ -643,17 +646,18 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
         hy = _block_homology(by, ry, i, j)[0]
         r = 0
         if hx and hy:
-            # rank of H(f): span of f(cycles) together with boundaries,
-            # modulo boundaries; f(im d_X) lands in im d_Y, so no further
-            # correction.
+            # the columns (f x + d_Y y, d_X x) project onto im d_X with
+            # kernel f(ker d_X) + im d_Y, and f(im d_X) lies in im d_Y
             fi = f.component(i)
             if j is not None:
                 fi = fi.submatrix(by[i][j], bx[i][j])
-            fz = fi * kernel_basis(X._block(bx, i, j))
             dy_in = Y._block(by, i - 1, j)
-            both = SparseMatrix.block([[fz, dy_in]], [fz.rows],
-                                      [fz.cols, dy_in.cols], ring)
-            r = rank(both) - ry.get((i - 1, j), (0, ()))[0]
+            dx_out = X._block(bx, i, j)
+            bordered = SparseMatrix.block(
+                [[fi, dy_in], [dx_out, None]], [fi.rows, dx_out.rows],
+                [fi.cols, dy_in.cols], ring)
+            r = (rank(bordered) - ry.get((i - 1, j), (0, ()))[0]
+                 - rx.get((i, j), (0, ()))[0])
         out[(i, j) if graded else i] = (hx, hy, r)
     return out
 

@@ -44,8 +44,8 @@ def corpus_dir() -> pathlib.Path:
 
 def _load(path: str):
     try:
-        text = pathlib.Path(path).read_text()
-    except OSError as e:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     d = parse(text)
     if d.name is None:

@@ -312,9 +312,8 @@ class Diagram:
         crossing_arcs = tuple(
             (circle_of[a], circle_of[b if smoothing >> ci & 1 else c])
             for ci, (a, b, c, _d) in enumerate(pd))
-        edge_circle = dict(zip(self._labels, circle_of))
         return CircleConfiguration(self, smoothing, tuple(circles),
-                                   crossing_arcs, edge_circle)
+                                   crossing_arcs)
 
     def resolve(self, state: "State") -> "CircleConfiguration":
         """Circles of a full resolution given by a State object."""
@@ -383,7 +382,6 @@ class CircleConfiguration:
     smoothing: int
     circles: tuple
     crossing_arcs: tuple
-    edge_circle: dict
 
     @property
     def n_circles(self) -> int:
@@ -397,15 +395,16 @@ def parse(text) -> Diagram:
     ``{"name": str?, "pd": [[a,b,c,d], ...], "singular": [indices],
     "free_loops": int?}``.
     """
-    if isinstance(text, (str, bytes)):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed JSON: {e}") from None
-    elif isinstance(text, dict):
+    if isinstance(text, dict):
         obj = text
     else:
-        obj = json.load(text)
+        # ValueError covers bad JSON and bad bytes; RecursionError, nesting
+        # deeper than the interpreter's limit
+        try:
+            obj = (json.loads(text) if isinstance(text, (str, bytes))
+                   else json.load(text))
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"malformed JSON: {e}") from None
     if not isinstance(obj, dict) or "pd" not in obj:
         raise ParseError("diagram JSON must be an object with a 'pd' field")
     pd = obj["pd"]

@@ -60,7 +60,7 @@ def _phi_block(F: FrobeniusAlgebra, k: int, i1: int, i2: int):
     entries = {}
     for col in range(1 << k):
         for w, sign in ((w2, 1), (w1, -1)):
-            for bit, coef in F.x_bits(1 if col & w else 0):
+            for bit, coef in F.mult_bits(1, 1 if col & w else 0):
                 r = col & ~w | (w if bit else 0)
                 entries[(r, col)] = entries.get((r, col), 0) + sign * coef
     return [(r, col, v) for (r, col), v in entries.items() if v]

@@ -72,7 +72,7 @@ def _state_order(n: int):
     return masks
 
 
-def _saddle_pattern(src_cfg, tgt_cfg, c: int, crossing):
+def _saddle_pattern(src_cfg, tgt_cfg, c: int):
     """Circle pattern of the saddle at crossing c: the key of its block.
 
     Returns (kind, k_src, k_tgt, src_touched, tgt_touched): a "merge" of
@@ -80,15 +80,14 @@ def _saddle_pattern(src_cfg, tgt_cfg, c: int, crossing):
     into (d1, d2).  The untouched circles keep their edges, so they keep
     their order (circles are ordered by minimal edge label, free loops
     last) and fill the remaining target slots in turn: the pattern fixes
-    the block.
+    the block.  The target 1-smooths c, so its ``crossing_arcs[c]`` holds
+    the merged circle twice, or the two circles of a split.
     """
-    a, b = crossing[0], crossing[1]
     i1, i2 = src_cfg.crossing_arcs[c]
+    d1, d2 = tgt_cfg.crossing_arcs[c]
     k_src, k_tgt = src_cfg.n_circles, tgt_cfg.n_circles
     if i1 != i2:
-        return ("merge", k_src, k_tgt, (i1, i2), (tgt_cfg.edge_circle[a],))
-    d1 = tgt_cfg.edge_circle[a]
-    d2 = tgt_cfg.edge_circle[b]
+        return ("merge", k_src, k_tgt, (i1, i2), (d1,))
     if d1 == d2:
         raise ContractViolation(
             "saddle does not change the circle count; diagram is not planar")
@@ -185,8 +184,7 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int) -> CubeComplex:
                 if mask >> c & 1:
                     continue
                 tgt_mask = mask | (1 << c)
-                pattern = _saddle_pattern(src_cfg, configs[tgt_mask], c,
-                                          d.crossings[c])
+                pattern = _saddle_pattern(src_cfg, configs[tgt_mask], c)
                 block = blocks.get(pattern)
                 if block is None:
                     block = blocks[pattern] = _saddle_block(F, pattern)

@@ -78,6 +78,17 @@ class TestHomologyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"pd": []}',                    # not UTF-8
+        b"[" * 100000 + b"]" * 100000,             # nested past the limit
+    ], ids=["not_utf8", "too_deep"])
+    def test_unreadable_json_exit_one(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(["homology", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_exit_one(self):
         code, _, _ = run(["homology", "/nonexistent/d.json"])
         assert code == 1
@@ -199,3 +210,14 @@ class TestInProcessMain:
         assert (json.loads((corpus_dir() / "groups.json").read_text())
                 ["groups"])
         assert out.endswith("corpus")
+
+
+class TestPublicNames:
+    def test_all_resolves(self):
+        for name in khsing.__all__:
+            assert getattr(khsing, name) is not None, name
+
+    def test_star_import(self):
+        scope = {}
+        exec("from khsing import *", scope)
+        assert set(khsing.__all__) <= set(scope)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 
@@ -29,6 +30,14 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse("{not json")
+
+    @pytest.mark.parametrize("raw", [b"\xff{", b"[" * 100000],
+                             ids=["not_utf8", "too_deep"])
+    @pytest.mark.parametrize("source", [bytes, io.BytesIO],
+                             ids=["bytes", "file"])
+    def test_unreadable_json(self, raw, source):
+        with pytest.raises(ParseError):
+            parse(source(raw))
 
     def test_missing_pd(self):
         with pytest.raises(ParseError):

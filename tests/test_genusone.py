@@ -448,8 +448,9 @@ class TestSkeinTriangle:
 
     def test_each_differential_reduced_once(self, monkeypatch):
         # X and Y have 4 differentials each and S_sing 6, each reduced once;
-        # H(f) can be nonzero in one degree, which adds a kernel basis and
-        # a rank.  Reducing X and Y again for h_minus and h_plus made 24.
+        # H(f) can be nonzero in one degree, which adds the rank of one
+        # bordered matrix.  Reducing X and Y again for h_minus and h_plus
+        # made 24.
         calls = []
         eliminate = exactlinalg._eliminate
 
@@ -460,7 +461,7 @@ class TestSkeinTriangle:
         monkeypatch.setattr(exactlinalg, "_eliminate", counting_eliminate)
         skein_triangle_report(*self._braid_triple(),
                               FrobeniusAlgebra(QQ, 0, 0))
-        assert len(calls) == 16
+        assert len(calls) == 15
 
     def test_site_mismatch_rejected(self):
         d_minus, d_plus, d_sing = self._kink_triple()

@@ -190,21 +190,25 @@ def _check_sign(mask, c):
 def _saddle_targets(src_cfg, tgt_cfg, c, crossing):
     """("merge", idx_map, i1, i2, m) or ("split", idx_map, i, d1, d2) for the
     saddle at crossing c; idx_map sends untouched source circles to target
-    circles, free loops (("loop", k) markers) to the trailing slots."""
+    circles, free loops (("loop", k) markers) to the trailing slots.
+    Target circles are found by searching ``tgt_cfg.circles`` for an edge."""
     a, b = crossing[0], crossing[1]
     i1, i2 = src_cfg.crossing_arcs[c]
     real_src = [k for k, circ in enumerate(src_cfg.circles)
                 if not isinstance(circ[0], str)]
     real_tgt = [k for k, circ in enumerate(tgt_cfg.circles)
                 if not isinstance(circ[0], str)]
-    idx_map = {k: tgt_cfg.edge_circle[src_cfg.circles[k][0]]
+
+    def tgt_circle(edge):
+        return next(k for k in real_tgt if edge in tgt_cfg.circles[k])
+
+    idx_map = {k: tgt_circle(src_cfg.circles[k][0])
                for k in real_src if k not in (i1, i2)}
     for k in range(len(src_cfg.circles) - len(real_src)):
         idx_map[len(real_src) + k] = len(real_tgt) + k
     if i1 != i2:
-        return ("merge", idx_map, i1, i2, tgt_cfg.edge_circle[a])
-    return ("split", idx_map, i1, tgt_cfg.edge_circle[a],
-            tgt_cfg.edge_circle[b])
+        return ("merge", idx_map, i1, i2, tgt_circle(a))
+    return ("split", idx_map, i1, tgt_circle(a), tgt_circle(b))
 
 
 def reference_labels(d, shift=0):
@@ -307,7 +311,7 @@ def reference_genus_one_components(g1):
             if i1 == i2:
                 continue
             for i, sign in ((i2, 1), (i1, -1)):
-                for bit, coef in F.x_bits(bits[i]):
+                for bit, coef in F.mult_bits(1, bits[i]):
                     tb = bits[:i] + (bit,) + bits[i + 1:]
                     row = entries.setdefault(
                         rows[(rm, mask & ~(1 << c), tb)], {})
