@@ -10,8 +10,8 @@ from .exactlinalg import (HomologySummary, QQ, Ring, SmithDecomposition,
                           SparseMatrix, ZZ, homology_at, rank,
                           smith_normal_form)
 from .frobenius import FrobeniusAlgebra
-from .genusone import (GenusOneMap, SingularComplex, genus_one_map,
-                       phi_local, singular_complex, singular_complex_iterated,
+from .genusone import (GenusOneMap, genus_one_map, phi_local,
+                       singular_complex, singular_complex_iterated,
                        skein_triangle_report)
 from .invariants import (LaurentPoly, homology_signature, jones_by_skein,
                          jones_polynomial, kauffman_bracket_oracle)
@@ -22,9 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainComplex", "ChainMap", "CubeComplex", "Diagram", "FrobeniusAlgebra",
     "GenusOneMap", "HomologySummary", "Homotopy", "LaurentPoly", "QQ", "Ring",
-    "SingularComplex", "SmithDecomposition", "SparseMatrix", "State", "ZZ",
-    "build_cube", "cone", "cone_cocone_homotopy", "cone_factor",
-    "cone_functorial_map", "cone_hfunc_homotopy", "dualize", "from_braid",
+    "SmithDecomposition", "SparseMatrix", "State", "ZZ", "build_cube", "cone",
+    "cone_cocone_homotopy", "cone_factor", "cone_functorial_map",
+    "cone_hfunc_homotopy", "dualize", "from_braid",
     "genus_one_map", "homology", "homology_at", "homology_signature",
     "is_chain_map", "jones_by_skein", "jones_polynomial",
     "kauffman_bracket_oracle", "parse", "phi_local", "rank", "shift",

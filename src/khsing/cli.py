@@ -42,15 +42,23 @@ def corpus_dir() -> pathlib.Path:
     return pathlib.Path(resources.files("khsing") / "corpus")
 
 
-def _load(path: str):
+def _read_json(path):
+    """The JSON value in the UTF-8 file at ``path``.  ValueError covers bad
+    bytes and bad JSON; RecursionError, nesting deeper than the
+    interpreter's limit."""
     try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    d = parse(text)
-    if d.name is None:
-        return parse({**json.loads(text), "name": pathlib.Path(path).stem})
-    return d
+
+
+def _load(path: str):
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise ParseError("diagram JSON must be an object with a 'pd' field")
+    if obj.get("name") is None:
+        obj = {**obj, "name": pathlib.Path(path).stem}
+    return parse(obj)
 
 
 def _add_ring_args(p):
@@ -104,10 +112,7 @@ def cmd_skein_check(args) -> int:
 def _load_groups(root: pathlib.Path) -> list:
     """The groups of ``root/groups.json``, each with a name and files."""
     path = root / "groups.json"
-    try:
-        spec = json.loads(path.read_text())
-    except (OSError, ValueError) as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
+    spec = _read_json(path)
     groups = spec.get("groups") if isinstance(spec, dict) else None
     if not isinstance(groups, list) or not all(
             isinstance(g, dict) and isinstance(g.get("name"), str)

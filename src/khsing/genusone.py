@@ -12,12 +12,14 @@ one circle.  Tensored with the alternating sign that removes the crossing
 from the state, this assembles into a chain map between the two Khovanov
 complexes.
 
-A diagram with double points is evaluated by resolving every double point
-both ways and gluing the resulting cubes along these crossing-change maps;
-the result is the iterated mapping cone over the double points, built here
-in flattened form.  Degrees follow the shift -(n_minus + 2 * n_double): each
-resolution's cube is built in place at its final degrees, so no complex is
-shifted after it is built.
+A diagram with double points is evaluated on one cube of resolutions
+(``khcube._bracket_cube``): each vertex resolves every double point one way
+or the other and smooths every crossing, and its edges are the saddles and
+the crossing changes at the double points.  This is the iterated mapping
+cone over the double points in flattened form, built in place at its final
+degrees, shifted by -(n_minus + 2 * n_double).  Every crossing-change map
+between two such complexes, and so each leaf of the literal iterated cone,
+is assembled by ``khcube._phi_map``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary, SparseMatrix
 from .frobenius import FrobeniusAlgebra
-from .khcube import (CubeComplex, _bracket_cube, _place, _sign_bits,
-                     _state_order, build_cube)
+from .khcube import (CubeComplex, _bracket_cube, _phi_block, _phi_map,
+                     _place, build_cube)
 
 
 def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
@@ -52,58 +54,15 @@ def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
     return SparseMatrix(1 << k, 1 << k, F.ring, entries)
 
 
-def _phi_block(F: FrobeniusAlgebra, k: int, i1: int, i2: int):
-    """(x on circle i2) - (x on circle i1) on the 2^k generators of a state,
-    as (row, col, value) with colliding terms summed (at h != 0 the two
-    x-terms cancel on the diagonal) and zeros dropped."""
-    w1, w2 = 1 << (k - 1 - i1), 1 << (k - 1 - i2)
-    entries = {}
-    for col in range(1 << k):
-        for w, sign in ((w2, 1), (w1, -1)):
-            for bit, coef in F.mult_bits(1, 1 if col & w else 0):
-                r = col & ~w | (w if bit else 0)
-                entries[(r, col)] = entries.get((r, col), 0) + sign * coef
-    return [(r, col, v) for (r, col), v in entries.items() if v]
-
-
 # ---------------------------------------------------------------------------
 # Flattened singular complex
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularComplex:
-    """Evaluated complex of a diagram with double points.
-
-    Pieces are indexed by resolution schemes (bitmask over ``sites``; a set
-    bit resolves the double point positively); the cone iteration order over
-    the double points is recorded in ``sites``.  A generator is identified
-    by its place: piece r of ``complex`` at degree i starts at index
-    ``offsets[(r, i)]`` of that degree, and within it a generator sits where
-    it sits in degree i of ``pieces[r]`` (its state offset plus bit index).
-    """
-
-    diagram: Diagram
-    algebra: FrobeniusAlgebra
-    complex: ChainComplex
-    sites: tuple
-    pieces: dict  # scheme mask -> cube built in place, checked in complex
-    offsets: dict
-
-    def homology(self, ring=None, graded=None) -> HomologySummary:
-        return self.complex.homology(ring=ring, graded=graded)
-
-
-def _resolved(d: Diagram, sites, rmask: int) -> Diagram:
-    out = d
-    for k, b in enumerate(sites):
-        out = out.resolve_double_point(b, +1 if (rmask >> k) & 1 else -1)
-    return out
-
-
 def singular_complex(d: Diagram, F: FrobeniusAlgebra,
-                     site_order=None) -> SingularComplex:
-    """Flattened iterated-cone complex of a singular diagram.
+                     site_order=None) -> CubeComplex:
+    """Flattened iterated-cone complex of a singular diagram: its cube of
+    resolutions over the crossings and the double points ``site_order``.
 
     With no double points this is exactly the normalized cube.  Otherwise
     each resolution scheme r contributes its bracket cube shifted up by
@@ -111,108 +70,19 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     crossing-change maps (with a uniform minus sign; the alternating signs
     that make distinct double points anticommute live in the state-level
     check signs), and the total is shifted by -(n_minus + 2 * n_double).
-    Both shifts are made in place: piece r is built at its final degrees,
-    shift 2|r| - n_minus - 2 * n_double, and the crossing-change blocks
-    carry the sign (-1)^n_minus that the total shift gives them.
+    ``_bracket_cube`` builds all of it in place, in its final degrees.
 
-    d^2 = 0 is checked once, on the total complex, and not on the pieces:
-    its diagonal blocks are the d^2 of each bracket cube, and its
-    off-diagonal blocks say that each crossing-change map is a chain map
-    and that the maps at distinct double points anticommute.
+    d^2 = 0 is checked once, on the total complex: its diagonal blocks are
+    the d^2 of each bracket cube, and its off-diagonal blocks say that each
+    crossing-change map is a chain map and that the maps at distinct
+    double points anticommute.
     """
     sites = tuple(site_order) if site_order is not None else d.singular_indices
     if sorted(sites) != sorted(d.singular_indices):
         raise ContractViolation("site order must enumerate the double points")
-    m = len(sites)
-    ring = F.ring
-    pieces = {rmask: _bracket_cube(_resolved(d, sites, rmask), F,
-                                   2 * rmask.bit_count() - d.n_minus - 2 * m)
-              for rmask in range(1 << m)}
-    scheme_masks = _state_order(m)
-
-    # generator layout per degree
-    ranks = {}
-    offsets = {}  # (rmask, degree) -> offset of the piece block
-    qdeg = {} if F.graded else None
-    for rmask in scheme_masks:
-        cx = pieces[rmask].complex
-        for deg in cx.degrees():
-            offsets[(rmask, deg)] = ranks.get(deg, 0)
-            ranks[deg] = offsets[(rmask, deg)] + cx.rank(deg)
-            if qdeg is not None:
-                qdeg.setdefault(deg, []).extend(cx.q[deg])
-
-    # no two blocks below share an entry: each lies in its own (source
-    # piece, target piece) rectangle, within it in its own pair of states
-    entries_by_deg = {deg: {} for deg in ranks}
-    diffs = {}
-
-    # cube blocks; one that fills its whole degree is the only block there
-    # (any other block needs generators of another piece), so it is taken
-    # as is: with no double point, every degree
-    for rmask in scheme_masks:
-        for deg, mtx in pieces[rmask].complex.diffs.items():
-            if (mtx.rows, mtx.cols) == (ranks[deg + 1], ranks[deg]):
-                diffs[deg] = mtx
-                continue
-            acc = entries_by_deg[deg]
-            roff = offsets[(rmask, deg + 1)]
-            coff = offsets[(rmask, deg)]
-            for r, row in mtx.row_items():
-                acc.setdefault(roff + r, {}).update(
-                    (coff + c, v) for c, v in row.items())
-
-    # crossing-change blocks, one per absent site: the uniform minus sign
-    # times the (-1)^n_minus of the total shift
-    sign = 1 if d.n_minus % 2 else -1
-    for rmask in scheme_masks:
-        for k, b in enumerate(sites):
-            if (rmask >> k) & 1:
-                continue
-            tmask = rmask | (1 << k)
-            for deg, row0, col0, check, block in _phi_blocks(
-                    pieces[rmask], pieces[tmask], b, F):
-                _place(entries_by_deg[deg], row0 + offsets[(tmask, deg + 1)],
-                       col0 + offsets[(rmask, deg)], sign * check, block)
-
-    for deg, acc in entries_by_deg.items():
-        if deg + 1 in ranks and acc:
-            diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], ring, acc)
-    total = ChainComplex(ring, ranks, diffs, q=qdeg)
-    return SingularComplex(d, F, total, sites, pieces, offsets)
-
-
-def _phi_blocks(src_cube: CubeComplex, tgt_cube: CubeComplex, c: int,
-                F: FrobeniusAlgebra):
-    """Crossing-change components between two cubes.
-
-    For every state of the source cube that 1-smooths crossing c on two
-    distinct circles, yields ``(deg, row0, col0, sign, block)``: the state
-    sits in degree ``deg`` of the source cube, its generators start at
-    ``col0`` there and their images at ``row0`` in the target cube's degree
-    of the state without c, and the component is ``sign`` (the check sign)
-    times ``block``, the ``_phi_block`` of its (k, i1, i2).  Each block is
-    built once per call, in a dict that lives for the call.
-    """
-    bit = 1 << c
-    blocks = {}
-    for mask, col0 in src_cube.offsets.items():
-        if not mask & bit:
-            continue
-        cfg = src_cube.configs[mask]
-        i1, i2 = cfg.crossing_arcs[c]
-        if i1 == i2:
-            continue
-        tmask = mask & ~bit
-        if tgt_cube.configs[tmask].circles != cfg.circles:
-            raise ContractViolation(
-                "resolved configurations disagree; inconsistent cubes")
-        key = (cfg.n_circles, i1, i2)
-        block = blocks.get(key)
-        if block is None:
-            block = blocks[key] = _phi_block(F, *key)
-        yield (mask.bit_count() + src_cube.shift, tgt_cube.offsets[tmask],
-               col0, _sign_bits(mask, c), block)
+    cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites)
+    cube.complex.validate()
+    return cube
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +98,8 @@ class GenusOneMap:
     every generator whose state 0-smooths the distinguished crossing.
     """
 
-    source: SingularComplex
-    target: SingularComplex
+    source: CubeComplex
+    target: CubeComplex
     map: ChainMap
     crossing: int
 
@@ -254,20 +124,7 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
     S_minus = singular_complex(d_minus, F, site_order)
     S_plus = singular_complex(d_plus, F, site_order)
 
-    # c is negative, so each piece of S_plus sits one degree above that of
-    # S_minus, and the target state (one weight down) in the same degree
-    comps = {}
-    for rmask, cube in S_minus.pieces.items():
-        for deg, row0, col0, sign, block in _phi_blocks(
-                cube, S_plus.pieces[rmask], c, F):
-            _place(comps.setdefault(deg, {}),
-                   row0 + S_plus.offsets[(rmask, deg)],
-                   col0 + S_minus.offsets[(rmask, deg)], sign, block)
-
-    matrices = {deg: SparseMatrix(S_plus.complex.rank(deg),
-                                  S_minus.complex.rank(deg), F.ring, acc)
-                for deg, acc in comps.items()}
-    f = ChainMap(S_minus.complex, S_plus.complex, matrices)
+    f = _phi_map(S_minus, S_plus, c)
     check = is_chain_map(f)
     if not check.ok:
         raise ContractViolation(
@@ -326,8 +183,11 @@ def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
         return built[key]
     d_plus = d_minus.crossing_change(c)
     if not sites:
-        phi = _phi_cube_chainmap(_cached_cube(d_minus, F, built, m),
-                                 _cached_cube(d_plus, F, built, m), c)
+        # neither the map nor the cubes are checked here: every such map
+        # is coned, and the d^2 = 0 check of the cone covers both; a leg of
+        # cone_functorial_map is covered by its check of the induced map
+        phi = _phi_map(_cached_cube(d_minus, F, built, m),
+                       _cached_cube(d_plus, F, built, m), c)
     else:
         b, rest = sites[0], sites[1:]
         x_minus = d_minus.resolve_double_point(b, -1)
@@ -356,25 +216,6 @@ def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict,
     if not entry[1]:
         del built[key]
     return entry[0]
-
-
-def _phi_cube_chainmap(cm: CubeComplex, cp: CubeComplex, c: int) -> ChainMap:
-    """Crossing-change map between two normalized cubes.
-
-    Neither the map nor the cubes are checked here.  Every such map is
-    coned, and the d^2 = 0 check of the cone covers both; a leg of
-    ``cone_functorial_map`` is covered by its check of the induced map.
-    """
-    if cp.diagram.n_minus != cm.diagram.n_minus - 1:
-        raise ContractViolation(f"crossing {c} is not negative")
-    F = cm.algebra
-    comps = {}
-    for deg, row0, col0, sign, block in _phi_blocks(cm, cp, c, F):
-        _place(comps.setdefault(deg, {}), row0, col0, sign, block)
-    matrices = {deg: SparseMatrix(cp.complex.rank(deg), cm.complex.rank(deg),
-                                  F.ring, acc)
-                for deg, acc in comps.items()}
-    return ChainMap(cm.complex, cp.complex, matrices)
 
 
 # ---------------------------------------------------------------------------

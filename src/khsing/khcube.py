@@ -1,16 +1,24 @@
-"""The evaluated bracket and Khovanov complex of an ordinary diagram.
+"""The cube of resolutions of a diagram, evaluated to a Khovanov complex.
 
-States are subsets of the crossing set (encoded as bitmasks); each state
-contributes the tensor power of the Frobenius algebra over its smoothing
-circles.  The differential is the sum over (state, crossing) pairs of the
-evaluated saddle, weighted by the alternating wedge sign.
+A vertex (r, s) of the cube resolves each double point (bitmask r; a set
+bit resolves positively) and smooths each crossing (bitmask s); it
+contributes the tensor power of the Frobenius algebra over its circles.
+The differential has two kinds of edges: a saddle 1-smooths one more
+crossing, and a crossing change resolves one more double point
+positively, through the genus-one morphism.  Each edge is weighted by the
+alternating check sign of its bit in s.  With no double points this is the
+ordinary Khovanov cube.
 
-Generator order is lexicographic in the state bit tuple, then lexicographic
-in the circle bit tuple, so matrices are reproducible across runs.
+Generator order is by vertex (r, then s, each lexicographic in the bit
+tuple), then lexicographic in the circle bit tuple, so matrices are
+reproducible across runs.  This module is the one place that knows it.
 
 A saddle's block depends only on its circle pattern (merge or split, the
-circle counts and the touched circles), so each cube build makes each
-block once, in a dict keyed by that pattern that lives for the build.
+circle counts and the touched circles), and a crossing change's only on
+the circle count and its two circles, so a cube build makes each block
+once, in one dict keyed by pattern that lives for the build.
+``_phi_map`` assembles the crossing-change chain map between two cubes
+from the same blocks.
 """
 
 from __future__ import annotations
@@ -37,20 +45,23 @@ def _sign_bits(mask: int, c: int) -> int:
 
 @dataclass(frozen=True)
 class CubeComplex:
-    """Evaluated complex of an ordinary diagram plus generator metadata.
+    """Evaluated cube of resolutions of a diagram plus generator metadata.
 
-    ``complex`` holds the matrices.  A generator is identified by its state
-    offset and bit index: a state of weight w sits in degree w + ``shift``,
-    and generator ``offsets[mask] + r`` of that degree assigns to circle i
-    of the state (in canonical circle order) the bit of r at weight
-    2^(k - 1 - i), 0 for the unit and 1 for x.  ``configs`` caches the
-    circle configuration of every state.
+    ``complex`` holds the matrices.  A vertex (r, s) resolves double point
+    ``sites[k]`` positively where bit k of r is set (negatively otherwise)
+    and 1-smooths crossing c where bit c of s is set; it sits in degree
+    |s| + 2|r| + ``shift``.  A generator is identified by its vertex offset
+    and bit index: generator ``offsets[(r, s)] + g`` of that degree assigns
+    to circle i of the vertex (in canonical circle order) the bit of g at
+    weight 2^(k - 1 - i), 0 for the unit and 1 for x.  ``configs`` caches
+    the circle configuration of every vertex.  With no sites, r is 0.
     """
 
     complex: ChainComplex
     diagram: Diagram
     algebra: FrobeniusAlgebra
     shift: int
+    sites: tuple
     configs: dict
     offsets: dict
 
@@ -70,6 +81,15 @@ def _state_order(n: int):
     masks = list(range(1 << n))
     masks.sort(key=lambda m: tuple((m >> i) & 1 for i in range(n)))
     return masks
+
+
+def _resolved(d: Diagram, sites, rmask: int) -> Diagram:
+    """``d`` with double point ``sites[k]`` resolved positively where bit k
+    of ``rmask`` is set, negatively otherwise."""
+    out = d
+    for k, b in enumerate(sites):
+        out = out.resolve_double_point(b, +1 if (rmask >> k) & 1 else -1)
+    return out
 
 
 def _saddle_pattern(src_cfg, tgt_cfg, c: int):
@@ -92,6 +112,20 @@ def _saddle_pattern(src_cfg, tgt_cfg, c: int):
         raise ContractViolation(
             "saddle does not change the circle count; diagram is not planar")
     return ("split", k_src, k_tgt, (i1,), (d1, d2))
+
+
+def _phi_pattern(src_cfg, tgt_cfg, c: int):
+    """Key ("phi", k, i1, i2) of the crossing change at crossing c out of a
+    state that 1-smooths c on circles i1 != i2, or None where the map
+    vanishes (both strands on one circle).  The two states must have the
+    same circles."""
+    i1, i2 = src_cfg.crossing_arcs[c]
+    if i1 == i2:
+        return None
+    if tgt_cfg.circles != src_cfg.circles:
+        raise ContractViolation(
+            "resolved configurations disagree; inconsistent cubes")
+    return ("phi", src_cfg.n_circles, i1, i2)
 
 
 def _saddle_block(F: FrobeniusAlgebra, pattern):
@@ -123,6 +157,31 @@ def _saddle_block(F: FrobeniusAlgebra, pattern):
     return out
 
 
+def _phi_block(F: FrobeniusAlgebra, k: int, i1: int, i2: int):
+    """(x on circle i2) - (x on circle i1) on the 2^k generators of a state,
+    as (row, col, value) with colliding terms summed (at h != 0 the two
+    x-terms cancel on the diagonal) and zeros dropped."""
+    w1, w2 = 1 << (k - 1 - i1), 1 << (k - 1 - i2)
+    entries = {}
+    for col in range(1 << k):
+        for w, sign in ((w2, 1), (w1, -1)):
+            for bit, coef in F.mult_bits(1, 1 if col & w else 0):
+                r = col & ~w | (w if bit else 0)
+                entries[(r, col)] = entries.get((r, col), 0) + sign * coef
+    return [(r, col, v) for (r, col), v in entries.items() if v]
+
+
+def _block(F: FrobeniusAlgebra, blocks: dict, pattern):
+    """The block of a saddle or crossing-change ``pattern``, looked up in or
+    added to ``blocks``."""
+    block = blocks.get(pattern)
+    if block is None:
+        block = blocks[pattern] = (_phi_block(F, *pattern[1:])
+                                   if pattern[0] == "phi"
+                                   else _saddle_block(F, pattern))
+    return block
+
+
 def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeComplex:
     """Evaluated cube of resolutions of a diagram without double points.
 
@@ -136,66 +195,105 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
     return cube
 
 
-def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int) -> CubeComplex:
-    """The bracket cube of ``d`` built in place as W[shift], unchecked: the
-    caller checks d^2 = 0 on it or on the complex it is assembled into.
+def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
+                  sites=()) -> CubeComplex:
+    """The cube of resolutions of ``d`` over its crossings and the double
+    points ``sites``, built in place as W[shift], unchecked: the caller
+    checks d^2 = 0 on it or on the complex it is assembled into.
 
-    A state of weight w sits in degree w + shift.  Each (state, crossing)
-    edge is its check sign times the ``_saddle_block`` of its
-    ``_saddle_pattern``, and times (-1)^shift, the sign W[shift] gives its
-    differential; the blocks are kept in a dict keyed by pattern for the
-    length of this call."""
-    if d.n_singular:
-        raise ContractViolation(
-            "diagram has double points; build the singular complex instead")
+    Vertex (r, s) (see ``CubeComplex``) sits in degree |s| + 2|r| + shift;
+    within a degree the vertices are laid out by r, then by s, each in
+    bit-tuple order.  A saddle edge (r, s) -> (r, s + c) is its check sign
+    times its ``_saddle_block``; a crossing-change edge (r, s) ->
+    (r + k, s - b) at b = ``sites[k]`` is minus its check sign times its
+    ``_phi_block``.  Both carry (-1)^shift, the sign W[shift] gives the
+    differential.  At (h, t) = (0, 0) vertex (r, s) has quantum degrees
+    internal + |s| + n_plus - 2 * n_minus of its resolved diagram.  Each
+    block is built once, in a dict keyed by pattern for this call."""
     n = d.n_crossings
-    n_plus, n_minus = d.n_plus, d.n_minus
-    ring = F.ring
     parity = -1 if shift % 2 else 1
-
-    configs = {mask: d.resolve_bits(mask) for mask in range(1 << n)}
+    pieces = {r: _resolved(d, sites, r) for r in range(1 << len(sites))}
+    configs = {(r, s): piece.resolve_bits(s)
+               for r, piece in pieces.items() for s in range(1 << n)}
     # circle count k -> internal q-degree of each of its 2^k generators
-    internal = {k: [k - 2 * r.bit_count() for r in range(1 << k)]
+    internal = {k: [k - 2 * g.bit_count() for g in range(1 << k)]
                 for k in {cfg.n_circles for cfg in configs.values()}}
-    levels = {}
+    q_shift = {r: p.n_plus - 2 * p.n_minus for r, p in pieces.items()}
+    levels = {}  # degree -> its vertices in layout order
+    for r in _state_order(len(sites)):
+        for s in _state_order(n):
+            levels.setdefault(s.bit_count() + 2 * r.bit_count() + shift,
+                              []).append((r, s))
     offsets = {}
     ranks = {}
     qdeg = {} if F.graded else None
-    for mask in _state_order(n):
-        w = mask.bit_count()
-        levels.setdefault(w, []).append(mask)
-        k = configs[mask].n_circles
-        offsets[mask] = ranks.get(w + shift, 0)
-        ranks[w + shift] = offsets[mask] + (1 << k)
-        if qdeg is not None:
-            qdeg.setdefault(w + shift, []).extend(
-                v + w + n_plus - 2 * n_minus for v in internal[k])
+    for deg, vertices in levels.items():
+        for r, s in vertices:
+            k = configs[(r, s)].n_circles
+            offsets[(r, s)] = ranks.get(deg, 0)
+            ranks[deg] = offsets[(r, s)] + (1 << k)
+            if qdeg is not None:
+                j = s.bit_count() + q_shift[r]
+                qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
 
-    blocks = {}  # circle pattern -> _saddle_block, for this call only
+    blocks = {}  # edge pattern -> its block, for this call only
     diffs = {}
-    for w in sorted(levels):
-        if w + 1 not in levels:
-            continue
-        entries = {}
-        for mask in levels[w]:
-            src_cfg = configs[mask]
-            src_off = offsets[mask]
+    # one degree at a time, so that only one degree's rows are held twice
+    for deg in sorted(levels):
+        rows = {}
+        # distinct edges never share an entry, nor terms of one edge
+        for r, s in levels[deg]:
+            cfg = configs[(r, s)]
+            col0 = offsets[(r, s)]
             for c in range(n):
-                if mask >> c & 1:
+                if s >> c & 1:
                     continue
-                tgt_mask = mask | (1 << c)
-                pattern = _saddle_pattern(src_cfg, configs[tgt_mask], c)
-                block = blocks.get(pattern)
-                if block is None:
-                    block = blocks[pattern] = _saddle_block(F, pattern)
-                # distinct edges never share an entry, nor terms of one edge
-                _place(entries, offsets[tgt_mask], src_off,
-                       parity * _sign_bits(mask, c), block)
-        deg = w + shift
-        diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], ring, entries)
+                tgt = (r, s | 1 << c)
+                block = _block(F, blocks,
+                               _saddle_pattern(cfg, configs[tgt], c))
+                _place(rows, offsets[tgt], col0, parity * _sign_bits(s, c),
+                       block)
+            for k, b in enumerate(sites):
+                if r >> k & 1 or not s >> b & 1:
+                    continue
+                tgt = (r | 1 << k, s & ~(1 << b))
+                pattern = _phi_pattern(cfg, configs[tgt], b)
+                if pattern:
+                    _place(rows, offsets[tgt], col0,
+                           -parity * _sign_bits(s, b),
+                           _block(F, blocks, pattern))
+        if rows:
+            diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], F.ring,
+                                      rows)
+    cx = ChainComplex._unchecked(F.ring, ranks, diffs, qdeg)
+    return CubeComplex(cx, d, F, shift, tuple(sites), configs, offsets)
 
-    cx = ChainComplex._unchecked(ring, ranks, diffs, qdeg)
-    return CubeComplex(cx, d, F, shift, configs, offsets)
+
+def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
+    """The crossing-change map at the negative crossing c of ``src`` into
+    ``tgt``, the cube over the same sites with c made positive, built one
+    degree up so that the map has degree 0.  Unchecked.
+
+    Vertex (r, s) with c 1-smoothed maps to (r, s - c) by its check sign
+    times its ``_phi_block``; every other vertex maps to zero."""
+    if tgt.shift != src.shift + 1:
+        raise ContractViolation(f"crossing {c} is not negative")
+    F = src.algebra
+    blocks = {}
+    comps = {}
+    for (r, s), col0 in src.offsets.items():
+        if not s >> c & 1:
+            continue
+        t = (r, s & ~(1 << c))
+        pattern = _phi_pattern(src.configs[(r, s)], tgt.configs[t], c)
+        if pattern:
+            _place(comps.setdefault(s.bit_count() + 2 * r.bit_count()
+                                    + src.shift, {}),
+                   tgt.offsets[t], col0, _sign_bits(s, c),
+                   _block(F, blocks, pattern))
+    return ChainMap(src.complex, tgt.complex, {
+        deg: SparseMatrix(tgt.complex.rank(deg), src.complex.rank(deg),
+                          F.ring, rows) for deg, rows in comps.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +319,16 @@ def cone_pieces(cube: CubeComplex, c: int):
     are not checked again: their d^2 are diagonal blocks of the cube's, as
     d never leaves the Y states.
     """
-    if cube.shift:
+    if cube.shift or cube.sites:
         raise ContractViolation("cone splitting works on the bracket cube")
     cx = cube.complex
     bit = 1 << c
     x_idx = {}  # degree of the cube -> indices there of X's generators
     y_idx = {}
-    for mask, off in sorted(cube.offsets.items(), key=lambda kv: kv[1]):
+    for (_r, mask), off in sorted(cube.offsets.items(), key=lambda kv: kv[1]):
         idx = y_idx if mask & bit else x_idx
         idx.setdefault(mask.bit_count(), []).extend(
-            range(off, off + (1 << cube.configs[mask].n_circles)))
+            range(off, off + (1 << cube.configs[(0, mask)].n_circles)))
     X = _sub_complex(cx, x_idx)
     Y = _sub_complex(cx, y_idx).shift(-1)
     comps = {w: -cx.diff(w).submatrix(y_idx[w + 1], xs)

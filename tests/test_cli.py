@@ -89,6 +89,18 @@ class TestHomologyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [
+        [], 3, None,
+        json.dumps({"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]]}),
+    ], ids=["list", "number", "null", "string"])
+    def test_not_an_object_exit_one(self, tmp_path, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(value))
+        code, out, err = run(["homology", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'pd' field" in err
+
     def test_missing_file_exit_one(self):
         code, _, _ = run(["homology", "/nonexistent/d.json"])
         assert code == 1
@@ -189,11 +201,14 @@ class TestInvarianceCommand:
         json.dumps({"groups": 3}),
         json.dumps({"groups": [{"name": "x"}]}),
         json.dumps({"groups": [{"name": "x", "files": []}]}),
+        "[" * 100000 + "]" * 100000,       # nested past the limit
+        b'\xff\xfe{"groups": []}',          # not UTF-8
     ], ids=["missing", "invalid_json", "not_a_list", "no_files",
-            "empty_files"])
+            "empty_files", "too_deep", "not_utf8"])
     def test_bad_groups_file_exit_one(self, tmp_path, groups):
         if groups is not None:
-            (tmp_path / "groups.json").write_text(groups)
+            (tmp_path / "groups.json").write_bytes(
+                groups if isinstance(groups, bytes) else groups.encode())
         code, out, err = run(["invariance", "--corpus", str(tmp_path)])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -14,7 +14,8 @@ from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
 from khsing.khcube import build_cube
 
 from util import (reference_genus_one_components, reference_labels,
-                  reference_singular_labels)
+                  reference_singular_differentials, reference_singular_labels,
+                  summary_via_dense_oracle)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -324,25 +325,28 @@ class TestIteratedAssemblyCounts:
 class TestNoCopyWithoutDoublePoint:
     @pytest.mark.parametrize("ring", [ZZ, F2], ids=str)
     def test_cube_differentials_taken_as_is(self, ring, monkeypatch):
-        calls = []
-        validate = ChainComplex.validate
+        # an ordinary diagram's singular complex is its cube as built
+        calls = {"cube": 0, "validate": 0}
+        bracket_cube, validate = genusone._bracket_cube, ChainComplex.validate
+
+        def counting_cube(*args):
+            calls["cube"] += 1
+            return bracket_cube(*args)
 
         def counting_validate(self):
-            calls.append(1)
+            calls["validate"] += 1
             return validate(self)
 
+        monkeypatch.setattr(genusone, "_bracket_cube", counting_cube)
         monkeypatch.setattr(ChainComplex, "validate", counting_validate)
         # T(2,5) and its mirror: an even and an odd normalization shift
         for kind, n_minus in ((1, 0), (-1, 5)):
-            calls.clear()
+            calls.update(cube=0, validate=0)
             d = from_braid([(0, kind)] * 5, 2)
             assert d.n_minus == n_minus and not d.n_singular
             S = singular_complex(d, FrobeniusAlgebra(ring, 0, 0))
-            cube_diffs = S.pieces[0].complex.diffs
-            assert S.complex.diffs.keys() == cube_diffs.keys()
-            for w, m in S.complex.diffs.items():
-                assert m is cube_diffs[w]
-            assert len(calls) == 1
+            assert calls == {"cube": 1, "validate": 1}
+            assert S.sites == () and S.shift == -n_minus
 
 
 class TestBuiltInPlace:
@@ -376,13 +380,13 @@ def _skein_state_sum(d):
 
 
 @st.composite
-def singular_closures(draw):
-    """Closures of braids on 2-3 strands with at most 6 letters, at most 3
-    of them double points."""
+def singular_closures(draw, max_letters=6):
+    """Closures of braids on 2-3 strands with at most ``max_letters``
+    letters, at most 3 of them double points."""
     strands = draw(st.integers(2, 3))
     word = draw(st.lists(st.tuples(st.integers(0, strands - 2),
                                    st.sampled_from((1, -1, 0))),
-                         max_size=6)
+                         max_size=max_letters)
                 .filter(lambda w: sum(kind == 0 for _, kind in w) <= 3))
     return from_braid(word, strands)
 
@@ -403,6 +407,29 @@ class TestRandomSingularClosures:
         S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
         chi = S.complex.graded_euler_characteristic()
         assert LaurentPoly(chi) == _skein_state_sum(d)
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(singular_closures())
+    def test_matrices_match_reference(self, d):
+        # the reference rebuilds every column from the diagram alone: the
+        # saddles within each piece and the crossing changes across pieces,
+        # each with its own sign
+        for ring, h, t in ((ZZ, 0, 0), (QQ, 0, 1), (F3, 1, 1)):
+            S = singular_complex(d, FrobeniusAlgebra(ring, h, t))
+            ref = reference_singular_differentials(S)
+            assert set(S.complex.diffs) <= set(ref)
+            for w, m in ref.items():
+                assert S.complex.diff(w) == m, (str(ring), h, t, w)
+
+    # the dense oracle takes seconds per degree of a 6-letter closure with
+    # two double points, so its closures have at most 4 letters
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(singular_closures(max_letters=4))
+    def test_integral_homology_matches_dense_oracle(self, d):
+        S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
+        got = {k[0]: (free, torsion)
+               for k, free, torsion in S.homology(graded=False).groups}
+        assert got == summary_via_dense_oracle(S.complex)
 
 
 class TestSkeinTriangle:
@@ -511,7 +538,7 @@ class TestConeFactorGenusOne:
                     for ix, (mask, _bits) in enumerate(labels):
                         offset.setdefault(mask, ix)
                     for mask, start in offset.items():
-                        cfg = cube.configs[mask]
+                        cfg = cube.configs[(0, mask)]
                         blk = phi_local(cfg, c, F)
                         for (r, col), v in blk.data.items():
                             entries.setdefault(start + r, {})[start + col] = v

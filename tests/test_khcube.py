@@ -114,8 +114,9 @@ class TestBuildCube:
         # 1, 2, 1 states by weight with circle counts 2, 1, 1, 2
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
-        assert [cube.configs[m].n_circles for m in (0, 1, 2, 3)] == [2, 1, 1, 2]
-        assert sorted(m.bit_count() for m in cube.offsets) == [0, 1, 1, 2]
+        assert [cube.configs[(0, m)].n_circles
+                for m in (0, 1, 2, 3)] == [2, 1, 1, 2]
+        assert sorted(m.bit_count() for _r, m in cube.offsets) == [0, 1, 1, 2]
         assert [cube.complex.rank(w) for w in (0, 1, 2)] == [4, 4, 4]
 
     def test_generator_order_is_lexicographic(self):
@@ -123,7 +124,7 @@ class TestBuildCube:
         cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
         # weight-1 states in bit-tuple order: (0, 1) sorts before (1, 0);
         # the bit order within a state is pinned by the golden matrices
-        assert cube.offsets[0b10] == 0 and cube.offsets[0b01] == 2
+        assert cube.offsets[(0, 0b10)] == 0 and cube.offsets[(0, 0b01)] == 2
 
     def test_d_squared_zero_trefoil(self):
         for F in (FrobeniusAlgebra(ZZ, 0, 0), FrobeniusAlgebra(ZZ, 1, 0),

@@ -226,23 +226,91 @@ def reference_labels(d, shift=0):
     return out
 
 
-def reference_singular_labels(S):
-    """The generators of a ``SingularComplex``, labelled (scheme, state
-    mask, circle bits): each degree concatenates the pieces in scheme
-    bit-tuple order, piece r resolving ``S.sites`` by the bits of r and laid
-    out at shift 2|r| - n_minus - 2 * (number of sites).
-    {degree: [label]}."""
-    d, sites = S.diagram, S.sites
-    m = len(sites)
+def _resolved_pieces(S):
+    """Scheme r -> ``S.diagram`` with ``S.sites`` resolved by the bits of r
+    (a set bit k resolves ``S.sites[k]`` positively)."""
     out = {}
-    for r in sorted(range(1 << m),
-                    key=lambda r: [r >> k & 1 for k in range(m)]):
-        piece = d
-        for k, b in enumerate(sites):
+    for r in range(1 << len(S.sites)):
+        piece = S.diagram
+        for k, b in enumerate(S.sites):
             piece = piece.resolve_double_point(b, 1 if r >> k & 1 else -1)
-        shift = 2 * bin(r).count("1") - d.n_minus - 2 * m
-        for deg, labels in reference_labels(piece, shift).items():
+        out[r] = piece
+    return out
+
+
+def reference_singular_labels(S):
+    """The generators of a singular complex, labelled (scheme, state mask,
+    circle bits): each degree concatenates the pieces in scheme bit-tuple
+    order, piece r resolving ``S.sites`` by the bits of r and laid out at
+    shift 2|r| - n_minus - 2 * (number of sites).  {degree: [label]}."""
+    m = len(S.sites)
+    pieces = _resolved_pieces(S)
+    out = {}
+    for r in sorted(pieces, key=lambda r: [r >> k & 1 for k in range(m)]):
+        shift = 2 * bin(r).count("1") - S.diagram.n_minus - 2 * m
+        for deg, labels in reference_labels(pieces[r], shift).items():
             out.setdefault(deg, []).extend((r,) + lbl for lbl in labels)
+    return out
+
+
+def _assemble(col_labels, row_labels, ring, image):
+    """The matrix whose column for ``col_labels[j]`` sums the terms
+    (row label, coefficient) of ``image(col_labels[j])``."""
+    rows = {label: r for r, label in enumerate(row_labels)}
+    entries = {}
+    for col, label in enumerate(col_labels):
+        for tgt, coef in image(label):
+            row = entries.setdefault(rows[tgt], {})
+            row[col] = row.get(col, 0) + coef
+    return SparseMatrix(len(row_labels), len(col_labels), ring, entries)
+
+
+def _saddle_column(d, F, mask, bits):
+    """Image of generator (mask, bits) of the bracket cube of ``d`` under
+    every saddle out of its state, as (target label, coefficient) terms
+    with the check sign; the circle bookkeeping is worked out afresh."""
+    src_cfg = d.resolve_bits(mask)
+    out = []
+    for c in range(d.n_crossings):
+        if mask >> c & 1:
+            continue
+        tgt_mask = mask | (1 << c)
+        tgt_cfg = d.resolve_bits(tgt_mask)
+        kind = _saddle_targets(src_cfg, tgt_cfg, c, d.crossings[c])
+        base = [0] * tgt_cfg.n_circles
+        for ksrc, ktgt in kind[1].items():
+            base[ktgt] = bits[ksrc]
+        if kind[0] == "merge":
+            _, _, i1, i2, m = kind
+            terms = [({m: bit}, coef)
+                     for bit, coef in F.mult_bits(bits[i1], bits[i2])]
+        else:
+            _, _, i, d1, d2 = kind
+            terms = [({d1: bl, d2: br}, coef)
+                     for bl, br, coef in F.comult_bits(bits[i])]
+        for touched, coef in terms:
+            tb = list(base)
+            for k, bit in touched.items():
+                tb[k] = bit
+            out.append(((tgt_mask, tuple(tb)), _check_sign(mask, c) * coef))
+    return out
+
+
+def _phi_column(d, F, c, mask, bits):
+    """Image of generator (mask, bits) of the cube of ``d`` under the
+    crossing change at c, as (target label, coefficient) terms: on a state
+    that 1-smooths c on two circles i1 != i2, (x on i2) - (x on i1) times
+    the check sign, landing on the state without c; nothing otherwise."""
+    if not mask >> c & 1:
+        return []
+    i1, i2 = d.resolve_bits(mask).crossing_arcs[c]
+    if i1 == i2:
+        return []
+    out = []
+    for i, sign in ((i2, 1), (i1, -1)):
+        for bit, coef in F.mult_bits(1, bits[i]):
+            out.append(((mask & ~(1 << c), bits[:i] + (bit,) + bits[i + 1:]),
+                        sign * _check_sign(mask, c) * coef))
     return out
 
 
@@ -252,74 +320,57 @@ def reference_bracket_differentials(cube):
     saddle's circle bookkeeping and its image are worked out afresh, and
     rows and columns are found by the labels of ``reference_labels``.
     {w: SparseMatrix}."""
-    d, F, ring = cube.diagram, cube.algebra, cube.complex.ring
+    d, F = cube.diagram, cube.algebra
     labels = reference_labels(d)
-    out = {}
-    for w in labels:
-        if w + 1 not in labels:
-            continue
-        rows = {label: r for r, label in enumerate(labels[w + 1])}
-        entries = {}
-        for col, (mask, bits) in enumerate(labels[w]):
-            src_cfg = d.resolve_bits(mask)
-            for c in range(d.n_crossings):
-                if mask >> c & 1:
-                    continue
-                tgt_mask = mask | (1 << c)
-                tgt_cfg = d.resolve_bits(tgt_mask)
-                kind = _saddle_targets(src_cfg, tgt_cfg, c, d.crossings[c])
-                base = [0] * tgt_cfg.n_circles
-                for ksrc, ktgt in kind[1].items():
-                    base[ktgt] = bits[ksrc]
-                if kind[0] == "merge":
-                    _, _, i1, i2, m = kind
-                    terms = [({m: bit}, coef)
-                             for bit, coef in F.mult_bits(bits[i1], bits[i2])]
-                else:
-                    _, _, i, d1, d2 = kind
-                    terms = [({d1: bl, d2: br}, coef)
-                             for bl, br, coef in F.comult_bits(bits[i])]
-                for touched, coef in terms:
-                    tb = list(base)
-                    for k, bit in touched.items():
-                        tb[k] = bit
-                    row = entries.setdefault(rows[(tgt_mask, tuple(tb))], {})
-                    row[col] = row.get(col, 0) + _check_sign(mask, c) * coef
-        out[w] = SparseMatrix(len(labels[w + 1]), len(labels[w]), ring,
-                              entries)
-    return out
+    return {w: _assemble(labels[w], labels[w + 1], F.ring,
+                         lambda lbl: _saddle_column(d, F, *lbl))
+            for w in labels if w + 1 in labels}
+
+
+def reference_singular_differentials(S):
+    """The differentials of a singular complex, rebuilt column by column
+    from the labels of ``reference_singular_labels``: the saddles within
+    each piece as in ``reference_bracket_differentials``, times the
+    (-1)^n_minus of the piece's shift, and the crossing change at each
+    site k that the scheme resolves negatively into the scheme with k
+    resolved positively, times -(-1)^n_minus.  {degree: SparseMatrix}."""
+    d, F = S.diagram, S.algebra
+    pieces = _resolved_pieces(S)
+    parity = -1 if d.n_minus % 2 else 1
+    labels = reference_singular_labels(S)
+
+    def image(label):
+        r, mask, bits = label
+        out = [((r,) + tgt, parity * coef)
+               for tgt, coef in _saddle_column(pieces[r], F, mask, bits)]
+        for k, b in enumerate(S.sites):
+            if not r >> k & 1:
+                out += [((r | 1 << k,) + tgt, -parity * coef)
+                        for tgt, coef in _phi_column(pieces[r], F, b, mask,
+                                                     bits)]
+        return out
+
+    return {w: _assemble(labels[w], labels[w + 1], F.ring, image)
+            for w in labels if w + 1 in labels}
 
 
 def reference_genus_one_components(g1):
     """The components of a ``GenusOneMap``, rebuilt column by column from
-    the labels (scheme, state, bits) of ``reference_singular_labels``: on a
-    state that 1-smooths the crossing on two circles i1 != i2, (x on i2) -
-    (x on i1) times the check sign, summed term by term.
+    the labels (scheme, state, bits) of ``reference_singular_labels``, each
+    piece resolved afresh from the source's diagram and sites.
     {degree: SparseMatrix}."""
     F, c = g1.source.algebra, g1.crossing
+    pieces = _resolved_pieces(g1.source)
     src_labels = reference_singular_labels(g1.source)
     tgt_labels = reference_singular_labels(g1.target)
-    out = {}
-    for deg, labels in src_labels.items():
-        rows = {label: r for r, label in enumerate(tgt_labels.get(deg, ()))}
-        entries = {}
-        for col, (rm, mask, bits) in enumerate(labels):
-            if not mask >> c & 1:
-                continue
-            cfg = g1.source.pieces[rm].diagram.resolve_bits(mask)
-            i1, i2 = cfg.crossing_arcs[c]
-            if i1 == i2:
-                continue
-            for i, sign in ((i2, 1), (i1, -1)):
-                for bit, coef in F.mult_bits(1, bits[i]):
-                    tb = bits[:i] + (bit,) + bits[i + 1:]
-                    row = entries.setdefault(
-                        rows[(rm, mask & ~(1 << c), tb)], {})
-                    row[col] = (row.get(col, 0)
-                                + sign * _check_sign(mask, c) * coef)
-        out[deg] = SparseMatrix(len(tgt_labels.get(deg, ())), len(labels),
-                                F.ring, entries)
-    return out
+
+    def image(label):
+        r, mask, bits = label
+        return [((r,) + tgt, coef)
+                for tgt, coef in _phi_column(pieces[r], F, c, mask, bits)]
+
+    return {deg: _assemble(labels, tgt_labels.get(deg, ()), F.ring, image)
+            for deg, labels in src_labels.items()}
 
 
 # ---------------------------------------------------------------------------
