@@ -4,7 +4,7 @@ invariant to singular links via iterated mapping cones."""
 
 from .chain import (ChainComplex, ChainMap, Homotopy, cone,
                     cone_cocone_homotopy, cone_factor, cone_functorial_map,
-                    cone_hfunc_homotopy, homology, is_chain_map, shift)
+                    cone_hfunc_homotopy, is_chain_map)
 from .diagram import Diagram, State, from_braid, parse
 from .exactlinalg import (HomologySummary, QQ, Ring, SmithDecomposition,
                           SparseMatrix, ZZ, homology_at, rank,
@@ -25,9 +25,9 @@ __all__ = [
     "SmithDecomposition", "SparseMatrix", "State", "ZZ", "build_cube", "cone",
     "cone_cocone_homotopy", "cone_factor", "cone_functorial_map",
     "cone_hfunc_homotopy", "dualize", "from_braid",
-    "genus_one_map", "homology", "homology_at", "homology_signature",
+    "genus_one_map", "homology_at", "homology_signature",
     "is_chain_map", "jones_by_skein", "jones_polynomial",
-    "kauffman_bracket_oracle", "parse", "phi_local", "rank", "shift",
+    "kauffman_bracket_oracle", "parse", "phi_local", "rank",
     "singular_complex", "singular_complex_iterated", "skein_triangle_report",
     "smith_normal_form",
 ]

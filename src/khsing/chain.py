@@ -139,7 +139,13 @@ class ChainComplex:
     def _reduced_blocks(self, graded: bool):
         """``(blocks, reduced)``: ``blocks[i][j]`` lists the degree-i
         generators of quantum degree j (one block j = None when ungraded),
-        ``reduced[(i, j)]`` is ``_rank_torsion`` of block j of d^i."""
+        ``reduced[(i, j)]`` is the rank and torsion of block j of d^i.
+
+        In ascending degree, block j of d^i leaves out the columns at the
+        rows of the unit prefix of block j of d^(i-1): by Bar-Natan's
+        Gaussian elimination lemma (arXiv:math/0606318, Lemma 4.2), those
+        cancellations delete just these columns of d^i, so its image, rank
+        and divisors stay."""
         if graded:
             self.check_bidegree()
             blocks = {i: {} for i in self.degrees()}
@@ -148,8 +154,16 @@ class ChainComplex:
                     by_q.setdefault(j, []).append(ix)
         else:
             blocks = {i: {None: range(n)} for i, n in self.ranks.items()}
-        reduced = {(i, j): _rank_torsion(self._block(blocks, i, j), self.ring)
-                   for i in self.diffs for j in blocks.get(i, ())}
+        reduced, cancelled = {}, {}
+        for i in sorted(self.diffs):
+            for j, cols in blocks.get(i, {}).items():
+                rows = blocks.get(i + 1, {}).get(j, ())
+                drop = cancelled.get((i - 1, j), ())
+                m = self.diffs[i].submatrix(
+                    rows, [c for c in cols if c not in drop])
+                r, torsion, cut = _rank_torsion(m, self.ring)
+                reduced[(i, j)] = r, torsion
+                cancelled[(i, j)] = {rows[k] for k in cut}
         return blocks, reduced
 
     def _block(self, blocks, i: int, j) -> SparseMatrix:
@@ -172,9 +186,11 @@ class ChainComplex:
         d^2 = 0 was checked when the complex was built, so only the
         bidegree (1, 0) of the differentials is checked here, when graded.
         Each (degree, q-block) of each differential is then reduced once,
-        by rank over a field and by Smith normal form over Z: its rank
-        counts at its source and at its target, its divisors above 1 are
-        torsion at its target.  Ungraded, each degree is a single block.
+        in ascending degree, by rank over a field and by Smith normal form
+        over Z: its rank counts at its source and at its target, its
+        divisors above 1 are torsion at its target.  A block leaves out the
+        columns that the unit pivots of the block below it cancelled (see
+        ``_reduced_blocks``).  Ungraded, each degree is a single block.
         """
         ring = ring or self.ring
         cx = self if ring == self.ring else self.change_ring(ring)
@@ -344,17 +360,6 @@ def _family_sum(a: dict, b: dict, ring) -> dict:
         m, n = a.get(i), b.get(i)
         out[i] = m + n if (m is not None and n is not None) else (m or n)
     return out
-
-
-def shift(c: ChainComplex, k: int) -> ChainComplex:
-    """W[k]: degrees move by k, differentials pick up (-1)^k."""
-    return c.shift(k)
-
-
-def homology(c: ChainComplex, ring: Ring | None = None,
-             graded: bool | None = None) -> HomologySummary:
-    """Homology summary of a complex; see ChainComplex.homology."""
-    return c.homology(ring=ring, graded=graded)
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +631,9 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
 
     Returns {key: (dim H_source, dim H_target, rank H(f))}; keys are degrees
     or (i, j) pairs when ``graded``.  Each q-block of each differential of
-    the source and the target is reduced once, as in
+    the source and the target is reduced once, in the forward pass of
     ``ChainComplex.homology``, and H^i(f) takes one more rank: that of the
-    bordered matrix [[f_i, d_Y^(i-1)], [d_X^i, 0]], which is
+    whole bordered matrix [[f_i, d_Y^(i-1)], [d_X^i, 0]], which is
     rank H^i(f) + rank d_Y^(i-1) + rank d_X^i.
     """
     X, Y = f.source, f.target

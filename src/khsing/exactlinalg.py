@@ -28,6 +28,12 @@ over Z).  When no transforms are recorded, a pivot that divides its row
 just drops the row.  Smith normal form finally turns the retired pivots
 into a divisor chain with 2x2 gcd/lcm steps on the non-unit ones.
 
+Unit prefix: the pivots retired before the first row whose smallest
+|entry| exceeds 1 is taken (all of them over Z/p).  Each cleared its column
+exactly, so up to there the elimination is an LU factorization with unit
+pivots, and the prefix names a unimodular minor.  A later unit pivot may
+follow a Euclid step and mix rows, so it does not count.
+
 No floating point anywhere.
 """
 
@@ -370,10 +376,12 @@ def _eliminate(m: SparseMatrix, track: bool = False):
     """Reduce a copy of the rows of ``m`` until only pivots remain.
 
     The arithmetic is over Z, or over Z/p when ``m`` is stored over Z/p.
-    Returns ``(pivots, left, right)`` where ``pivots`` lists ``[row, col, d]``
-    with d > 0.  With ``track``, ``left`` (row -> {col: v}) and ``right``
-    (col -> {row: v}) are invertible and ``left * m * right`` is zero except
-    for d at each pivot position; otherwise both are None.
+    Returns ``(pivots, left, right, units)`` where ``pivots`` lists
+    ``[row, col, d]`` with d > 0 in the order they retired.  With ``track``,
+    ``left`` (row -> {col: v}) and ``right`` (col -> {row: v}) are
+    invertible and ``left * m * right`` is zero except for d at each pivot
+    position; otherwise both are None.  ``pivots[:units]`` is the unit
+    prefix (see the module docstring).
     """
     p = m.ring.p
     rows = {r: dict(row) for r, row in m._rows.items()}
@@ -392,12 +400,15 @@ def _eliminate(m: SparseMatrix, track: bool = False):
     heap = [entry(r, row) for r, row in rows.items()]
     heapq.heapify(heap)
     pivots = []
+    units = None
     while heap:
         top = heapq.heappop(heap)
         small, _, pr = top
         prow = rows.get(pr)
         if not prow or entry(pr, prow) != top:
             continue
+        if small > 1 and units is None:
+            units = len(pivots)
         pc = min((c for c, v in prow.items() if p or abs(v) == small),
                  key=lambda c: len(cols[c]))
         a = prow[pc]
@@ -454,7 +465,7 @@ def _eliminate(m: SparseMatrix, track: bool = False):
         if a < 0 and track:
             left[pr] = {c: -v for c, v in left[pr].items()}
         pivots.append([pr, pc, abs(a)])
-    return pivots, left, right
+    return pivots, left, right, len(pivots) if units is None else units
 
 
 def _xgcd(a: int, b: int):
@@ -512,7 +523,7 @@ def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecompo
     """
     if m.ring.kind != "Z":
         raise ContractViolation("Smith normal form requires integer entries")
-    pivots, left, right = _eliminate(m, track=transforms)
+    pivots, left, right, _ = _eliminate(m, track=transforms)
     _divisor_chain(pivots, left, right)
     diag = tuple(d for _, _, d in pivots)
     if not transforms:
@@ -545,7 +556,7 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     ring = m.ring
     if not ring.is_field:
         raise ContractViolation("kernel basis requires a field")
-    pivots, _, right = _eliminate(m, track=True)
+    pivots, _, right, _ = _eliminate(m, track=True)
     # L m R is zero outside the pivot columns, so the other columns of R
     # span the kernel
     used = {c for _, c, _ in pivots}
@@ -650,15 +661,18 @@ class HomologySummary:
 
 
 def _rank_torsion(m: SparseMatrix, ring: Ring):
-    """(rank, torsion) of a differential stored over ``ring``: its rank over
-    a field, or its Smith divisors over Z, those above 1 being the torsion
-    of the homology at its target.  A zero matrix is not reduced."""
+    """(rank, torsion, cancelled) of a differential stored over ``ring``:
+    its rank over a field or its Smith divisors over Z, those above 1 being
+    the torsion of the homology at its target, and the rows of the unit
+    prefix of its elimination.  A zero matrix is not reduced."""
     if m.is_zero():
-        return 0, ()
+        return 0, (), ()
+    pivots, _, _, units = _eliminate(m)
+    cancelled = tuple(r for r, _, _ in pivots[:units])
     if ring.is_field:
-        return rank(m), ()
-    diag = smith_normal_form(m).diagonal
-    return len(diag), tuple(d for d in diag if d > 1)
+        return len(pivots), (), cancelled
+    _divisor_chain(pivots)
+    return len(pivots), tuple(d for _, _, d in pivots if d > 1), cancelled
 
 
 def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, ring: Ring):
@@ -677,5 +691,5 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, ring: Ring):
     if not (d_out * d_in).is_zero():
         raise ContractViolation("d_out * d_in is nonzero; not a complex")
     rank_out = _rank_torsion(d_out, ring)[0]
-    rank_in, torsion = _rank_torsion(d_in, ring)
+    rank_in, torsion, _ = _rank_torsion(d_in, ring)
     return d_out.cols - rank_out - rank_in, torsion

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from khsing.chain import (ChainComplex, ChainMap, Homotopy, cone,
                           cone_cocone_homotopy, cone_factor,
@@ -15,11 +17,12 @@ from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
 from khsing.frobenius import FrobeniusAlgebra
 from khsing.khcube import build_cube
 
-from util import (anticommutator_perturbation, commutator_perturbation,
-                  compose_family, direct_sum,
+from util import (_apply_ops, anticommutator_perturbation,
+                  commutator_perturbation, compose_family, direct_sum,
                   family_after_map, family_anticommutator, family_commutator,
                   homotopy_sum, identity_map, map_sum, null_homotopic_map,
-                  random_complex, random_family, scale_map)
+                  random_complex, random_family, random_unimodular_ops,
+                  scale_map)
 
 HOPF_PD = [[1, 3, 2, 4], [3, 1, 4, 2]]
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -223,6 +226,102 @@ class TestHomology:
         monkeypatch.setattr(Ring, "coerce", counted)
         cube.homology(graded=True)
         assert len(calls) == 0
+
+
+@st.composite
+def elementary_sums(draw):
+    """``(complex, pieces)``: a direct sum over Z of pieces ``(i, k, j)``,
+    free Z in degree i when k is 0, else Z --k--> Z from degree i to i + 1,
+    all in quantum degree j, with each (degree, q) block of generators
+    conjugated by a random product of elementary row operations."""
+    pieces = draw(st.lists(st.tuples(st.integers(-1, 2),
+                                     st.sampled_from((0, 1, 2, 3, 6)),
+                                     st.integers(-1, 1)),
+                           min_size=1, max_size=12))
+    rng = draw(st.randoms(use_true_random=False))
+    qs, entries = {}, []
+    for i, k, j in pieces:
+        qs.setdefault(i, []).append(j)
+        if k:
+            qs.setdefault(i + 1, []).append(j)
+            entries.append((i, len(qs[i + 1]) - 1, len(qs[i]) - 1, k))
+    ops = {}
+    for i, gens in qs.items():
+        ops[i] = []
+        for j in set(gens):
+            ix = [g for g, q in enumerate(gens) if q == j]
+            ops[i] += [(ix[a], ix[b], c) for a, b, c in random_unimodular_ops(
+                rng, len(ix), rng.randint(0, 3 * len(ix)))]
+    dense = {i: [[0] * len(qs[i]) for _ in qs[i + 1]]
+             for i, _, _, _ in entries}
+    for i, r, c, k in entries:
+        dense[i][r][c] = k
+    diffs = {}
+    for i, rows in dense.items():
+        # d' = T_(i+1) d inv(T_i), inv(T_i) by the inverse column operations
+        rows = _apply_ops(rows, ops[i + 1])
+        for a, b, c in ops[i]:
+            for row in rows:
+                row[b] -= c * row[a]
+        diffs[i] = SparseMatrix.from_rows(rows, ZZ)
+    cx = ChainComplex(ZZ, {i: len(g) for i, g in qs.items()}, diffs,
+                      q={i: tuple(g) for i, g in qs.items()})
+    return cx, pieces
+
+
+def _primary(n: int) -> list:
+    """The prime powers whose product is n."""
+    out, d = [], 2
+    while n > 1:
+        e = 1
+        while n % d == 0:
+            n //= d
+            e *= d
+        if e > 1:
+            out.append(e)
+        d += 1
+    return out
+
+
+def _primary_groups(h) -> dict:
+    return {k: (free, Counter(e for t in torsion for e in _primary(t)))
+            for k, free, torsion in h.groups}
+
+
+def _known_groups(pieces, ring: Ring, graded: bool) -> dict:
+    """The homology of ``elementary_sums`` pieces over ``ring``, in the
+    form of ``_primary_groups``: Z --k--> Z carries Z/k at its target over
+    Z, nothing over Q, and one class at each end over F_p when p | k."""
+    out = {}
+
+    def add(i, j, free=0, torsion=()):
+        g = out.setdefault((i, j) if graded else (i,), [0, Counter()])
+        g[0] += free
+        g[1].update(torsion)
+
+    for i, k, j in pieces:
+        if k == 0:
+            add(i, j, free=1)
+        elif ring.p and k % ring.p == 0:
+            add(i, j, free=1)
+            add(i + 1, j, free=1)
+        elif ring == ZZ:
+            add(i + 1, j, torsion=_primary(k))
+    return {k: tuple(g) for k, g in out.items() if g[0] or g[1]}
+
+
+class TestKnownHomology:
+    # no Smith normal form computes the expectation: the homology of each
+    # piece is known, and conjugation by unimodular blocks keeps it
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(elementary_sums())
+    def test_conjugated_elementary_sum(self, case):
+        cx, pieces = case
+        for ring in (ZZ, QQ, Ring.prime_field(2), Ring.prime_field(3)):
+            for graded in (True, False):
+                got = _primary_groups(cx.homology(ring=ring, graded=graded))
+                assert got == _known_groups(pieces, ring, graded), (
+                    str(ring), graded)
 
 
 def make_square(rng, ring):

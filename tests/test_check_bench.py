@@ -1,0 +1,54 @@
+import importlib.util
+import json
+import pathlib
+import shutil
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "check_bench", ROOT / "scripts" / "check_bench.py")
+check_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_bench)
+
+
+def _complete_bench():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    side = {"median": 1.0}
+    return {"workloads": {
+        w["name"]: {"pairs": 3, "metrics": {
+            m["name"]: {"parent": side, "change": side}
+            for m in spec["end_to_end"]}}
+        for w in spec["workloads"]}}
+
+
+def _root_with(tmp_path, bench):
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(bench))
+    return tmp_path
+
+
+def test_repository_bench_files_cover_the_benchmark():
+    assert check_bench.problems(ROOT) == []
+
+
+def test_complete_file_passes(tmp_path):
+    assert check_bench.main([str(_root_with(tmp_path, _complete_bench()))]) == 0
+
+
+def test_gaps_are_named(tmp_path, capsys):
+    bench = _complete_bench()
+    del bench["workloads"]["field"]
+    bench["workloads"]["integral"]["pairs"] = 2
+    bench["workloads"]["singular_q"]["metrics"]["wall_s"]["change"] = 0.5
+    assert check_bench.main([str(_root_with(tmp_path, bench))]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "BENCH_1.json: integral: pairs 2, need at least 3",
+        "BENCH_1.json: workload field missing",
+        "BENCH_1.json: singular_q: wall_s: no change median",
+    ]
+
+
+def test_unreadable_file_named(tmp_path):
+    root = _root_with(tmp_path, {})
+    (root / "BENCH_1.json").write_text("{")
+    assert check_bench.problems(root)[0].startswith(
+        "BENCH_1.json: unreadable:")

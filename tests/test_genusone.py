@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from khsing import exactlinalg, genusone
-from khsing.chain import ChainComplex, ChainMap, cone, is_chain_map
+from khsing.chain import (ChainComplex, ChainMap, _block_homology, cone,
+                          is_chain_map)
 from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
-from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
+from khsing.exactlinalg import (QQ, HomologySummary, Ring, SparseMatrix, ZZ,
+                                _rank_torsion)
 from khsing.frobenius import FrobeniusAlgebra
 from khsing.genusone import (genus_one_map, phi_local, singular_complex,
                              singular_complex_iterated, skein_site,
@@ -420,6 +422,22 @@ class TestRandomSingularClosures:
             assert set(S.complex.diffs) <= set(ref)
             for w, m in ref.items():
                 assert S.complex.diff(w) == m, (str(ring), h, t, w)
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(singular_closures())
+    def test_forward_pass_matches_blockwise_reduction(self, d):
+        # the reference reduces each block whole and on its own
+        for ring, h, t in ((ZZ, 0, 0), (QQ, 0, 1), (F2, 1, 0), (F3, 1, 1)):
+            cx = singular_complex(d, FrobeniusAlgebra(ring, h, t)).complex
+            graded = cx.q is not None
+            blocks, _ = cx._reduced_blocks(graded)
+            reduced = {(i, j): _rank_torsion(cx._block(blocks, i, j), ring)[:2]
+                       for i in cx.diffs for j in blocks.get(i, ())}
+            want = {(i, j) if graded else i:
+                    _block_homology(blocks, reduced, i, j)
+                    for i, by_q in blocks.items() for j in by_q}
+            assert cx.homology() == HomologySummary.build(ring, want), (
+                str(ring), h, t)
 
     # the dense oracle takes seconds per degree of a 6-letter closure with
     # two double points, so its closures have at most 4 letters
