@@ -9,7 +9,9 @@ reads the files and runs nothing.  It requires, in every BENCH file:
 - ``workloads.<name>`` for each workload of BENCHMARK.json, with
   ``pairs`` at least 3;
 - ``workloads.<name>.metrics.<metric>.parent.median`` and
-  ``...change.median`` as numbers, for each end-to-end metric.
+  ``...change.median`` as numbers, for each end-to-end metric;
+- ``claim.workload`` and ``claim.metric`` naming a workload and an
+  end-to-end metric of BENCHMARK.json.
 
 Run from the repository root:  python scripts/check_bench.py [ROOT]
 It prints one line per problem and exits 1 if there is any, else 0.
@@ -43,6 +45,11 @@ def problems(root: pathlib.Path) -> list:
         except (OSError, ValueError) as e:
             out.append(f"{path.name}: unreadable: {e}")
             continue
+        workload = _get(bench, "claim", "workload")
+        metric = _get(bench, "claim", "metric")
+        if workload not in workloads or metric not in metrics:
+            out.append(f"{path.name}: claim {workload!r} / {metric!r} is "
+                       "not a workload and end-to-end metric")
         for w in workloads:
             entry = _get(bench, "workloads", w)
             if not isinstance(entry, dict):

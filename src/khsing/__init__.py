@@ -15,7 +15,7 @@ from .genusone import (GenusOneMap, genus_one_map, phi_local,
                        skein_triangle_report)
 from .invariants import (LaurentPoly, homology_signature, jones_by_skein,
                          jones_polynomial, kauffman_bracket_oracle)
-from .khcube import CubeComplex, build_cube, dualize
+from .khcube import CubeComplex, build_cube
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "GenusOneMap", "HomologySummary", "Homotopy", "LaurentPoly", "QQ", "Ring",
     "SmithDecomposition", "SparseMatrix", "State", "ZZ", "build_cube", "cone",
     "cone_cocone_homotopy", "cone_factor", "cone_functorial_map",
-    "cone_hfunc_homotopy", "dualize", "from_braid",
+    "cone_hfunc_homotopy", "from_braid",
     "genus_one_map", "homology_at", "homology_signature",
     "is_chain_map", "jones_by_skein", "jones_polynomial",
     "kauffman_bracket_oracle", "parse", "phi_local", "rank",

@@ -34,6 +34,17 @@ exactly, so up to there the elimination is an LU factorization with unit
 pivots, and the prefix names a unimodular minor.  A later unit pivot may
 follow a Euclid step and mix rows, so it does not count.
 
+Over F2: a sum of rows is the symmetric difference of their column sets.
+The product runs ``set.symmetric_difference_update`` over the rows each row
+of the result sums, so it is the same matrix.  An untracked elimination
+keeps each row as an int bit mask and xors it with earlier pivot masks; the
+rows that stay nonzero are linearly independent rows of the matrix, a basis
+of its row space, and their count is the rank.  Over a field, any linearly
+independent set of rows is the row set of an invertible minor, so all of
+them form the unit prefix and cancelling them is still Gaussian
+elimination.  Tracked runs (kernel bases) and the other rings take the
+general path.
+
 No floating point anywhere.
 """
 
@@ -255,6 +266,19 @@ class SparseMatrix:
         p = self.ring.p
         right = other._rows
         data = {}
+        if p == 2:
+            # a sum of rows over F2 is the symmetric difference of their
+            # column sets
+            for r, row in self._rows.items():
+                acc = set()
+                for k in row:
+                    orow = right.get(k)
+                    if orow:
+                        acc.symmetric_difference_update(orow)
+                if acc:
+                    data[r] = dict.fromkeys(acc, 1)
+            return SparseMatrix._unchecked(self.rows, other.cols, self.ring,
+                                           data)
         for r, row in self._rows.items():
             acc = {}
             for k, w in row.items():
@@ -382,8 +406,31 @@ def _eliminate(m: SparseMatrix, track: bool = False):
     invertible and ``left * m * right`` is zero except for d at each pivot
     position; otherwise both are None.  ``pivots[:units]`` is the unit
     prefix (see the module docstring).
+
+    Over F2, untracked: each row is an int bit mask over its columns and is
+    reduced by the earlier pivot masks at its highest set bit, which only
+    lowers that bit, so a mask never outgrows its row.  A row that stays
+    nonzero is not in the span of the rows before it, so it retires as the
+    pivot ``[row, highest col, 1]``.  The pivot rows are a basis of the row
+    space drawn from the rows of ``m``; over a field any such set of rows
+    is the row set of an invertible minor, so all of them count as units.
     """
     p = m.ring.p
+    if p == 2 and not track:
+        pivots, basis = [], {}
+        for r, row in m._rows.items():
+            mask = 0
+            for c in row:
+                mask |= 1 << c
+            while mask:
+                top = mask.bit_length() - 1
+                b = basis.get(top)
+                if b is None:
+                    basis[top] = mask
+                    pivots.append([r, top, 1])
+                    break
+                mask ^= b
+        return pivots, None, None, len(pivots)
     rows = {r: dict(row) for r, row in m._rows.items()}
     cols = {}
     for r, row in rows.items():

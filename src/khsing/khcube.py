@@ -296,18 +296,6 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
                           F.ring, rows) for deg, rows in comps.items()})
 
 
-# ---------------------------------------------------------------------------
-# Duality
-# ---------------------------------------------------------------------------
-
-
-def dualize(c) -> ChainComplex:
-    """Degreewise dual: degree i becomes -i, differentials transpose,
-    quantum degrees negate."""
-    cx = c.complex if isinstance(c, CubeComplex) else c
-    return cx.dual()
-
-
 def cone_pieces(cube: CubeComplex, c: int):
     """Split the unnormalized bracket cube at crossing c into cone data.
 

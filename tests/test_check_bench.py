@@ -13,11 +13,11 @@ _spec.loader.exec_module(check_bench)
 def _complete_bench():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     side = {"median": 1.0}
-    return {"workloads": {
-        w["name"]: {"pairs": 3, "metrics": {
-            m["name"]: {"parent": side, "change": side}
-            for m in spec["end_to_end"]}}
-        for w in spec["workloads"]}}
+    workloads = {w["name"]: {"pairs": 3, "metrics": {
+        m["name"]: {"parent": side, "change": side}
+        for m in spec["end_to_end"]}} for w in spec["workloads"]}
+    return {"claim": {"workload": "field", "metric": "wall_s"},
+            "workloads": workloads}
 
 
 def _root_with(tmp_path, bench):
@@ -52,3 +52,18 @@ def test_unreadable_file_named(tmp_path):
     (root / "BENCH_1.json").write_text("{")
     assert check_bench.problems(root)[0].startswith(
         "BENCH_1.json: unreadable:")
+
+
+def test_claim_must_name_a_workload_and_end_to_end_metric(tmp_path, capsys):
+    for claim in ({"workload": "large", "metric": "wall_s"},
+                  {"workload": "field", "metric": "chain.homology.self_s"},
+                  {"workload": "field"}, None):
+        bench = _complete_bench()
+        bench["claim"] = claim
+        assert check_bench.main([str(_root_with(tmp_path, bench))]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"BENCH_1.json: claim {workload!r} / {metric!r} is not a workload "
+        "and end-to-end metric"
+        for workload, metric in (("large", "wall_s"),
+                                 ("field", "chain.homology.self_s"),
+                                 ("field", None), (None, None))]

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import (HomologySummary, QQ, Ring, SparseMatrix, ZZ,
-                                homology_at, kernel_basis, rank,
+                                _eliminate, homology_at, kernel_basis, rank,
                                 smith_normal_form)
 from khsing.frobenius import FrobeniusAlgebra
 
-from util import (dense_homology, dense_rank_rational, dense_smith_divisors,
-                  random_complex)
+from util import (dense_homology, dense_rank_mod_p, dense_rank_rational,
+                  dense_smith_divisors, random_complex)
 
 F2 = Ring.prime_field(2)
 F5 = Ring.prime_field(5)
@@ -225,6 +225,20 @@ class TestEliminationProperties:
         assert (m * k).is_zero()
         assert k.cols == m.cols - rank(m)
         assert rank(k) == k.cols
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sparse_int_matrices())
+    def test_f2_pivot_rows_are_a_row_basis(self, m):
+        # untracked over F2 the rows are xor-ed bit masks; tracked runs
+        # take the general path
+        m = m.change_ring(F2)
+        pivots, left, right, units = _eliminate(m)
+        rows = [r for r, _, _ in pivots]
+        assert (left, right, units) == (None, None, len(pivots))
+        assert len(pivots) == len(_eliminate(m, track=True)[0])
+        dense = m.to_rows()
+        assert len(set(rows)) == len(rows)
+        assert dense_rank_mod_p([dense[r] for r in rows], 2) == len(rows)
 
 
 ENTRIES = st.sampled_from((0, 0, 0, -2, -1, 1, 2, 3))

@@ -17,7 +17,7 @@ from khsing.khcube import build_cube
 
 from util import (reference_genus_one_components, reference_labels,
                   reference_singular_differentials, reference_singular_labels,
-                  summary_via_dense_oracle)
+                  field_summary_via_dense_rank, summary_via_dense_oracle)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -439,15 +439,26 @@ class TestRandomSingularClosures:
             assert cx.homology() == HomologySummary.build(ring, want), (
                 str(ring), h, t)
 
-    # the dense oracle takes seconds per degree of a 6-letter closure with
-    # two double points, so its closures have at most 4 letters
     @settings(derandomize=True, max_examples=25, deadline=None)
-    @given(singular_closures(max_letters=4))
+    @given(singular_closures())
     def test_integral_homology_matches_dense_oracle(self, d):
         S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
         got = {k[0]: (free, torsion)
                for k, free, torsion in S.homology(graded=False).groups}
         assert got == summary_via_dense_oracle(S.complex)
+
+    # ungraded, the dense ranks of a 6-letter closure with three double
+    # points take seconds, so these closures have at most 5 letters
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(singular_closures(max_letters=5))
+    def test_field_homology_matches_dense_rank(self, d):
+        # over F2 the ranks come from xor-ed bit masks; the oracle row
+        # reduces dense lists mod 2, graded at (0, 0), ungraded at (1, 0)
+        for h, graded in ((0, True), (1, False)):
+            cx = singular_complex(d, FrobeniusAlgebra(F2, h, 0)).complex
+            got = {(k if graded else k[0]): free
+                   for k, free, _ in cx.homology().groups}
+            assert got == field_summary_via_dense_rank(cx, graded), h
 
 
 class TestSkeinTriangle:

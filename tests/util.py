@@ -1,5 +1,5 @@
-"""Shared test helpers: the sign modules behind the cube's signs, an
-independent dense Smith oracle, an enumerator of generator labels,
+"""Shared test helpers: the sign modules behind the cube's signs,
+independent dense Smith and rank oracles, an enumerator of generator labels,
 column-by-column reference builders of the cube and crossing-change
 matrices, and generators of random complexes, chain
 maps, and homotopy data whose hypotheses hold by construction."""
@@ -7,6 +7,7 @@ maps, and homotopy data whose hypotheses hold by construction."""
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from khsing.chain import ChainComplex, ChainMap, Homotopy
 from khsing.errors import ContractViolation
@@ -78,58 +79,91 @@ def shuffle_sign(A: SignModule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Independent dense Smith normal form (textbook version, no pivot strategy)
+# Independent dense oracles: Smith normal form, rank over Q and over Z/p
 # ---------------------------------------------------------------------------
 
 
-def dense_smith_divisors(rows):
-    """Divisor chain of an integer matrix, computed the slow classical way.
+def _unit_column(row):
+    """Index of the first entry +1 or -1 of a dense row, or None."""
+    hits = [row.index(u) for u in (1, -1) if u in row]
+    return min(hits) if hits else None
 
-    Repeatedly brings the smallest nonzero entry to the corner by full
-    scans, clears its row and column with floor divisions, restarts whenever
-    a remainder appears, and enforces divisibility by folding offending
-    entries into the corner's row.  Deliberately unrelated to the library
-    implementation.
+
+def _euclid_down(live, j):
+    """Clear column j of the dense rows ``live`` but one by floor-division
+    row steps, the row with the smallest entry of the column subtracting
+    from the others until they are zero; returns that row's index."""
+    while True:
+        hits = [k for k, row in enumerate(live) if row[j]]
+        t = min(hits, key=lambda k: abs(live[k][j]))
+        if len(hits) == 1:
+            return t
+        pivot = live[t]
+        support = [c for c, v in enumerate(pivot) if v]
+        for k in hits:
+            if k != t:
+                row = live[k]
+                f = row[j] // pivot[j]
+                for c in support:
+                    row[c] -= f * pivot[c]
+
+
+def dense_smith_divisors(rows):
+    """Divisor chain of an integer matrix by dense, pivot-ordered
+    elimination on lists, deliberately unrelated to the library kernel.
+
+    Unit pivots come first, in row order: a live row with an entry +-1
+    clears that column from every other live row and retires, since column
+    operations would clear the rest of it without touching another row.
+    Sweeps repeat while they find a unit.  Then the smallest entry left is
+    the pivot, found by one scan.  Euclid's algorithm runs down its column
+    and along its row by floor-division steps, and only there, until both
+    hold the pivot alone; a remainder moves the pivot within its row or
+    column, never restarting the search.  The diagonal so found becomes a
+    chain d1 | d2 | ... by replacing pairs with their gcd and lcm.
     """
-    m = [list(r) for r in rows]
-    divisors = []
-    while m and m[0]:
-        if all(v == 0 for row in m for v in row):
+    live = [list(r) for r in rows if any(r)]
+    diag = []
+    while live:
+        swept = True
+        while swept:
+            swept = False
+            t = 0
+            while t < len(live):
+                j = _unit_column(live[t])
+                if j is None:
+                    t += 1
+                    continue
+                del live[_euclid_down(live, j)]
+                diag.append(1)
+                swept = True
+            live = [row for row in live if any(row)]
+        if not live:
             break
-        # smallest nonzero entry to position (0, 0)
-        bi, bj = min(((i, j) for i, row in enumerate(m)
-                      for j, v in enumerate(row) if v),
-                     key=lambda ij: abs(m[ij[0]][ij[1]]))
-        m[0], m[bi] = m[bi], m[0]
-        for row in m:
-            row[0], row[bj] = row[bj], row[0]
-        if m[0][0] < 0:
-            m[0] = [-v for v in m[0]]
-        pivot = m[0][0]
-        dirty = False
-        for i in range(1, len(m)):
-            q = m[i][0] // pivot
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[0])]
-            if m[i][0]:
-                dirty = True
-        for j in range(1, len(m[0])):
-            q = m[0][j] // pivot
-            if q:
-                for row in m:
-                    row[j] -= q * row[0]
-            if m[0][j]:
-                dirty = True
-        if dirty:
-            continue
-        stray = next(((i, j) for i in range(1, len(m))
-                      for j in range(1, len(m[0])) if m[i][j] % pivot), None)
-        if stray is not None:
-            i = stray[0]
-            m[0] = [a + b for a, b in zip(m[0], m[i])]
-            continue
-        divisors.append(pivot)
-        m = [row[1:] for row in m[1:]]
+        t, j = min(((t, c) for t, row in enumerate(live)
+                    for c, v in enumerate(row) if v),
+                   key=lambda tc: abs(live[tc[0]][tc[1]]))
+        while True:
+            t = _euclid_down(live, j)
+            row = live[t]
+            hits = [c for c, v in enumerate(row) if v]
+            if len(hits) == 1:
+                break
+            j = min(hits, key=lambda c: abs(row[c]))
+            for c in hits:
+                if c != j:
+                    f = row[c] // row[j]
+                    for r in live:
+                        r[c] -= f * r[j]
+        diag.append(abs(live[t][j]))
+        del live[t]
+        live = [row for row in live if any(row)]
+    divisors = sorted(diag)
+    for i in range(len(divisors)):
+        for k in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[k]
+            g = gcd(a, b)
+            divisors[i], divisors[k] = g, a // g * b
     return divisors
 
 
@@ -155,25 +189,83 @@ def dense_rank_rational(rows):
     return rank
 
 
+def dense_rank_mod_p(rows, p):
+    """Rank over Z/p by row echelon form on dense lists."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        pivot = m[rank]
+        support = [k for k, v in enumerate(pivot) if v]
+        for r in range(rank + 1, len(m)):
+            row = m[r]
+            f = row[c] * inv % p
+            if f:
+                for k in support:
+                    row[k] = (row[k] - f * pivot[k]) % p
+        rank += 1
+    return rank
+
+
+def _homology_from_divisors(middle_dim, divisors_in, divisors_out):
+    """(free rank, torsion) at the middle of two composable integer
+    differentials from their divisor chains: a chain's length is the
+    rank over Q, its entries above 1 the torsion at its target."""
+    free = middle_dim - len(divisors_out) - len(divisors_in)
+    return free, tuple(sorted(d for d in divisors_in if d > 1))
+
+
 def dense_homology(diff_in_rows, diff_out_rows, middle_dim):
     """(free rank, torsion) at the middle of two composable differentials,
-    using only the dense oracles above."""
-    r_out = dense_rank_rational(diff_out_rows) if diff_out_rows else 0
-    divisors = dense_smith_divisors(diff_in_rows) if diff_in_rows else []
-    free = middle_dim - r_out - len(divisors)
-    torsion = tuple(sorted(d for d in divisors if d > 1))
-    return free, torsion
+    using only the dense Smith oracle above."""
+    return _homology_from_divisors(middle_dim,
+                                   dense_smith_divisors(diff_in_rows),
+                                   dense_smith_divisors(diff_out_rows))
 
 
 def summary_via_dense_oracle(cx: ChainComplex):
     """Recompute an integral complex's ungraded homology with the dense
-    oracle."""
+    oracle, each differential's divisors computed once."""
+    divisors = {i: dense_smith_divisors(m.to_rows())
+                for i, m in cx.diffs.items()}
     out = {}
     for i in cx.degrees():
-        free, torsion = dense_homology(
-            cx.diff(i - 1).to_rows(), cx.diff(i).to_rows(), cx.rank(i))
+        free, torsion = _homology_from_divisors(
+            cx.rank(i), divisors.get(i - 1, []), divisors.get(i, []))
         if free or torsion:
             out[i] = (free, torsion)
+    return out
+
+
+def field_summary_via_dense_rank(cx: ChainComplex, graded: bool):
+    """``{key: dimension}`` of the homology of a complex stored over Z/p,
+    from dense ranks of its blocks: key (i, j) per quantum degree j when
+    ``graded``, else i."""
+    p = cx.ring.p
+    dense = {i: m.to_rows() for i, m in cx.diffs.items()}
+
+    def qs(i):
+        return cx.q[i] if graded else [None] * cx.rank(i)
+
+    def block_rank(i, j):
+        # rank of the part of d^i from and to quantum degree j
+        if i not in dense:
+            return 0
+        cols = [c for c, q in enumerate(qs(i)) if q == j]
+        rows = [r for r, q in enumerate(qs(i + 1)) if q == j]
+        return dense_rank_mod_p([[dense[i][r][c] for c in cols]
+                                 for r in rows], p)
+
+    out = {}
+    for i in cx.degrees():
+        for j in set(qs(i)):
+            dim = qs(i).count(j) - block_rank(i, j) - block_rank(i - 1, j)
+            if dim:
+                out[(i, j) if graded else i] = dim
     return out
 
 
