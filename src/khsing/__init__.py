@@ -5,7 +5,7 @@ invariant to singular links via iterated mapping cones."""
 from .chain import (ChainComplex, ChainMap, Homotopy, cone,
                     cone_cocone_homotopy, cone_factor, cone_functorial_map,
                     cone_hfunc_homotopy, is_chain_map)
-from .diagram import Diagram, State, from_braid, parse
+from .diagram import Diagram, from_braid, parse
 from .exactlinalg import (HomologySummary, QQ, Ring, SmithDecomposition,
                           SparseMatrix, ZZ, homology_at, rank,
                           smith_normal_form)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainComplex", "ChainMap", "CubeComplex", "Diagram", "FrobeniusAlgebra",
     "GenusOneMap", "HomologySummary", "Homotopy", "LaurentPoly", "QQ", "Ring",
-    "SmithDecomposition", "SparseMatrix", "State", "ZZ", "build_cube", "cone",
+    "SmithDecomposition", "SparseMatrix", "ZZ", "build_cube", "cone",
     "cone_cocone_homotopy", "cone_factor", "cone_functorial_map",
     "cone_hfunc_homotopy", "from_braid",
     "genus_one_map", "homology_at", "homology_signature",

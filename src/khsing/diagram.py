@@ -315,26 +315,6 @@ class Diagram:
         return CircleConfiguration(self, smoothing, tuple(circles),
                                    crossing_arcs)
 
-    def resolve(self, state: "State") -> "CircleConfiguration":
-        """Circles of a full resolution given by a State object."""
-        res = dict(state.resolution)
-        smo = dict(state.smoothing)
-        if set(res) != set(self.singular_indices):
-            raise ContractViolation("state resolution keys differ from the "
-                                    "diagram's double points")
-        if set(smo) != set(range(self.n_crossings)):
-            raise ContractViolation("state smoothing keys differ from the "
-                                    "diagram's crossing set")
-        d = self
-        for i, sgn in sorted(res.items()):
-            d = d.resolve_double_point(i, sgn)
-        mask = 0
-        for i, bit in smo.items():
-            if bit not in (0, 1):
-                raise ContractViolation("smoothing choices must be 0 or 1")
-            mask |= bit << i
-        return d._resolve_mask(mask)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -348,23 +328,6 @@ class Diagram:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-@dataclass(frozen=True)
-class State:
-    """A resolution of every double point plus a smoothing of every crossing.
-
-    ``resolution`` maps double-point indices to +1/-1; ``smoothing`` maps
-    every crossing index (ordinary and resolved) to 0 or 1.
-    """
-
-    resolution: tuple
-    smoothing: tuple
-
-    @classmethod
-    def make(cls, resolution: dict, smoothing: dict) -> "State":
-        return cls(tuple(sorted(resolution.items())),
-                   tuple(sorted(smoothing.items())))
 
 
 @dataclass(frozen=True)

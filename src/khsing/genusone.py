@@ -33,7 +33,7 @@ from .errors import ContractViolation
 from .exactlinalg import HomologySummary, SparseMatrix
 from .frobenius import FrobeniusAlgebra
 from .khcube import (CubeComplex, _bracket_cube, _phi_block, _phi_map,
-                     _place, build_cube)
+                     build_cube)
 
 
 def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
@@ -50,7 +50,8 @@ def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
     k = config.n_circles
     i1, i2 = config.crossing_arcs[crossing]
     entries = {}
-    _place(entries, 0, 0, 1, () if i1 == i2 else _phi_block(F, k, i1, i2))
+    for r, col, v in () if i1 == i2 else _phi_block(F, k, i1, i2):
+        entries.setdefault(r, {})[col] = v
     return SparseMatrix(1 << k, 1 << k, F.ring, entries)
 
 

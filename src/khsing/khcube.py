@@ -15,10 +15,18 @@ reproducible across runs.  This module is the one place that knows it.
 
 A saddle's block depends only on its circle pattern (merge or split, the
 circle counts and the touched circles), and a crossing change's only on
-the circle count and its two circles, so a cube build makes each block
-once, in one dict keyed by pattern that lives for the build.
-``_phi_map`` assembles the crossing-change chain map between two cubes
-from the same blocks.
+the circle count and its two circles.  So a cube build makes each block
+once per edge sign, in one dict that lives for the build.  Its key is
+flat: the two vertices' arcs at the crossing, their circle counts and the
+sign; the pattern is worked out only for a new key.  A cached block is
+already multiplied by its sign and reduced into the ring, zeros dropped,
+so each entry is written once, as it is stored, and each matrix is
+wrapped by ``SparseMatrix._unchecked``.  That is safe by construction:
+``Ring.coerce`` made every value, every index is a generator of the two
+vertices (an offset plus circle bits below 2^k), no zero is written, and
+a row exists only once a value lands in it.  Distinct edges never share
+an entry, so nothing is summed.  ``_phi_map`` assembles the
+crossing-change chain map between two cubes the same way.
 """
 
 from __future__ import annotations
@@ -69,13 +77,6 @@ class CubeComplex:
         return self.complex.homology(ring=ring, graded=graded)
 
 
-def _place(rows: dict, row0: int, col0: int, sign: int, block) -> None:
-    """Write ``sign`` times a (row, col, value) ``block`` into the rows
-    ``{row: {col: value}}`` with its corner at (row0, col0)."""
-    for r, col, v in block:
-        rows.setdefault(row0 + r, {})[col0 + col] = sign * v
-
-
 def _state_order(n: int):
     """All state masks sorted lexicographically by bit tuple (b0, ..., bn-1)."""
     masks = list(range(1 << n))
@@ -112,20 +113,6 @@ def _saddle_pattern(src_cfg, tgt_cfg, c: int):
         raise ContractViolation(
             "saddle does not change the circle count; diagram is not planar")
     return ("split", k_src, k_tgt, (i1,), (d1, d2))
-
-
-def _phi_pattern(src_cfg, tgt_cfg, c: int):
-    """Key ("phi", k, i1, i2) of the crossing change at crossing c out of a
-    state that 1-smooths c on circles i1 != i2, or None where the map
-    vanishes (both strands on one circle).  The two states must have the
-    same circles."""
-    i1, i2 = src_cfg.crossing_arcs[c]
-    if i1 == i2:
-        return None
-    if tgt_cfg.circles != src_cfg.circles:
-        raise ContractViolation(
-            "resolved configurations disagree; inconsistent cubes")
-    return ("phi", src_cfg.n_circles, i1, i2)
 
 
 def _saddle_block(F: FrobeniusAlgebra, pattern):
@@ -171,14 +158,34 @@ def _phi_block(F: FrobeniusAlgebra, k: int, i1: int, i2: int):
     return [(r, col, v) for (r, col), v in entries.items() if v]
 
 
-def _block(F: FrobeniusAlgebra, blocks: dict, pattern):
-    """The block of a saddle or crossing-change ``pattern``, looked up in or
-    added to ``blocks``."""
-    block = blocks.get(pattern)
+def _in_ring(F: FrobeniusAlgebra, sign: int, block):
+    """``sign`` times a (row, col, value) ``block``, each value reduced into
+    the ring, zeros dropped: entries ready to be stored as they are."""
+    out = []
+    for r, col, v in block:
+        v = F.ring.coerce(sign * v)
+        if v:
+            out.append((r, col, v))
+    return out
+
+
+def _phi_entries(F: FrobeniusAlgebra, blocks: dict, src_cfg, tgt_cfg,
+                 c: int, sign: int):
+    """``sign`` times the crossing change at crossing c out of a state that
+    1-smooths c, into the state with the same circles that 0-smooths it,
+    reduced into the ring (see ``_in_ring``); empty where both strands lie
+    on one circle.  Cached in ``blocks`` under (arcs of c, circle count,
+    sign); the two states' circles are compared on every call."""
+    if tgt_cfg.circles != src_cfg.circles:
+        raise ContractViolation(
+            "resolved configurations disagree; inconsistent cubes")
+    arcs, k = src_cfg.crossing_arcs[c], src_cfg.n_circles
+    key = (arcs, k, sign)  # shorter than a saddle's key, so never equal
+    block = blocks.get(key)
     if block is None:
-        block = blocks[pattern] = (_phi_block(F, *pattern[1:])
-                                   if pattern[0] == "phi"
-                                   else _saddle_block(F, pattern))
+        i1, i2 = arcs
+        block = blocks[key] = (
+            [] if i1 == i2 else _in_ring(F, sign, _phi_block(F, k, i1, i2)))
     return block
 
 
@@ -209,7 +216,8 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     ``_phi_block``.  Both carry (-1)^shift, the sign W[shift] gives the
     differential.  At (h, t) = (0, 0) vertex (r, s) has quantum degrees
     internal + |s| + n_plus - 2 * n_minus of its resolved diagram.  Each
-    block is built once, in a dict keyed by pattern for this call."""
+    block is built once per sign, already in the ring, in a dict for this
+    call, and the rows are stored unchecked (see the module docstring)."""
     n = d.n_crossings
     parity = -1 if shift % 2 else 1
     pieces = {r: _resolved(d, sites, r) for r in range(1 << len(sites))}
@@ -220,8 +228,9 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                 for k in {cfg.n_circles for cfg in configs.values()}}
     q_shift = {r: p.n_plus - 2 * p.n_minus for r, p in pieces.items()}
     levels = {}  # degree -> its vertices in layout order
+    s_order = _state_order(n)
     for r in _state_order(len(sites)):
-        for s in _state_order(n):
+        for s in s_order:
             levels.setdefault(s.bit_count() + 2 * r.bit_count() + shift,
                               []).append((r, s))
     offsets = {}
@@ -236,35 +245,42 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                 j = s.bit_count() + q_shift[r]
                 qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
 
-    blocks = {}  # edge pattern -> its block, for this call only
+    blocks = {}  # edge key -> its signed, ring-reduced entries, for this call
     diffs = {}
-    # one degree at a time, so that only one degree's rows are held twice
     for deg in sorted(levels):
         rows = {}
         # distinct edges never share an entry, nor terms of one edge
         for r, s in levels[deg]:
             cfg = configs[(r, s)]
+            arcs, k_src = cfg.crossing_arcs, cfg.n_circles
             col0 = offsets[(r, s)]
+            sign = parity  # (-1)^shift times the check sign of bit c
             for c in range(n):
                 if s >> c & 1:
+                    sign = -sign
                     continue
                 tgt = (r, s | 1 << c)
-                block = _block(F, blocks,
-                               _saddle_pattern(cfg, configs[tgt], c))
-                _place(rows, offsets[tgt], col0, parity * _sign_bits(s, c),
-                       block)
+                tcfg = configs[tgt]
+                key = (arcs[c], tcfg.crossing_arcs[c], k_src, tcfg.n_circles,
+                       sign)
+                block = blocks.get(key)
+                if block is None:
+                    block = blocks[key] = _in_ring(F, sign, _saddle_block(
+                        F, _saddle_pattern(cfg, tcfg, c)))
+                row0 = offsets[tgt]
+                for i, j, v in block:
+                    rows.setdefault(row0 + i, {})[col0 + j] = v
             for k, b in enumerate(sites):
                 if r >> k & 1 or not s >> b & 1:
                     continue
                 tgt = (r | 1 << k, s & ~(1 << b))
-                pattern = _phi_pattern(cfg, configs[tgt], b)
-                if pattern:
-                    _place(rows, offsets[tgt], col0,
-                           -parity * _sign_bits(s, b),
-                           _block(F, blocks, pattern))
+                row0 = offsets[tgt]
+                for i, j, v in _phi_entries(F, blocks, cfg, configs[tgt], b,
+                                            -parity * _sign_bits(s, b)):
+                    rows.setdefault(row0 + i, {})[col0 + j] = v
         if rows:
-            diffs[deg] = SparseMatrix(ranks[deg + 1], ranks[deg], F.ring,
-                                      rows)
+            diffs[deg] = SparseMatrix._unchecked(ranks[deg + 1], ranks[deg],
+                                                 F.ring, rows)
     cx = ChainComplex._unchecked(F.ring, ranks, diffs, qdeg)
     return CubeComplex(cx, d, F, shift, tuple(sites), configs, offsets)
 
@@ -285,15 +301,18 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
         if not s >> c & 1:
             continue
         t = (r, s & ~(1 << c))
-        pattern = _phi_pattern(src.configs[(r, s)], tgt.configs[t], c)
-        if pattern:
-            _place(comps.setdefault(s.bit_count() + 2 * r.bit_count()
-                                    + src.shift, {}),
-                   tgt.offsets[t], col0, _sign_bits(s, c),
-                   _block(F, blocks, pattern))
+        block = _phi_entries(F, blocks, src.configs[(r, s)], tgt.configs[t],
+                             c, _sign_bits(s, c))
+        if block:
+            rows = comps.setdefault(
+                s.bit_count() + 2 * r.bit_count() + src.shift, {})
+            row0 = tgt.offsets[t]
+            for i, j, v in block:
+                rows.setdefault(row0 + i, {})[col0 + j] = v
     return ChainMap(src.complex, tgt.complex, {
-        deg: SparseMatrix(tgt.complex.rank(deg), src.complex.rank(deg),
-                          F.ring, rows) for deg, rows in comps.items()})
+        deg: SparseMatrix._unchecked(tgt.complex.rank(deg),
+                                     src.complex.rank(deg), F.ring, rows)
+        for deg, rows in comps.items()})
 
 
 def cone_pieces(cube: CubeComplex, c: int):

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from khsing.diagram import (Diagram, ORDINARY, SINGULAR, State, from_braid,
-                            parse)
+from khsing.diagram import Diagram, ORDINARY, SINGULAR, from_braid, parse
 from khsing.errors import ContractViolation, ParseError
 
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -120,16 +119,6 @@ class TestResolve:
                     a = d.resolve_bits(mask).n_circles
                     b = d.resolve_bits(mask ^ (1 << c)).n_circles
                     assert abs(a - b) == 1
-
-    def test_state_api(self):
-        d = parse({"pd": HOPF_PD, "singular": [0]})
-        st = State.make({0: -1}, {0: 1, 1: 0})
-        cfg = d.resolve(st)
-        assert cfg.n_circles in (1, 2)
-        with pytest.raises(ContractViolation):
-            d.resolve(State.make({}, {0: 0, 1: 0}))
-        with pytest.raises(ContractViolation):
-            d.resolve(State.make({0: -1}, {0: 0}))
 
 
 class TestMirror:

@@ -6,8 +6,9 @@ import pytest
 from khsing.chain import cone, is_chain_map
 from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
-from khsing.exactlinalg import QQ, Ring, ZZ
+from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
 from khsing.frobenius import FrobeniusAlgebra
+from khsing.genusone import genus_one_map
 from khsing.khcube import build_cube, cone_pieces
 
 from util import (SignModule, check_sign, reference_bracket_differentials,
@@ -15,6 +16,7 @@ from util import (SignModule, check_sign, reference_bracket_differentials,
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
+F5 = Ring.prime_field(5)
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF_PD = [[1, 3, 2, 4], [3, 1, 4, 2]]
 
@@ -273,6 +275,55 @@ class TestAssemblyAgainstReference:
         assert set(ref) == set(cube.complex.diffs)
         for w, m in ref.items():
             assert cube.complex.diff(w) == m, w
+
+    @pytest.mark.parametrize("name", sorted(DIAGRAMS))
+    @pytest.mark.parametrize("ring,h,t", [(F2, 1, 0), (F5, 2, 3)],
+                             ids=["F2_10", "F5_23"])
+    def test_bracket_cube_matches_reference_mod_p(self, name, ring, h, t):
+        # the points above all have -1 != 1; over F2 -1 = 1, and over F5
+        # at (2, 3) the entries h and t and their negatives all reduce
+        d = from_braid(*self.DIAGRAMS[name])
+        cube = build_cube(d, FrobeniusAlgebra(ring, h, t), normalize=False)
+        ref = reference_bracket_differentials(cube)
+        assert set(ref) == set(cube.complex.diffs)
+        for w, m in ref.items():
+            assert cube.complex.diff(w) == m, w
+
+
+class TestBuilderGuarantee:
+    # the builders reduce each block into the ring once and store its rows
+    # unchecked: every matrix must be what the checked constructor makes of
+    # its own rows, with no zero, no empty row and, over Z/p, no value
+    # outside [0, p)
+    POINTS = [(ring, h, t) for ring in (ZZ, QQ, F2, F3, F5)
+              for h, t in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    POINTS += [(F3, 2, 0), (F5, 3, 4)]  # -h or t needs reducing
+
+    @staticmethod
+    def assert_stored_reduced(m):
+        rows = {r: dict(row) for r, row in m.row_items()}
+        assert m == SparseMatrix(m.rows, m.cols, m.ring, rows)
+        for row in rows.values():
+            assert row and all(row.values())
+            if m.ring.p:
+                assert all(0 <= v < m.ring.p for v in row.values())
+
+    @pytest.mark.parametrize("ring,h,t", POINTS,
+                             ids=[f"{r}_{h}{t}" for r, h, t in POINTS])
+    @pytest.mark.parametrize("word,c", [
+        ([(0, -1), (1, 1), (0, -1), (1, 1)], 2),  # no double point
+        ([(0, -1), (1, 0), (0, 1), (1, -1)], 0),
+        ([(0, 0), (1, -1), (0, 0), (1, 1), (0, 1)], 1),
+    ], ids=["plain", "one_site", "two_sites"])
+    def test_rows_are_what_the_checked_constructor_makes(self, word, c,
+                                                         ring, h, t):
+        g = genus_one_map(from_braid(word, 3), c, FrobeniusAlgebra(ring, h, t))
+        matrices = [*g.source.complex.diffs.values(),
+                    *g.target.complex.diffs.values(),
+                    *g.map.components.values()]
+        assert g.map.components and all(m.nnz() for m in matrices)
+        for m in matrices:
+            self.assert_stored_reduced(m)
 
 
 class TestBracketDuality:
