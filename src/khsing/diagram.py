@@ -244,19 +244,6 @@ class Diagram:
         return Diagram(crossings, kinds, self.free_loops, None,
                        over_hints=hints)
 
-    def smooth_crossing(self, i: int, choice: int) -> "Diagram":
-        """Delete crossing ``i`` after joining its edges per the smoothing."""
-        a, b, c, d = self.crossings[i]
-        find = _joined(((a, b), (c, d)) if choice == 0 else ((a, d), (b, c)))
-        keep = [j for j in range(self.n_crossings) if j != i]
-        kinds = [self.kinds[j] for j in keep]
-        new_rest = [tuple(find(e) for e in self.crossings[j]) for j in keep]
-        hints = {ix: self.over_entry[j] for ix, j in enumerate(keep)}
-        used = {e for t in new_rest for e in t}
-        loops = len({find(e) for e in (a, b, c, d) if find(e) not in used})
-        return Diagram(new_rest, kinds, self.free_loops + loops, None,
-                       over_hints=hints)
-
     def disjoint_union(self, other: "Diagram") -> "Diagram":
         shift = max((e for c in self.crossings for e in c), default=0)
         crossings = self.crossings + tuple(

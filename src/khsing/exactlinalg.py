@@ -1,32 +1,34 @@
 """Exact sparse linear algebra over Z, Q, and Z/p.
 
 Everything downstream (cube complexes, mapping cones, homology) reduces to
-three primitives implemented here: exact rank, Smith normal form over the
-integers, and null-space bases.  All three run one elimination routine,
-``_eliminate``, on a copy of a matrix's rows, over Z or modulo a prime p.
+three primitives implemented here: exact rank, the Smith divisors of an
+integer matrix, and null-space bases.  All three run one elimination
+routine, ``_eliminate``, on a copy of a matrix's rows, over Z or modulo a
+prime p.
 
 A ``SparseMatrix`` keeps one layout from assembly to elimination: rows,
 ``{row: {col: int}}``.  The builders hand rows to its checked constructor;
-products, sums, q-blocks, blocks, transposes, ring changes and transforms
-are built unchecked from checked matrices.  Its ``data`` view, ``{(row,
-col): value}``, serves callers outside the package only.
+products, sums, q-blocks, blocks, transposes and ring changes are built
+unchecked from checked matrices.  Its ``data`` view, ``{(row, col):
+value}``, serves callers outside the package only.
 
 Every entry is a Python int.  Z and Q store the same integers, Z/p stores
 residues in [0, p); a value that is not an integer is refused.  The ring
 only decides how a matrix is reduced: the rank over Q of an integer matrix
-is its rank over Z, so Q shares Z's elimination, and Smith normal form
-applies to Z alone.
+is its rank over Z, so Q shares Z's elimination, and Smith divisors apply
+to Z alone.
 
 Pivot rule: a heap orders the active rows by (smallest |entry|, length), so
 unit entries in short rows come first.  Within the chosen row the pivot is
 the smallest entry whose column is shortest, which keeps fill-in low
 (Markowitz).  Row operations clear its column: division with remainder
 over Z, the inverse over Z/p.  The pivot retires once its column is
-otherwise zero and it divides the rest of its row, which column operations
-then clear; any remainder puts the row back on the heap (the Euclid step
-over Z).  When no transforms are recorded, a pivot that divides its row
-just drops the row.  Smith normal form finally turns the retired pivots
-into a divisor chain with 2x2 gcd/lcm steps on the non-unit ones.
+otherwise zero; if it divides the rest of its row, the row just drops.
+Otherwise (over Z only) column operations leave the remainders in the row,
+which goes back on the heap (the Euclid step).  A tracked run records the
+row operations, and only those; it takes the same pivots as an untracked
+one.  The Smith divisors come from the retired pivots by gcd/lcm steps on
+the non-unit ones.
 
 Unit prefix: the pivots retired before the first row whose smallest
 |entry| exceeds 1 is taken (all of them over Z/p).  Each cleared its column
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 from types import MappingProxyType
 
 from .errors import ContractViolation
@@ -351,26 +354,16 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Divisor chain d1 | d2 | ... | dr with optional unimodular transforms.
-
-    When transforms are requested, ``left * m * right`` equals the
-    diag(d1, ..., dr) rectangular matrix of the input's shape.
-    """
+    """The Smith divisors d1 | d2 | ... | dr of a ``rows`` x ``cols``
+    integer matrix, all positive."""
 
     diagonal: tuple[int, ...]
     rows: int
     cols: int
-    left: SparseMatrix | None = None
-    right: SparseMatrix | None = None
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
-
-    def diagonal_matrix(self) -> SparseMatrix:
-        return SparseMatrix._unchecked(
-            self.rows, self.cols, ZZ,
-            {i: {i: d} for i, d in enumerate(self.diagonal)})
 
 
 def _axpy(y: dict, f: int, x: dict, p: int | None) -> None:
@@ -400,12 +393,12 @@ def _eliminate(m: SparseMatrix, track: bool = False):
     """Reduce a copy of the rows of ``m`` until only pivots remain.
 
     The arithmetic is over Z, or over Z/p when ``m`` is stored over Z/p.
-    Returns ``(pivots, left, right, units)`` where ``pivots`` lists
-    ``[row, col, d]`` with d > 0 in the order they retired.  With ``track``,
-    ``left`` (row -> {col: v}) and ``right`` (col -> {row: v}) are
-    invertible and ``left * m * right`` is zero except for d at each pivot
-    position; otherwise both are None.  ``pivots[:units]`` is the unit
-    prefix (see the module docstring).
+    Returns ``(pivots, left, units)`` where ``pivots`` lists ``[row, col,
+    d]`` with d > 0 in the order they retired and ``pivots[:units]`` is the
+    unit prefix (see the module docstring).  With ``track``, ``left`` (row
+    -> {row of m: v}) records the row operations: it is invertible, and
+    each row of ``left * m`` that did not retire as a pivot is zero.
+    Otherwise ``left`` is None.  Tracking changes no pivot.
 
     Over F2, untracked: each row is an int bit mask over its columns and is
     reduced by the earlier pivot masks at its highest set bit, which only
@@ -430,14 +423,13 @@ def _eliminate(m: SparseMatrix, track: bool = False):
                     pivots.append([r, top, 1])
                     break
                 mask ^= b
-        return pivots, None, None, len(pivots)
+        return pivots, None, len(pivots)
     rows = {r: dict(row) for r, row in m._rows.items()}
     cols = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
     left = {r: {r: 1} for r in range(m.rows)} if track else None
-    right = {c: {c: 1} for c in range(m.cols)} if track else None
 
     def entry(r, row):
         return 1 if p else min(map(abs, row.values())), len(row), r
@@ -486,106 +478,54 @@ def _eliminate(m: SparseMatrix, track: bool = False):
             heapq.heappush(heap, top)
             continue
 
-        # clear the pivot row with column operations; the pivot column is
+        # over Z, a pivot that does not divide its row leaves the
+        # remainders there by column operations; the pivot column is
         # otherwise zero, so they touch no other row
-        divides = small == 1 or all(v % a == 0 for v in prow.values())
-        if track or not divides:
+        if not (small == 1 or all(v % a == 0 for v in prow.values())):
             for c, v in list(prow.items()):
                 if c == pc:
                     continue
-                f = v * inv % p if p else v // a
-                if track:
-                    _axpy(right[c], -f, right[pc], p)
-                rem = 0 if p else v - f * a
-                if rem:
-                    prow[c] = rem
+                if v % a:
+                    prow[c] = v % a
                 else:
                     del prow[c]
                     cols[c].discard(pr)
-            if len(prow) > 1:
-                heapq.heappush(heap, entry(pr, prow))
-                continue
+            heapq.heappush(heap, entry(pr, prow))
+            continue
 
         for c in prow:
             cols[c].discard(pr)
         del rows[pr]
-        if a < 0 and track:
-            left[pr] = {c: -v for c, v in left[pr].items()}
         pivots.append([pr, pc, abs(a)])
-    return pivots, left, right, len(pivots) if units is None else units
+    return pivots, left, len(pivots) if units is None else units
 
 
-def _xgcd(a: int, b: int):
-    """(g, s, t) with s * a + t * b = g = gcd(a, b), for a, b > 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
-def _comb(x: dict, s: int, y: dict, t: int) -> dict:
-    """s * x + t * y for sparse integer vectors."""
-    out = {}
-    _axpy(out, s, x, None)
-    _axpy(out, t, y, None)
-    return out
-
-
-def _divisor_chain(pivots: list, left=None, right=None) -> None:
-    """Reorder and combine Z pivots in place into a chain d1 | d2 | ...
+def _divisor_chain(ds: list) -> list:
+    """The Smith divisors d1 | d2 | ... of the positive pivots ``ds`` of an
+    elimination over Z.
 
     Units sort to the front and are skipped.  Each later pair (a, b) with
-    a not dividing b becomes (g, lcm) by the unimodular step
-    [[s, t], [-b/g, a/g]] diag(a, b) [[1, -t b/g], [1, s a/g]], s a + t b = g,
-    applied to the rows of ``left`` and the columns of ``right`` when given.
-    After pass i, entry i is the gcd of entries i.. and divides all of them.
+    a not dividing b becomes (gcd, lcm): diag(a, b) and diag(g, a b / g)
+    are equivalent over Z.  After pass i, entry i is the gcd of entries i..
+    and divides all of them.
     """
-    pivots.sort(key=lambda pv: pv[2])
-    start = next((i for i, pv in enumerate(pivots) if pv[2] > 1), len(pivots))
-    for i in range(start, len(pivots)):
-        for j in range(i + 1, len(pivots)):
-            ra, ca, a = pivots[i]
-            rb, cb, b = pivots[j]
-            if b % a == 0:
-                continue
-            g, s, t = _xgcd(a, b)
-            pivots[i][2], pivots[j][2] = g, a // g * b
-            if left is None:
-                continue
-            la, lb, xa, xb = left[ra], left[rb], right[ca], right[cb]
-            left[ra] = _comb(la, s, lb, t)
-            left[rb] = _comb(la, -(b // g), lb, a // g)
-            right[ca] = _comb(xa, 1, xb, 1)
-            right[cb] = _comb(xa, -t * (b // g), xb, s * (a // g))
+    ds = sorted(ds)
+    for i in range(ds.count(1), len(ds)):
+        for j in range(i + 1, len(ds)):
+            a, b = ds[i], ds[j]
+            if b % a:
+                g = gcd(a, b)
+                ds[i], ds[j] = g, a // g * b
+    return ds
 
 
-def smith_normal_form(m: SparseMatrix, transforms: bool = False) -> SmithDecomposition:
-    """Smith normal form of an integer matrix.
-
-    Returns the divisor chain d1 | d2 | ... | dr (all positive) and, when
-    ``transforms`` is set, unimodular L and R with ``L * m * R`` equal to the
-    rectangular diagonal matrix of the divisors.
-    """
+def smith_normal_form(m: SparseMatrix) -> SmithDecomposition:
+    """The Smith divisors d1 | d2 | ... | dr (all positive) of an integer
+    matrix, from one untracked elimination."""
     if m.ring.kind != "Z":
         raise ContractViolation("Smith normal form requires integer entries")
-    pivots, left, right, _ = _eliminate(m, track=transforms)
-    _divisor_chain(pivots, left, right)
-    diag = tuple(d for _, _, d in pivots)
-    if not transforms:
-        return SmithDecomposition(diag, m.rows, m.cols)
-    # pivot k moves to position (k, k); the zero rows and columns follow
-    prs = [r for r, _, _ in pivots]
-    pcs = [c for _, c, _ in pivots]
-    row_order = prs + sorted(set(range(m.rows)) - set(prs))
-    col_order = pcs + sorted(set(range(m.cols)) - set(pcs))
-    return SmithDecomposition(
-        diag, m.rows, m.cols,
-        SparseMatrix._unchecked(m.rows, m.rows, ZZ,
-                                {k: left[r] for k, r in enumerate(row_order)}),
-        SparseMatrix._unchecked(m.cols, m.cols, ZZ, _transposed(
-            (k, right[c]) for k, c in enumerate(col_order))))
+    ds = _divisor_chain([d for _, _, d in _eliminate(m)[0]])
+    return SmithDecomposition(tuple(ds), m.rows, m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +539,21 @@ def rank(m: SparseMatrix) -> int:
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:
-    """Columns spanning the null space of a matrix over a field."""
+    """Columns spanning the null space of a matrix over a field.
+
+    A tracked elimination of the transpose records its row operations L.
+    Each row of L mT that is not a pivot ends zero, so the matching row of
+    L is a kernel vector of m; L is invertible, so these m.cols - rank
+    vectors are independent.
+    """
     ring = m.ring
     if not ring.is_field:
         raise ContractViolation("kernel basis requires a field")
-    pivots, _, right, _ = _eliminate(m, track=True)
-    # L m R is zero outside the pivot columns, so the other columns of R
-    # span the kernel
-    used = {c for _, c, _ in pivots}
-    free = [c for c in range(m.cols) if c not in used]
+    pivots, left, _ = _eliminate(m.transpose(), track=True)
+    used = {r for r, _, _ in pivots}
+    free = [r for r in range(m.cols) if r not in used]
     return SparseMatrix._unchecked(m.cols, len(free), ring, _transposed(
-        (j, right[c]) for j, c in enumerate(free)))
+        (j, left[r]) for j, r in enumerate(free)))
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +658,12 @@ def _rank_torsion(m: SparseMatrix, ring: Ring):
     prefix of its elimination.  A zero matrix is not reduced."""
     if m.is_zero():
         return 0, (), ()
-    pivots, _, _, units = _eliminate(m)
+    pivots, _, units = _eliminate(m)
     cancelled = tuple(r for r, _, _ in pivots[:units])
     if ring.is_field:
         return len(pivots), (), cancelled
-    _divisor_chain(pivots)
-    return len(pivots), tuple(d for _, _, d in pivots if d > 1), cancelled
+    ds = _divisor_chain([d for _, _, d in pivots])
+    return len(pivots), tuple(d for d in ds if d > 1), cancelled
 
 
 def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, ring: Ring):

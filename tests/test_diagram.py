@@ -182,20 +182,6 @@ class TestDoublePoints:
         assert d.crossing_change(0).crossing_change(0) == d
 
 
-class TestSmoothing:
-    def test_kink_smoothing_creates_loop(self):
-        d = from_braid([(0, 1)], 2)  # positive kink
-        s0 = d.smooth_crossing(0, 0)
-        assert s0.n_crossings == 0
-        assert s0.n_components == 2  # two loops: the strand and the kink
-
-    def test_hopf_smoothing(self):
-        d = parse({"pd": HOPF_PD})
-        s = d.smooth_crossing(0, 0)
-        assert s.n_crossings == 1
-        assert s.n_components == 1
-
-
 class TestBraidClosure:
     def test_markov_unknots(self):
         assert from_braid([(0, 1)], 2).n_components == 1
