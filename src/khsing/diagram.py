@@ -41,7 +41,8 @@ class Diagram:
 
     __slots__ = ("crossings", "kinds", "free_loops", "name",
                  "over_entry", "components", "_labels", "_pd_index", "_ends",
-                 "_signs")
+                 "_signs", "singular_indices", "ordinary_indices", "n_plus",
+                 "n_minus")
 
     def __init__(self, crossings, kinds=None, free_loops=0, name=None,
                  over_hints=None):
@@ -78,6 +79,13 @@ class Diagram:
                 ends[e].append((ci, slot))
         self._ends = tuple(map(tuple, ends))
         self._signs = tuple(1 if oe == 3 else -1 for oe in self.over_entry)
+        self.singular_indices = tuple(
+            i for i, k in enumerate(kinds) if k == SINGULAR)
+        self.ordinary_indices = tuple(
+            i for i, k in enumerate(kinds) if k == ORDINARY)
+        self.n_plus = sum(1 for i in self.ordinary_indices
+                          if self._signs[i] > 0)
+        self.n_minus = len(self.ordinary_indices) - self.n_plus
 
     # -- validation and traversal -------------------------------------------
 
@@ -146,14 +154,6 @@ class Diagram:
         return len(self.crossings)
 
     @property
-    def singular_indices(self) -> tuple:
-        return tuple(i for i, k in enumerate(self.kinds) if k == SINGULAR)
-
-    @property
-    def ordinary_indices(self) -> tuple:
-        return tuple(i for i, k in enumerate(self.kinds) if k == ORDINARY)
-
-    @property
     def n_singular(self) -> int:
         return len(self.singular_indices)
 
@@ -161,14 +161,6 @@ class Diagram:
         if self.kinds[i] != ORDINARY:
             raise ContractViolation(f"crossing {i} is a double point; no sign")
         return self._signs[i]
-
-    @property
-    def n_plus(self) -> int:
-        return sum(1 for i in self.ordinary_indices if self._signs[i] > 0)
-
-    @property
-    def n_minus(self) -> int:
-        return sum(1 for i in self.ordinary_indices if self._signs[i] < 0)
 
     @property
     def writhe(self) -> int:

@@ -18,23 +18,29 @@ only decides how a matrix is reduced: the rank over Q of an integer matrix
 is its rank over Z, so Q shares Z's elimination, and Smith divisors apply
 to Z alone.
 
-Pivot rule: a heap orders the active rows by (smallest |entry|, length), so
-unit entries in short rows come first.  Within the chosen row the pivot is
-the smallest entry whose column is shortest, which keeps fill-in low
-(Markowitz).  Row operations clear its column: division with remainder
-over Z, the inverse over Z/p.  The pivot retires once its column is
-otherwise zero; if it divides the rest of its row, the row just drops.
+Pivot rule: first the unit singletons are peeled.  A row that holds one
+entry, a unit (+-1 over Z, any nonzero residue over Z/p), cancels by
+deleting its column from the other rows; a row this leaves with one entry
+is peeled in turn, one left empty drops.  This is the singleton removal of
+structured Gaussian elimination, and it takes most pivots of a Khovanov
+differential.  Then a heap orders the remaining rows by (smallest |entry|,
+length), so unit entries in short rows come first.  Within the chosen row
+the pivot is the smallest entry whose column is shortest, which keeps
+fill-in low (Markowitz).  Row operations clear its column: division with
+remainder over Z, the inverse over Z/p.  The pivot retires once its column
+is otherwise zero; if it divides the rest of its row, the row just drops.
 Otherwise (over Z only) column operations leave the remainders in the row,
 which goes back on the heap (the Euclid step).  A tracked run records the
 row operations, and only those; it takes the same pivots as an untracked
 one.  The Smith divisors come from the retired pivots by gcd/lcm steps on
 the non-unit ones.
 
-Unit prefix: the pivots retired before the first row whose smallest
-|entry| exceeds 1 is taken (all of them over Z/p).  Each cleared its column
-exactly, so up to there the elimination is an LU factorization with unit
-pivots, and the prefix names a unimodular minor.  A later unit pivot may
-follow a Euclid step and mix rows, so it does not count.
+Unit prefix: the peeled pivots, then those the heap retires before the
+first row whose smallest |entry| exceeds 1 is taken (all of them over
+Z/p).  Each cleared its column exactly, so up to there the elimination is
+an LU factorization with unit pivots, and the prefix names a unimodular
+minor.  A later unit pivot may follow a Euclid step and mix rows, so it
+does not count.
 
 Over F2: a sum of rows is the symmetric difference of their column sets.
 The product runs ``set.symmetric_difference_update`` over the rows each row
@@ -177,16 +183,6 @@ class SparseMatrix:
     def identity(cls, n: int, ring: Ring) -> "SparseMatrix":
         return cls._unchecked(n, n, ring, {i: {i: 1} for i in range(n)})
 
-    @classmethod
-    def from_rows(cls, rows_list, ring: Ring) -> "SparseMatrix":
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        if any(len(row) != cols for row in rows_list):
-            raise ContractViolation("ragged row lengths")
-        return cls(rows, cols, ring,
-                   {r: {c: v for c, v in enumerate(row) if v}
-                    for r, row in enumerate(rows_list)})
-
     # -- basic access ------------------------------------------------------
 
     @property
@@ -200,13 +196,6 @@ class SparseMatrix:
 
     def entry(self, r: int, c: int):
         return self._rows.get(r, {}).get(c, 0)
-
-    def to_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, row in self._rows.items():
-            for c, v in row.items():
-                out[r][c] = v
-        return out
 
     def nnz(self) -> int:
         return sum(map(len, self._rows.values()))
@@ -395,10 +384,12 @@ def _eliminate(m: SparseMatrix, track: bool = False):
     The arithmetic is over Z, or over Z/p when ``m`` is stored over Z/p.
     Returns ``(pivots, left, units)`` where ``pivots`` lists ``[row, col,
     d]`` with d > 0 in the order they retired and ``pivots[:units]`` is the
-    unit prefix (see the module docstring).  With ``track``, ``left`` (row
-    -> {row of m: v}) records the row operations: it is invertible, and
-    each row of ``left * m`` that did not retire as a pivot is zero.
-    Otherwise ``left`` is None.  Tracking changes no pivot.
+    unit prefix (see the module docstring).  The unit singletons are peeled
+    before the heap is built; a singleton that is no unit waits for the
+    heap and its Euclid steps.  With ``track``, ``left`` (row -> {row of
+    m: v}) records the row operations: it is invertible, and each row of
+    ``left * m`` that did not retire as a pivot is zero.  Otherwise
+    ``left`` is None.  Tracking changes no pivot.
 
     Over F2, untracked: each row is an int bit mask over its columns and is
     reduced by the earlier pivot masks at its highest set bit, which only
@@ -431,6 +422,34 @@ def _eliminate(m: SparseMatrix, track: bool = False):
             cols.setdefault(c, set()).add(r)
     left = {r: {r: 1} for r in range(m.rows)} if track else None
 
+    # Singleton removal: a unit alone in its row cancels by deleting its
+    # column from the other rows.  A row that this leaves with one entry
+    # joins the work list, one left empty drops.
+    pivots = []
+    todo = [r for r, row in rows.items() if len(row) == 1]
+    while todo:
+        pr = todo.pop()
+        prow = rows.get(pr)
+        if prow is None:
+            continue
+        [(pc, a)] = prow.items()
+        if not (p or a in (1, -1)):
+            continue
+        del rows[pr]
+        for r in cols.pop(pc):
+            if r == pr:
+                continue
+            row = rows[r]
+            v = row.pop(pc)
+            if track:
+                _axpy(left[r], -(v * pow(a, -1, p) if p else v * a),
+                      left[pr], p)
+            if len(row) == 1:
+                todo.append(r)
+            elif not row:
+                del rows[r]
+        pivots.append([pr, pc, abs(a)])
+
     def entry(r, row):
         return 1 if p else min(map(abs, row.values())), len(row), r
 
@@ -438,7 +457,6 @@ def _eliminate(m: SparseMatrix, track: bool = False):
     # entry, so the smallest valid one always names the best active row.
     heap = [entry(r, row) for r, row in rows.items()]
     heapq.heapify(heap)
-    pivots = []
     units = None
     while heap:
         top = heapq.heappop(heap)

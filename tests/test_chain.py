@@ -18,6 +18,7 @@ from khsing.frobenius import FrobeniusAlgebra
 from khsing.khcube import build_cube
 
 from util import (_apply_ops, anticommutator_perturbation,
+                  matrix_from_dense,
                   commutator_perturbation, compose_family, direct_sum,
                   family_after_map, family_anticommutator, family_commutator,
                   homotopy_sum, identity_map, map_sum, null_homotopic_map,
@@ -263,7 +264,7 @@ def elementary_sums(draw):
         for a, b, c in ops[i]:
             for row in rows:
                 row[b] -= c * row[a]
-        diffs[i] = SparseMatrix.from_rows(rows, ZZ)
+        diffs[i] = matrix_from_dense(rows, ZZ)
     cx = ChainComplex(ZZ, {i: len(g) for i, g in qs.items()}, diffs,
                       q={i: tuple(g) for i, g in qs.items()})
     return cx, pieces

@@ -11,7 +11,8 @@ from khsing.exactlinalg import (HomologySummary, QQ, Ring, SparseMatrix, ZZ,
 from khsing.frobenius import FrobeniusAlgebra
 
 from util import (dense_homology, dense_rank_mod_p, dense_rank_rational,
-                  dense_smith_divisors, random_complex)
+                  dense_rows, dense_smith_divisors, matrix_from_dense,
+                  random_complex)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -19,7 +20,7 @@ F5 = Ring.prime_field(5)
 
 
 def M(rows, ring=ZZ):
-    return SparseMatrix.from_rows(rows, ring)
+    return matrix_from_dense(rows, ring)
 
 
 class TestRing:
@@ -75,7 +76,7 @@ class TestSparseMatrix:
         for _ in range(25):
             a = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(4)]
             b = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)]
-            prod = (M(a) * M(b)).to_rows()
+            prod = dense_rows(M(a) * M(b))
             expect = [[sum(a[i][k] * b[k][j] for k in range(3))
                        for j in range(2)] for i in range(4)]
             assert prod == expect
@@ -157,7 +158,7 @@ class TestKernelBasis:
             for _ in range(25):
                 rows = [[ring.coerce(rng.randint(-3, 3)) for _ in range(4)]
                         for _ in range(3)]
-                m = SparseMatrix.from_rows(rows, ring)
+                m = matrix_from_dense(rows, ring)
                 k = kernel_basis(m)
                 assert (m * k).is_zero()
                 assert k.cols == 4 - rank(m)
@@ -187,12 +188,12 @@ class TestEliminationProperties:
     @given(sparse_int_matrices())
     def test_smith_divisors_match_oracle(self, m):
         assert list(smith_normal_form(m).diagonal) == \
-            dense_smith_divisors(m.to_rows())
+            dense_smith_divisors(dense_rows(m))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(sparse_int_matrices(), st.sampled_from([2, 3, 5]))
     def test_prime_field_rank_counts_coprime_divisors(self, m, p):
-        divisors = dense_smith_divisors(m.to_rows())
+        divisors = dense_smith_divisors(dense_rows(m))
         assert rank(m.change_ring(Ring.prime_field(p))) == \
             sum(1 for d in divisors if d % p)
 
@@ -215,7 +216,7 @@ class TestEliminationProperties:
         rows = [r for r, _, _ in pivots]
         assert (left, units) == (None, len(pivots))
         assert len(pivots) == len(_eliminate(m, track=True)[0])
-        dense = m.to_rows()
+        dense = dense_rows(m)
         assert len(set(rows)) == len(rows)
         assert dense_rank_mod_p([dense[r] for r in rows], 2) == len(rows)
 
@@ -230,6 +231,31 @@ class TestEliminationProperties:
             assert len(tracked) == len(untracked)
         else:
             assert tracked == untracked
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sparse_int_matrices(), st.sampled_from([ZZ, F3, F5]),
+           st.booleans())
+    def test_unit_prefix_is_an_invertible_minor(self, m, ring, track):
+        # the forward pass cancels the unit prefix's rows and columns, so
+        # they must carry a minor that is invertible over the ring
+        m = m.change_ring(ring)
+        pivots, _, units = _eliminate(m, track=track)
+        dense = dense_rows(m)
+        minor = [[dense[r][c] for _, c, _ in pivots[:units]]
+                 for r, _, _ in pivots[:units]]
+        divisors = dense_smith_divisors(minor)
+        assert len(divisors) == units
+        if ring.p:
+            assert all(d % ring.p for d in divisors)
+        else:
+            assert all(d == 1 for d in divisors)
+
+    def test_non_unit_singleton_is_not_cancelled(self):
+        # 2 is alone in its row but no unit: deleting its column would
+        # give the divisor 2
+        m = M([[2], [3]])
+        assert smith_normal_form(m).diagonal == (1,)
+        assert _eliminate(m)[2] == 0
 
 
 ENTRIES = st.sampled_from((0, 0, 0, -2, -1, 1, 2, 3))
@@ -248,7 +274,7 @@ def reduced(rows, ring):
 def assert_stored_as(m, want):
     """``m`` equals the dense ``want`` (already reduced) and stores no zero
     entry, no empty row and nothing outside its shape."""
-    assert m.to_rows() == want
+    assert dense_rows(m) == want
     for r, row in m.row_items():
         assert row and 0 <= r < m.rows
         for c, v in row.items():
@@ -387,8 +413,8 @@ class TestHomologyAt:
             cx = random_complex(rng, ZZ, torsion=True)
             for i in cx.degrees():
                 got = homology_at(cx.diff(i - 1), cx.diff(i), ZZ)
-                want = dense_homology(cx.diff(i - 1).to_rows(),
-                                      cx.diff(i).to_rows(), cx.rank(i))
+                want = dense_homology(dense_rows(cx.diff(i - 1)),
+                                      dense_rows(cx.diff(i)), cx.rank(i))
                 assert (got[0], tuple(got[1])) == want
 
 

@@ -1,5 +1,6 @@
 """Shared test helpers: the sign modules behind the cube's signs,
-independent dense Smith and rank oracles, an enumerator of generator labels,
+conversions between matrices and dense rows, independent dense Smith and
+rank oracles, an enumerator of generator labels,
 column-by-column reference builders of the cube and crossing-change
 matrices, and generators of random complexes, chain
 maps, and homotopy data whose hypotheses hold by construction."""
@@ -76,6 +77,27 @@ def shuffle_sign(A: SignModule) -> int:
             if a > b:
                 inversions += 1
     return (-1) ** inversions
+
+
+# ---------------------------------------------------------------------------
+# Dense rows: the oracles' layout
+# ---------------------------------------------------------------------------
+
+
+def matrix_from_dense(rows, ring: Ring) -> SparseMatrix:
+    """The matrix over ``ring`` with the equal-length dense rows ``rows``."""
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, ring,
+                        {r: {c: v for c, v in enumerate(row) if v}
+                         for r, row in enumerate(rows)})
+
+
+def dense_rows(m: SparseMatrix):
+    """The entries of ``m`` as a list of dense rows."""
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for r, row in m.row_items():
+        for c, v in row.items():
+            out[r][c] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +252,7 @@ def dense_homology(diff_in_rows, diff_out_rows, middle_dim):
 def summary_via_dense_oracle(cx: ChainComplex):
     """Recompute an integral complex's ungraded homology with the dense
     oracle, each differential's divisors computed once."""
-    divisors = {i: dense_smith_divisors(m.to_rows())
+    divisors = {i: dense_smith_divisors(dense_rows(m))
                 for i, m in cx.diffs.items()}
     out = {}
     for i in cx.degrees():
@@ -246,7 +268,7 @@ def field_summary_via_dense_rank(cx: ChainComplex, graded: bool):
     from dense ranks of its blocks: key (i, j) per quantum degree j when
     ``graded``, else i."""
     p = cx.ring.p
-    dense = {i: m.to_rows() for i, m in cx.diffs.items()}
+    dense = {i: dense_rows(m) for i, m in cx.diffs.items()}
 
     def qs(i):
         return cx.q[i] if graded else [None] * cx.rank(i)
@@ -531,7 +553,7 @@ def random_complex(rng, ring: Ring, span=4, max_rank=3, torsion=False,
         for a, j, c in trans[i][1]:
             for row in rows:
                 row[j] -= c * row[a]
-        diffs[i] = SparseMatrix.from_rows(rows, ring) if rows else None
+        diffs[i] = matrix_from_dense(rows, ring) if rows else None
     ranks = {i: n for i, n in ranks.items() if n}
     return ChainComplex(ring, ranks, {i: m for i, m in diffs.items()
                                       if m is not None})
