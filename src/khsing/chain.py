@@ -354,7 +354,7 @@ def _family_precompose(H: Homotopy, f: ChainMap) -> dict:
             for i in set(f.source.degrees())}
 
 
-def _family_sum(a: dict, b: dict, ring) -> dict:
+def _family_sum(a: dict, b: dict) -> dict:
     out = {}
     for i in set(a) | set(b):
         m, n = a.get(i), b.get(i)
@@ -509,8 +509,7 @@ def cone_hfunc_homotopy(f: ChainMap, g: ChainMap, f_prime: ChainMap,
             raise ContractViolation(f"composite {name} is not strictly zero")
     Xp = f_prime.source
     Z = g.target
-    rhs = _family_sum(_composite_family(g, F), _family_precompose(G, f_prime),
-                      Z.ring)
+    rhs = _family_sum(_composite_family(g, F), _family_precompose(G, f_prime))
     _require_relation(_family_defect(Psi, -1), rhs, "dPsi - Psi d = gF + Gf'")
 
     ghat = cone_factor(f, g)
@@ -556,11 +555,11 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
             raise ContractViolation(f"composite {name} is not strictly zero")
     ring = h.target.ring
     rhs_psi = _family_sum(_composite_family(g, F),
-                          _family_precompose(G, f_prime), ring)
+                          _family_precompose(G, f_prime))
     _require_relation(_family_defect(Psi, -1), rhs_psi,
                       "dPsi - Psi d = gF + Gf'")
     rhs_xi = _family_sum(_composite_family(h, G),
-                         _family_precompose(H, g_prime), ring)
+                         _family_precompose(H, g_prime))
     _require_relation(_family_defect(Xi, -1), rhs_xi,
                       "dXi - Xi d = hG + Hg'")
     rhs_gamma = {}

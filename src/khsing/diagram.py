@@ -66,10 +66,9 @@ class Diagram:
         self.kinds = kinds
         self.free_loops = int(free_loops)
         self.name = name
-        self.over_entry, self.components = self._trace(over_hints or {})
         # edge labels in ascending order, each crossing as indices into them
-        # and each edge's two (crossing, slot) ends: every state resolves
-        # from these without a sort
+        # and each edge's (crossing, slot) ends: the traversal, the planarity
+        # check and every state's resolution read these
         self._labels = tuple(sorted({e for c in crossings for e in c}))
         index = {e: i for i, e in enumerate(self._labels)}
         self._pd_index = tuple(tuple(index[e] for e in c) for c in crossings)
@@ -78,6 +77,8 @@ class Diagram:
             for slot, e in enumerate(c):
                 ends[e].append((ci, slot))
         self._ends = tuple(map(tuple, ends))
+        self.over_entry, self.components = self._trace(over_hints or {})
+        self._check_planar()
         self._signs = tuple(1 if oe == 3 else -1 for oe in self.over_entry)
         self.singular_indices = tuple(
             i for i, k in enumerate(kinds) if k == SINGULAR)
@@ -90,16 +91,13 @@ class Diagram:
     # -- validation and traversal -------------------------------------------
 
     def _trace(self, over_hints):
-        endpoints = {}
-        for ci, c in enumerate(self.crossings):
-            for slot, e in enumerate(c):
-                endpoints.setdefault(e, []).append((ci, slot))
-        for e, eps in endpoints.items():
+        pd, ends, labels = self._pd_index, self._ends, self._labels
+        for e, eps in zip(labels, ends):
             if len(eps) != 2:
                 raise ParseError(
                     f"edge label {e} appears {len(eps)} times (expected 2)")
 
-        n = len(self.crossings)
+        n = len(pd)
         visited = set()  # entry points (ci, slot)
         over_entry = {}
         components = []
@@ -120,17 +118,14 @@ class Diagram:
                                          "inconsistent orientation data")
                     over_entry[ci] = slot
                 exit_slot = (slot + 2) % 4
-                label = self.crossings[ci][exit_slot]
-                a, b = endpoints[label]
-                nxt = b if a == (ci, exit_slot) else a
-                if nxt == (ci, exit_slot):  # label twice at the same position
-                    raise ParseError(f"edge {label} does not close up")
-                comp.append(label)
-                if nxt[1] == 2:
+                e = pd[ci][exit_slot]
+                a, b = ends[e]
+                cur = b if a == (ci, exit_slot) else a
+                comp.append(labels[e])
+                if cur[1] == 2:
                     raise ParseError(
-                        f"edge {label} runs into an outgoing position; "
+                        f"edge {labels[e]} runs into an outgoing position; "
                         "non-closing traversal")
-                cur = nxt
                 if cur == start:
                     break
             return tuple(comp)
@@ -146,6 +141,32 @@ class Diagram:
         if len(visited) != 2 * n:
             raise ParseError("traversal did not cover the diagram")
         return tuple(over_entry[ci] for ci in range(n)), tuple(components)
+
+    def _check_planar(self):
+        """Euler's formula: each connected piece of the crossing graph, with
+        n crossings and 2n edges, bounds n + 2 faces.  A face arrives at an
+        end of an edge and leaves by the next slot counterclockwise."""
+        pd, ends = self._pd_index, self._ends
+        seen = set()  # (crossing, slot) ends, each on one face
+        faces = pieces = 0
+        for root in range(len(pd)):
+            # each piece is walked whole before the next root
+            pieces += (root, 0) not in seen
+            todo = [root]
+            while todo:
+                ci = todo.pop()
+                for cur in ((ci, 0), (ci, 1), (ci, 2), (ci, 3)):
+                    faces += cur not in seen
+                    while cur not in seen:
+                        seen.add(cur)
+                        a, b = ends[pd[cur[0]][cur[1]]]
+                        cj, slot = b if a == cur else a
+                        todo.append(cj)
+                        cur = (cj, (slot + 1) % 4)
+        if faces != len(pd) + 2 * pieces:
+            raise ParseError(
+                f"diagram is not planar: it has {faces} faces, where Euler's "
+                f"formula needs {len(pd) + 2 * pieces}")
 
     # -- basic queries -------------------------------------------------------
 
@@ -182,44 +203,31 @@ class Diagram:
                 f"{self.n_singular} singular, loops={self.free_loops}{tag})")
 
     # -- editing -------------------------------------------------------------
-    #
-    # All editing operations pass the current over-entry data down as hints
-    # so that components which are over-everywhere keep their orientation
-    # across derived diagrams (their PD tuples alone do not determine it).
 
-    def _hints(self) -> dict:
-        return dict(enumerate(self.over_entry))
-
-    def _rotated(self, i: int):
-        """Tuple and new over-entry slot after flipping crossing i.
-
-        The rotation keeps the counterclockwise order and the orientation:
-        the old over-strand becomes the under-strand, so the old under-entry
-        (slot 0) names the new over-entry slot.
-        """
-        a, b, c, d = self.crossings[i]
-        if self._signs[i] > 0:
-            return (d, a, b, c), 1
-        return (b, c, d, a), 3
+    def _rebuilt(self, flips, kinds, name=None) -> "Diagram":
+        """This diagram with ``kinds``, over and under swapped at the
+        crossings ``flips`` by a rotation that keeps the counterclockwise
+        order and the orientation: the old under-entry (slot 0) names the new
+        over-entry slot.  Every over-entry passes down as a hint, so that a
+        component over everywhere keeps its orientation."""
+        crossings = list(self.crossings)
+        hints = dict(enumerate(self.over_entry))
+        for i in flips:
+            a, b, c, d = crossings[i]
+            crossings[i], hints[i] = (
+                ((d, a, b, c), 1) if self._signs[i] > 0 else ((b, c, d, a), 3))
+        return Diagram(crossings, kinds, self.free_loops, name,
+                       over_hints=hints)
 
     def crossing_change(self, i: int) -> "Diagram":
         """Flip over/under at an ordinary crossing, preserving orientation."""
         self.crossing_sign(i)  # contract: ordinary
-        crossings = list(self.crossings)
-        hints = self._hints()
-        crossings[i], hints[i] = self._rotated(i)
-        return Diagram(crossings, self.kinds, self.free_loops, None,
-                       over_hints=hints)
+        return self._rebuilt((i,), self.kinds)
 
     def mirror(self) -> "Diagram":
         """Swap over and under at every ordinary crossing."""
-        crossings = list(self.crossings)
-        hints = self._hints()
-        for i in self.ordinary_indices:
-            crossings[i], hints[i] = self._rotated(i)
         name = f"mirror({self.name})" if self.name else None
-        return Diagram(crossings, self.kinds, self.free_loops, name,
-                       over_hints=hints)
+        return self._rebuilt(self.ordinary_indices, self.kinds, name)
 
     def resolve_double_point(self, i: int, sign: int) -> "Diagram":
         """Replace double point ``i`` by an ordinary crossing of given sign."""
@@ -227,23 +235,16 @@ class Diagram:
             raise ContractViolation(f"crossing {i} is not a double point")
         if sign not in (1, -1):
             raise ContractViolation("resolution sign must be +1 or -1")
-        crossings = list(self.crossings)
-        hints = self._hints()
-        if self._signs[i] != sign:
-            crossings[i], hints[i] = self._rotated(i)
         kinds = list(self.kinds)
         kinds[i] = ORDINARY
-        return Diagram(crossings, kinds, self.free_loops, None,
-                       over_hints=hints)
+        return self._rebuilt((i,) if self._signs[i] != sign else (), kinds)
 
     def disjoint_union(self, other: "Diagram") -> "Diagram":
         shift = max((e for c in self.crossings for e in c), default=0)
         crossings = self.crossings + tuple(
             tuple(e + shift for e in c) for c in other.crossings)
         kinds = self.kinds + other.kinds
-        hints = self._hints()
-        for j, oe in enumerate(other.over_entry):
-            hints[self.n_crossings + j] = oe
+        hints = dict(enumerate(self.over_entry + other.over_entry))
         name = None
         if self.name and other.name:
             name = f"{self.name}+{other.name}"
@@ -260,9 +261,6 @@ class Diagram:
         """
         if self.n_singular:
             raise ContractViolation("resolve double points before smoothing")
-        return self._resolve_mask(smoothing)
-
-    def _resolve_mask(self, smoothing: int) -> "CircleConfiguration":
         # walk each circle: leave an edge through one end, cross to the
         # slot that the smoothing joins to it (0: 0-1 and 2-3; 1: 0-3 and
         # 1-2) and enter the edge there
@@ -291,8 +289,7 @@ class Diagram:
         crossing_arcs = tuple(
             (circle_of[a], circle_of[b if smoothing >> ci & 1 else c])
             for ci, (a, b, c, _d) in enumerate(pd))
-        return CircleConfiguration(self, smoothing, tuple(circles),
-                                   crossing_arcs)
+        return CircleConfiguration(smoothing, tuple(circles), crossing_arcs)
 
     # -- serialization -------------------------------------------------------
 
@@ -320,7 +317,6 @@ class CircleConfiguration:
     for the 1-smoothing the (slot0, slot3) and (slot1, slot2) arcs.
     """
 
-    diagram: Diagram
     smoothing: int
     circles: tuple
     crossing_arcs: tuple
@@ -369,24 +365,6 @@ def parse(text) -> Diagram:
     return Diagram(pd, kinds, free_loops, obj.get("name"))
 
 
-def _joined(pairs):
-    """Union-find over edge labels with each pair of ``pairs`` joined: the
-    returned ``find`` maps a label to the smallest label of its class."""
-    parent = {}
-
-    def find(e):
-        while parent.get(e, e) != e:
-            parent[e] = parent.get(parent[e], parent[e])
-            e = parent[e]
-        return e
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    return find
-
-
 def _is_int(v) -> bool:
     """JSON integers only: bool is an int subclass and floats truncate."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -424,11 +402,13 @@ def from_braid(word, strands: int, name=None) -> Diagram:
         kinds.append(SINGULAR if kind == 0 else ORDINARY)
         cur[p], cur[p + 1] = u2, v2
 
-    # close up: identify the top of each strand with its bottom
-    find = _joined((cur[p], p + 1) for p in range(strands))
-    merged = [tuple(find(e) for e in t) for t in crossings]
+    # close up: the top label of each strand names its bottom label p + 1.
+    # A label at most ``strands`` never moves, so cur[p] is p + 1 (a strand
+    # without crossings, a free loop) or fresh: the pairs form a matching
+    bottom = {cur[p]: p + 1 for p in range(strands)}
+    merged = [tuple(bottom.get(e, e) for e in t) for t in crossings]
     used = sorted({e for t in merged for e in t})
     relabel = {e: i + 1 for i, e in enumerate(used)}
     final = [tuple(relabel[e] for e in t) for t in merged]
-    loops = len({find(p + 1) for p in range(strands)} - {find(e) for e in used})
+    loops = sum(cur[p] == p + 1 for p in range(strands))
     return Diagram(final, kinds, loops, name, over_hints=hints)

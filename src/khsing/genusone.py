@@ -15,11 +15,13 @@ complexes.
 A diagram with double points is evaluated on one cube of resolutions
 (``khcube._bracket_cube``): each vertex resolves every double point one way
 or the other and smooths every crossing, and its edges are the saddles and
-the crossing changes at the double points.  This is the iterated mapping
-cone over the double points in flattened form, built in place at its final
-degrees, shifted by -(n_minus + 2 * n_double).  Every crossing-change map
-between two such complexes, and so each leaf of the literal iterated cone,
-is assembled by ``khcube._phi_map``.
+the crossing changes at the double points.  A crossing change swaps the 0-
+and 1-smoothing of its site, so the 2^m resolutions share their 2^n planar
+smoothings, and the cube resolves each of them once.  This is the iterated
+mapping cone over the double points in flattened form, built in place at
+its final degrees, shifted by -(n_minus + 2 * n_double).  Every
+crossing-change map between two such complexes, and so each leaf of the
+literal iterated cone, is assembled by ``khcube._phi_map``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _sites(d: Diagram, site_order) -> tuple:
+    """The double points of ``d`` in ``site_order`` (default: index order)."""
+    sites = tuple(site_order) if site_order is not None else d.singular_indices
+    if sorted(sites) != sorted(d.singular_indices):
+        raise ContractViolation("site order must enumerate the double points")
+    return sites
+
+
 def singular_complex(d: Diagram, F: FrobeniusAlgebra,
                      site_order=None) -> CubeComplex:
     """Flattened iterated-cone complex of a singular diagram: its cube of
@@ -71,16 +81,16 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     crossing-change maps (with a uniform minus sign; the alternating signs
     that make distinct double points anticommute live in the state-level
     check signs), and the total is shifted by -(n_minus + 2 * n_double).
-    ``_bracket_cube`` builds all of it in place, in its final degrees.
+    ``_bracket_cube`` builds all of it in place, in its final degrees, and
+    resolves each of the 2^n planar smoothings once: every scheme reads
+    them off the diagram with all its double points resolved negatively.
 
     d^2 = 0 is checked once, on the total complex: its diagonal blocks are
     the d^2 of each bracket cube, and its off-diagonal blocks say that each
     crossing-change map is a chain map and that the maps at distinct
     double points anticommute.
     """
-    sites = tuple(site_order) if site_order is not None else d.singular_indices
-    if sorted(sites) != sorted(d.singular_indices):
-        raise ContractViolation("site order must enumerate the double points")
+    sites = _sites(d, site_order)
     cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites)
     cube.complex.validate()
     return cube
@@ -113,8 +123,8 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
     """Crossing-change map out of a diagram with a negative crossing at c.
 
     The target diagram is ``d_minus`` with crossing c made positive; other
-    double points are allowed and are carried along piecewise.  The
-    construction is verified to be a chain map.
+    double points are allowed and are carried along as sites of both
+    cubes.  The construction is verified to be a chain map.
     """
     if d_minus.kinds[c] != ORDINARY:
         raise ContractViolation(f"crossing {c} is a double point")
@@ -156,9 +166,7 @@ def singular_complex_iterated(d: Diagram, F: FrobeniusAlgebra,
     once.  A cube serves the m leaf maps along its edges of the cube of
     resolutions, one per double point, and is dropped after the m-th.
     """
-    sites = tuple(site_order) if site_order is not None else d.singular_indices
-    if sorted(sites) != sorted(d.singular_indices):
-        raise ContractViolation("site order must enumerate the double points")
+    sites = _sites(d, site_order)
     if not sites:
         return build_cube(d, F).complex
     b = sites[0]

@@ -9,6 +9,14 @@ positively, through the genus-one morphism.  Each edge is weighted by the
 alternating check sign of its bit in s.  With no double points this is the
 ordinary Khovanov cube.
 
+A crossing change swaps the 0- and 1-smoothing of its site, so vertex
+(r, s) is smoothing s ^ ``_flip(sites, r)`` of the diagram with every site
+resolved negatively, and a crossing-change edge joins two vertices of one
+smoothing.  Its arcs are those of piece r but at a site that r resolves
+positively and s 0-smooths, where they come reversed; only the saddle out
+of the vertex reads them, and its block is symmetric in the two circles
+(m and Delta are (co)commutative).
+
 Generator order is by vertex (r, then s, each lexicographic in the bit
 tuple), then lexicographic in the circle bit tuple, so matrices are
 reproducible across runs.  This module is the one place that knows it.
@@ -61,8 +69,10 @@ class CubeComplex:
     |s| + 2|r| + ``shift``.  A generator is identified by its vertex offset
     and bit index: generator ``offsets[(r, s)] + g`` of that degree assigns
     to circle i of the vertex (in canonical circle order) the bit of g at
-    weight 2^(k - 1 - i), 0 for the unit and 1 for x.  ``configs`` caches
-    the circle configuration of every vertex.  With no sites, r is 0.
+    weight 2^(k - 1 - i), 0 for the unit and 1 for x.  ``configs`` lists
+    the circle configurations of the 2^n planar smoothings by state mask:
+    vertex (r, s) has ``configs[s ^ _flip(sites, r)]`` (see the module
+    docstring).  With no sites, r is 0.
     """
 
     complex: ChainComplex
@@ -70,7 +80,7 @@ class CubeComplex:
     algebra: FrobeniusAlgebra
     shift: int
     sites: tuple
-    configs: dict
+    configs: list
     offsets: dict
 
     def homology(self, ring=None, graded=None):
@@ -79,18 +89,13 @@ class CubeComplex:
 
 def _state_order(n: int):
     """All state masks sorted lexicographically by bit tuple (b0, ..., bn-1)."""
-    masks = list(range(1 << n))
-    masks.sort(key=lambda m: tuple((m >> i) & 1 for i in range(n)))
-    return masks
+    return sorted(range(1 << n), key=lambda m: f"{m:0{n}b}"[::-1])
 
 
-def _resolved(d: Diagram, sites, rmask: int) -> Diagram:
-    """``d`` with double point ``sites[k]`` resolved positively where bit k
-    of ``rmask`` is set, negatively otherwise."""
-    out = d
-    for k, b in enumerate(sites):
-        out = out.resolve_double_point(b, +1 if (rmask >> k) & 1 else -1)
-    return out
+def _flip(sites, r: int) -> int:
+    """The crossings that scheme r resolves positively, as a state mask:
+    bit ``sites[k]`` for each set bit k of r."""
+    return sum(1 << b for k, b in enumerate(sites) if r >> k & 1)
 
 
 def _saddle_pattern(src_cfg, tgt_cfg, c: int):
@@ -109,9 +114,6 @@ def _saddle_pattern(src_cfg, tgt_cfg, c: int):
     k_src, k_tgt = src_cfg.n_circles, tgt_cfg.n_circles
     if i1 != i2:
         return ("merge", k_src, k_tgt, (i1, i2), (d1,))
-    if d1 == d2:
-        raise ContractViolation(
-            "saddle does not change the circle count; diagram is not planar")
     return ("split", k_src, k_tgt, (i1,), (d1, d2))
 
 
@@ -169,17 +171,13 @@ def _in_ring(F: FrobeniusAlgebra, sign: int, block):
     return out
 
 
-def _phi_entries(F: FrobeniusAlgebra, blocks: dict, src_cfg, tgt_cfg,
-                 c: int, sign: int):
-    """``sign`` times the crossing change at crossing c out of a state that
-    1-smooths c, into the state with the same circles that 0-smooths it,
-    reduced into the ring (see ``_in_ring``); empty where both strands lie
-    on one circle.  Cached in ``blocks`` under (arcs of c, circle count,
-    sign); the two states' circles are compared on every call."""
-    if tgt_cfg.circles != src_cfg.circles:
-        raise ContractViolation(
-            "resolved configurations disagree; inconsistent cubes")
-    arcs, k = src_cfg.crossing_arcs[c], src_cfg.n_circles
+def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int):
+    """``sign`` times the crossing change at crossing c out of a state
+    ``cfg`` that 1-smooths c, into the state with the same circles that
+    0-smooths it, reduced into the ring (see ``_in_ring``); empty where both
+    strands lie on one circle.  Cached in ``blocks`` under (arcs of c,
+    circle count, sign)."""
+    arcs, k = cfg.crossing_arcs[c], cfg.n_circles
     key = (arcs, k, sign)  # shorter than a saddle's key, so never equal
     block = blocks.get(key)
     if block is None:
@@ -216,17 +214,21 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     ``_phi_block``.  Both carry (-1)^shift, the sign W[shift] gives the
     differential.  At (h, t) = (0, 0) vertex (r, s) has quantum degrees
     internal + |s| + n_plus - 2 * n_minus of its resolved diagram.  Each
+    planar smoothing is resolved once (see the module docstring), each
     block is built once per sign, already in the ring, in a dict for this
-    call, and the rows are stored unchecked (see the module docstring)."""
+    call, and the rows are stored unchecked."""
     n = d.n_crossings
     parity = -1 if shift % 2 else 1
-    pieces = {r: _resolved(d, sites, r) for r in range(1 << len(sites))}
-    configs = {(r, s): piece.resolve_bits(s)
-               for r, piece in pieces.items() for s in range(1 << n)}
+    neg = d  # every site resolved negatively
+    for b in sites:
+        neg = neg.resolve_double_point(b, -1)
+    configs = [neg.resolve_bits(s) for s in range(1 << n)]
+    flips = [_flip(sites, r) for r in range(1 << len(sites))]
+    # a positive site moves a crossing from n_minus to n_plus: 3 more
+    q_neg = neg.n_plus - 2 * neg.n_minus
     # circle count k -> internal q-degree of each of its 2^k generators
     internal = {k: [k - 2 * g.bit_count() for g in range(1 << k)]
-                for k in {cfg.n_circles for cfg in configs.values()}}
-    q_shift = {r: p.n_plus - 2 * p.n_minus for r, p in pieces.items()}
+                for k in {cfg.n_circles for cfg in configs}}
     levels = {}  # degree -> its vertices in layout order
     s_order = _state_order(n)
     for r in _state_order(len(sites)):
@@ -238,11 +240,11 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     qdeg = {} if F.graded else None
     for deg, vertices in levels.items():
         for r, s in vertices:
-            k = configs[(r, s)].n_circles
+            k = configs[s ^ flips[r]].n_circles
             offsets[(r, s)] = ranks.get(deg, 0)
             ranks[deg] = offsets[(r, s)] + (1 << k)
             if qdeg is not None:
-                j = s.bit_count() + q_shift[r]
+                j = s.bit_count() + q_neg + 3 * r.bit_count()
                 qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
 
     blocks = {}  # edge key -> its signed, ring-reduced entries, for this call
@@ -251,7 +253,8 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
         rows = {}
         # distinct edges never share an entry, nor terms of one edge
         for r, s in levels[deg]:
-            cfg = configs[(r, s)]
+            flip = flips[r]
+            cfg = configs[s ^ flip]
             arcs, k_src = cfg.crossing_arcs, cfg.n_circles
             col0 = offsets[(r, s)]
             sign = parity  # (-1)^shift times the check sign of bit c
@@ -260,7 +263,7 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                     sign = -sign
                     continue
                 tgt = (r, s | 1 << c)
-                tcfg = configs[tgt]
+                tcfg = configs[tgt[1] ^ flip]
                 key = (arcs[c], tcfg.crossing_arcs[c], k_src, tcfg.n_circles,
                        sign)
                 block = blocks.get(key)
@@ -273,9 +276,9 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
             for k, b in enumerate(sites):
                 if r >> k & 1 or not s >> b & 1:
                     continue
-                tgt = (r | 1 << k, s & ~(1 << b))
-                row0 = offsets[tgt]
-                for i, j, v in _phi_entries(F, blocks, cfg, configs[tgt], b,
+                # the target vertex is smoothing cfg too
+                row0 = offsets[(r | 1 << k, s & ~(1 << b))]
+                for i, j, v in _phi_entries(F, blocks, cfg, b,
                                             -parity * _sign_bits(s, b)):
                     rows.setdefault(row0 + i, {})[col0 + j] = v
         if rows:
@@ -291,7 +294,8 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
     degree up so that the map has degree 0.  Unchecked.
 
     Vertex (r, s) with c 1-smoothed maps to (r, s - c) by its check sign
-    times its ``_phi_block``; every other vertex maps to zero."""
+    times its ``_phi_block``; every other vertex maps to zero.  Here two
+    separately resolved diagrams meet, so their circles are compared."""
     if tgt.shift != src.shift + 1:
         raise ContractViolation(f"crossing {c} is not negative")
     F = src.algebra
@@ -301,8 +305,12 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
         if not s >> c & 1:
             continue
         t = (r, s & ~(1 << c))
-        block = _phi_entries(F, blocks, src.configs[(r, s)], tgt.configs[t],
-                             c, _sign_bits(s, c))
+        flip = _flip(src.sites, r)
+        cfg = src.configs[s ^ flip]
+        if tgt.configs[t[1] ^ flip].circles != cfg.circles:
+            raise ContractViolation(
+                "resolved configurations disagree; inconsistent cubes")
+        block = _phi_entries(F, blocks, cfg, c, _sign_bits(s, c))
         if block:
             rows = comps.setdefault(
                 s.bit_count() + 2 * r.bit_count() + src.shift, {})
@@ -335,7 +343,7 @@ def cone_pieces(cube: CubeComplex, c: int):
     for (_r, mask), off in sorted(cube.offsets.items(), key=lambda kv: kv[1]):
         idx = y_idx if mask & bit else x_idx
         idx.setdefault(mask.bit_count(), []).extend(
-            range(off, off + (1 << cube.configs[(0, mask)].n_circles)))
+            range(off, off + (1 << cube.configs[mask].n_circles)))
     X = _sub_complex(cx, x_idx)
     Y = _sub_complex(cx, y_idx).shift(-1)
     comps = {w: -cx.diff(w).submatrix(y_idx[w + 1], xs)

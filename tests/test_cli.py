@@ -101,6 +101,16 @@ class TestHomologyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'pd' field" in err
 
+    @pytest.mark.parametrize("pd", [[[4, 3, 2, 1], [2, 1, 4, 3]],
+                                    [[1, 2, 1, 2]]])
+    def test_non_planar_exit_one(self, tmp_path, pd):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"pd": pd}))
+        code, out, err = run(["homology", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not planar" in err and "Traceback" not in err
+
     def test_missing_file_exit_one(self):
         code, _, _ = run(["homology", "/nonexistent/d.json"])
         assert code == 1

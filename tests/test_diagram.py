@@ -51,6 +51,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse({"pd": [[1, 3, 2, 4], [1, 4, 2, 3]]})
 
+    @pytest.mark.parametrize("pd", [[[4, 3, 2, 1], [2, 1, 4, 3]],
+                                    [[1, 2, 1, 2]]])
+    def test_non_planar_refused(self, pd):
+        # each passes the traversal; Euler's formula fails (2 faces, not
+        # 4; 1, not 3)
+        with pytest.raises(ParseError, match="not planar"):
+            parse({"pd": pd})
+
     def test_json_roundtrip(self):
         for pd, singular in ((TREFOIL_PD, []), (HOPF_PD, [0])):
             d = parse({"pd": pd, "singular": singular, "name": "x"})

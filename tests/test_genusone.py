@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from khsing import exactlinalg, genusone
 from khsing.chain import (ChainComplex, ChainMap, _block_homology, cone,
                           is_chain_map)
-from khsing.diagram import from_braid, parse
+from khsing.diagram import Diagram, from_braid, parse
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import (QQ, HomologySummary, Ring, SparseMatrix, ZZ,
                                 _rank_torsion)
@@ -15,9 +15,10 @@ from khsing.genusone import (genus_one_map, phi_local, singular_complex,
 from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
 from khsing.khcube import build_cube
 
-from util import (reference_genus_one_components, reference_labels,
-                  reference_singular_differentials, reference_singular_labels,
-                  field_summary_via_dense_rank, summary_via_dense_oracle)
+from util import (_resolved_pieces, reference_genus_one_components,
+                  reference_labels, reference_singular_differentials,
+                  reference_singular_labels, field_summary_via_dense_rank,
+                  summary_via_dense_oracle)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -351,6 +352,24 @@ class TestNoCopyWithoutDoublePoint:
             assert S.sites == () and S.shift == -n_minus
 
 
+class TestSharedSmoothings:
+    def test_each_planar_smoothing_resolved_once(self, monkeypatch):
+        # 2^n smoothings for the whole cube, not 2^n per resolution scheme
+        calls = []
+        resolve_bits = Diagram.resolve_bits
+
+        def counting_resolve_bits(self, smoothing):
+            calls.append(smoothing)
+            return resolve_bits(self, smoothing)
+
+        monkeypatch.setattr(Diagram, "resolve_bits", counting_resolve_bits)
+        d = from_braid(S6_3DP, 3)
+        assert (d.n_crossings, d.n_singular) == (6, 3)
+        S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
+        assert sorted(calls) == list(range(1 << 6))
+        assert len(S.configs) == 1 << 6
+
+
 class TestBuiltInPlace:
     def test_no_complex_shifted_after_it_is_built(self, monkeypatch):
         # every cube is built in its final degrees, odd shifts included
@@ -409,6 +428,24 @@ class TestRandomSingularClosures:
         S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
         chi = S.complex.graded_euler_characteristic()
         assert LaurentPoly(chi) == _skein_state_sum(d)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(singular_closures())
+    def test_vertex_is_a_shared_planar_smoothing(self, d):
+        # vertex (r, s) is smoothing s ^ flip of the negative resolution,
+        # flip the sites that r resolves positively: the circles of the
+        # piece's own smoothing s and its arcs, but reversed at a flipped
+        # site that s 0-smooths
+        S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
+        for r, piece in _resolved_pieces(S).items():
+            flip = sum(1 << b for k, b in enumerate(S.sites) if r >> k & 1)
+            for s in range(1 << d.n_crossings):
+                own = piece.resolve_bits(s)
+                cfg = S.configs[s ^ flip]
+                assert cfg.circles == own.circles, (r, s)
+                assert list(cfg.crossing_arcs) == [
+                    arcs[::-1] if flip >> c & 1 and not s >> c & 1 else arcs
+                    for c, arcs in enumerate(own.crossing_arcs)], (r, s)
 
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(singular_closures())
@@ -582,7 +619,7 @@ class TestConeFactorGenusOne:
                     for ix, (mask, _bits) in enumerate(labels):
                         offset.setdefault(mask, ix)
                     for mask, start in offset.items():
-                        cfg = cube.configs[(0, mask)]
+                        cfg = cube.configs[mask]
                         blk = phi_local(cfg, c, F)
                         for (r, col), v in blk.data.items():
                             entries.setdefault(start + r, {})[start + col] = v

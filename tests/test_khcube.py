@@ -116,7 +116,7 @@ class TestBuildCube:
         # 1, 2, 1 states by weight with circle counts 2, 1, 1, 2
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
-        assert [cube.configs[(0, m)].n_circles
+        assert [cube.configs[m].n_circles
                 for m in (0, 1, 2, 3)] == [2, 1, 1, 2]
         assert sorted(m.bit_count() for _r, m in cube.offsets) == [0, 1, 1, 2]
         assert [cube.complex.rank(w) for w in (0, 1, 2)] == [4, 4, 4]
