@@ -145,7 +145,9 @@ class ChainComplex:
         rows of the unit prefix of block j of d^(i-1): by Bar-Natan's
         Gaussian elimination lemma (arXiv:math/0606318, Lemma 4.2), those
         cancellations delete just these columns of d^i, so its image, rank
-        and divisors stay."""
+        and divisors stay.  Each block is cut from the rows of d^i through
+        a column map per degree: a column's place among the kept columns of
+        its q-block, or None."""
         if graded:
             self.check_bidegree()
             blocks = {i: {} for i in self.degrees()}
@@ -154,16 +156,18 @@ class ChainComplex:
                     by_q.setdefault(j, []).append(ix)
         else:
             blocks = {i: {None: range(n)} for i, n in self.ranks.items()}
-        reduced, cancelled = {}, {}
+        reduced, dropped = {}, {}  # degree i -> generators d^(i-1) cancelled
         for i in sorted(self.diffs):
+            drop, cut = dropped.get(i, ()), dropped.setdefault(i + 1, set())
+            place = [None] * self.rank(i)
             for j, cols in blocks.get(i, {}).items():
+                for k, c in enumerate([c for c in cols if c not in drop]):
+                    place[c] = k
                 rows = blocks.get(i + 1, {}).get(j, ())
-                drop = cancelled.get((i - 1, j), ())
-                m = self.diffs[i].submatrix(
-                    rows, [c for c in cols if c not in drop])
-                r, torsion, cut = _rank_torsion(m, self.ring)
+                r, torsion, units = _rank_torsion(self.diffs[i], self.ring,
+                                                  rows, place)
                 reduced[(i, j)] = r, torsion
-                cancelled[(i, j)] = {rows[k] for k in cut}
+                cut.update(rows[k] for k in units)
         return blocks, reduced
 
     def _block(self, blocks, i: int, j) -> SparseMatrix:
@@ -188,9 +192,9 @@ class ChainComplex:
         Each (degree, q-block) of each differential is then reduced once,
         in ascending degree, by rank over a field and by Smith normal form
         over Z: its rank counts at its source and at its target, its
-        divisors above 1 are torsion at its target.  A block leaves out the
-        columns that the unit pivots of the block below it cancelled (see
-        ``_reduced_blocks``).  Ungraded, each degree is a single block.
+        divisors above 1 are torsion at its target.  A block is read through
+        its degree's column map, which drops the columns the unit pivots
+        below cancelled (``_reduced_blocks``).  Ungraded: one block a degree.
         """
         ring = ring or self.ring
         cx = self if ring == self.ring else self.change_ring(ring)

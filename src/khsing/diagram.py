@@ -40,9 +40,9 @@ class Diagram:
     """
 
     __slots__ = ("crossings", "kinds", "free_loops", "name",
-                 "over_entry", "components", "_labels", "_pd_index", "_ends",
-                 "_signs", "singular_indices", "ordinary_indices", "n_plus",
-                 "n_minus")
+                 "over_entry", "components", "_labels", "_edges", "_partner",
+                 "_first", "_signs", "singular_indices", "ordinary_indices",
+                 "n_plus", "n_minus")
 
     def __init__(self, crossings, kinds=None, free_loops=0, name=None,
                  over_hints=None):
@@ -66,17 +66,22 @@ class Diagram:
         self.kinds = kinds
         self.free_loops = int(free_loops)
         self.name = name
-        # edge labels in ascending order, each crossing as indices into them
-        # and each edge's (crossing, slot) ends: the traversal, the planarity
-        # check and every state's resolution read these
+        # edge labels in ascending order; at each end x = 4 * crossing + slot
+        # its edge and the other end of that edge; one end of each edge: the
+        # traversal, the planarity check and each resolution walk these
         self._labels = tuple(sorted({e for c in crossings for e in c}))
         index = {e: i for i, e in enumerate(self._labels)}
-        self._pd_index = tuple(tuple(index[e] for e in c) for c in crossings)
+        self._edges = tuple(index[e] for c in crossings for e in c)
         ends = [[] for _ in self._labels]
-        for ci, c in enumerate(self._pd_index):
-            for slot, e in enumerate(c):
-                ends[e].append((ci, slot))
-        self._ends = tuple(map(tuple, ends))
+        for x, e in enumerate(self._edges):
+            ends[e].append(x)
+        partner = [0] * len(self._edges)
+        for e, xs in zip(self._labels, ends):
+            if len(xs) != 2:
+                raise ParseError(
+                    f"edge label {e} appears {len(xs)} times (expected 2)")
+            partner[xs[0]], partner[xs[1]] = xs[1], xs[0]
+        self._partner, self._first = tuple(partner), tuple(a for a, _ in ends)
         self.over_entry, self.components = self._trace(over_hints or {})
         self._check_planar()
         self._signs = tuple(1 if oe == 3 else -1 for oe in self.over_entry)
@@ -91,14 +96,9 @@ class Diagram:
     # -- validation and traversal -------------------------------------------
 
     def _trace(self, over_hints):
-        pd, ends, labels = self._pd_index, self._ends, self._labels
-        for e, eps in zip(labels, ends):
-            if len(eps) != 2:
-                raise ParseError(
-                    f"edge label {e} appears {len(eps)} times (expected 2)")
-
-        n = len(pd)
-        visited = set()  # entry points (ci, slot)
+        edges, partner, labels = self._edges, self._partner, self._labels
+        n = len(edges) // 4
+        visited = set()  # entry ends
         over_entry = {}
         components = []
 
@@ -110,34 +110,32 @@ class Diagram:
                     raise ParseError("traversal revisits an entry; "
                                      "inconsistent orientation data")
                 visited.add(cur)
-                ci, slot = cur
+                ci, slot = divmod(cur, 4)
                 if slot in (1, 3):
                     prev = over_entry.get(ci)
                     if prev is not None and prev != slot:
                         raise ParseError("over-strand entered at both slots; "
                                          "inconsistent orientation data")
                     over_entry[ci] = slot
-                exit_slot = (slot + 2) % 4
-                e = pd[ci][exit_slot]
-                a, b = ends[e]
-                cur = b if a == (ci, exit_slot) else a
-                comp.append(labels[e])
-                if cur[1] == 2:
+                e = labels[edges[cur ^ 2]]  # leaving by slot (slot + 2) % 4
+                cur = partner[cur ^ 2]
+                comp.append(e)
+                if cur & 3 == 2:
                     raise ParseError(
-                        f"edge {labels[e]} runs into an outgoing position; "
+                        f"edge {e} runs into an outgoing position; "
                         "non-closing traversal")
                 if cur == start:
                     break
             return tuple(comp)
 
         for ci in range(n):
-            if (ci, 0) not in visited:
-                components.append(walk((ci, 0)))
+            if 4 * ci not in visited:
+                components.append(walk(4 * ci))
         # Components that never pass under carry no orientation data in a PD
         # code; orient them by the caller's hint, defaulting to positive.
         for ci in range(n):
             if ci not in over_entry:
-                components.append(walk((ci, over_hints.get(ci, 3))))
+                components.append(walk(4 * ci + over_hints.get(ci, 3)))
         if len(visited) != 2 * n:
             raise ParseError("traversal did not cover the diagram")
         return tuple(over_entry[ci] for ci in range(n)), tuple(components)
@@ -146,27 +144,28 @@ class Diagram:
         """Euler's formula: each connected piece of the crossing graph, with
         n crossings and 2n edges, bounds n + 2 faces.  A face arrives at an
         end of an edge and leaves by the next slot counterclockwise."""
-        pd, ends = self._pd_index, self._ends
-        seen = set()  # (crossing, slot) ends, each on one face
+        partner = self._partner
+        seen = bytearray(len(partner))  # ends, each on one face
+        reached = bytearray(len(partner))  # crossings, at their slot 0 end
         faces = pieces = 0
-        for root in range(len(pd)):
+        for root in range(0, len(partner), 4):
             # each piece is walked whole before the next root
-            pieces += (root, 0) not in seen
-            todo = [root]
+            pieces += not reached[root]
+            reached[root], todo = 1, [root]
             while todo:
-                ci = todo.pop()
-                for cur in ((ci, 0), (ci, 1), (ci, 2), (ci, 3)):
-                    faces += cur not in seen
-                    while cur not in seen:
-                        seen.add(cur)
-                        a, b = ends[pd[cur[0]][cur[1]]]
-                        cj, slot = b if a == cur else a
-                        todo.append(cj)
-                        cur = (cj, (slot + 1) % 4)
-        if faces != len(pd) + 2 * pieces:
+                x = todo.pop()
+                for cur in range(x, x + 4):
+                    faces += not seen[cur]
+                    while not seen[cur]:
+                        seen[cur], y = 1, partner[cur]
+                        if not reached[y & ~3]:
+                            reached[y & ~3] = 1
+                            todo.append(y & ~3)
+                        cur = y & ~3 | (y + 1) & 3
+        if faces != len(self.crossings) + 2 * pieces:
             raise ParseError(
                 f"diagram is not planar: it has {faces} faces, where Euler's "
-                f"formula needs {len(pd) + 2 * pieces}")
+                f"formula needs {len(self.crossings) + 2 * pieces}")
 
     # -- basic queries -------------------------------------------------------
 
@@ -264,21 +263,16 @@ class Diagram:
         # walk each circle: leave an edge through one end, cross to the
         # slot that the smoothing joins to it (0: 0-1 and 2-3; 1: 0-3 and
         # 1-2) and enter the edge there
-        pd, ends = self._pd_index, self._ends
-        circle_of = [-1] * len(self._labels)
-        n_real = 0
-        for start in range(len(circle_of)):
-            if circle_of[start] >= 0:
-                continue
-            e = start
-            ci, slot = ends[start][0]
-            while circle_of[e] < 0:
-                circle_of[e] = n_real
-                slot = 3 - slot if smoothing >> ci & 1 else slot ^ 1
-                e = pd[ci][slot]
-                a, b = ends[e]
-                ci, slot = b if a == (ci, slot) else a
-            n_real += 1
+        edges, partner = self._edges, self._partner
+        circle_of, n_real = [-1] * len(self._labels), 0
+        for e, x in enumerate(self._first):
+            if circle_of[e] < 0:
+                while circle_of[e] < 0:
+                    circle_of[e] = n_real
+                    x ^= 3 if smoothing >> (x >> 2) & 1 else 1
+                    e = edges[x]
+                    x = partner[x]
+                n_real += 1
         # circles ordered by minimal edge label, as the walks start in label
         # order; free loops trail
         circles = [[] for _ in range(n_real)]
@@ -286,9 +280,9 @@ class Diagram:
             circles[k].append(e)
         circles = [tuple(v) for v in circles]
         circles += [("loop", k) for k in range(self.free_loops)]
-        crossing_arcs = tuple(
-            (circle_of[a], circle_of[b if smoothing >> ci & 1 else c])
-            for ci, (a, b, c, _d) in enumerate(pd))
+        # slots 0 and 2 lie on the two different arcs of either smoothing
+        arc = circle_of.__getitem__
+        crossing_arcs = tuple(zip(map(arc, edges[::4]), map(arc, edges[2::4])))
         return CircleConfiguration(smoothing, tuple(circles), crossing_arcs)
 
     # -- serialization -------------------------------------------------------

@@ -7,7 +7,7 @@ different exit codes.
 
 
 class ParseError(ValueError):
-    """Raised when serialized diagram data is malformed."""
+    """Raised when diagram data is malformed or too large to compute with."""
 
 
 class ContractViolation(ValueError):

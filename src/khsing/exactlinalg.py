@@ -3,13 +3,13 @@
 Everything downstream (cube complexes, mapping cones, homology) reduces to
 three primitives implemented here: exact rank, the Smith divisors of an
 integer matrix, and null-space bases.  All three run one elimination
-routine, ``_eliminate``, on a copy of a matrix's rows, over Z or modulo a
-prime p.
+routine, ``_eliminate``, over Z or modulo a prime p, on rows it owns.
 
-A ``SparseMatrix`` keeps one layout from assembly to elimination: rows,
-``{row: {col: int}}``.  The builders hand rows to its checked constructor;
-products, sums, q-blocks, blocks, transposes and ring changes are built
-unchecked from checked matrices.  Its ``data`` view, ``{(row, col):
+A ``SparseMatrix`` stores rows, ``{row: {col: int}}``.  The builders hand
+rows to its checked constructor; products, sums, blocks, transposes and
+ring changes are built unchecked from checked matrices.  A q-block is
+not built at all: ``_cut`` reads its rows, through a column map, straight
+into the elimination's own rows.  The ``data`` view, ``{(row, col):
 value}``, serves callers outside the package only.
 
 Every entry is a Python int.  Z and Q store the same integers, Z/p stores
@@ -378,34 +378,51 @@ def _transposed(vectors) -> dict:
     return out
 
 
-def _eliminate(m: SparseMatrix, track: bool = False):
-    """Reduce a copy of the rows of ``m`` until only pivots remain.
+def _cut(m: SparseMatrix, rows=None, place=None) -> dict:
+    """Rows for an untracked ``_eliminate`` to own: row k is row ``rows[k]``
+    of ``m``, column c at ``place[c]``, left out where None (all in place by
+    default), kept if nonzero: an int bit mask over F2, else a dict."""
+    if rows is None:
+        rows, place = range(m.rows), range(m.cols)
+    src, out = m._rows, {}
+    if m.ring.p == 2:
+        for k, r in enumerate(rows):
+            mask = 0
+            for c in src.get(r, ()):
+                if (t := place[c]) is not None:
+                    mask |= 1 << t
+            if mask:
+                out[k] = mask
+        return out
+    return {k: row for k, r in enumerate(rows) if (row := {
+        t: v for c, v in src.get(r, {}).items()
+        if (t := place[c]) is not None})}
 
-    The arithmetic is over Z, or over Z/p when ``m`` is stored over Z/p.
-    Returns ``(pivots, left, units)`` where ``pivots`` lists ``[row, col,
-    d]`` with d > 0 in the order they retired and ``pivots[:units]`` is the
+
+def _eliminate(rows: dict, p: int | None, track: bool = False):
+    """Reduce rows it owns, shaped as ``_cut`` makes them, to pivots.
+
+    The arithmetic is over Z, or over Z/p when ``p`` is given.  Returns
+    ``(pivots, left, units)`` where ``pivots`` lists ``[row, col, d]``
+    with d > 0 in the order they retired and ``pivots[:units]`` is the
     unit prefix (see the module docstring).  The unit singletons are peeled
     before the heap is built; a singleton that is no unit waits for the
-    heap and its Euclid steps.  With ``track``, ``left`` (row -> {row of
-    m: v}) records the row operations: it is invertible, and each row of
-    ``left * m`` that did not retire as a pivot is zero.  Otherwise
-    ``left`` is None.  Tracking changes no pivot.
+    heap and its Euclid steps.  With ``track``, ``left`` (row -> {row: v},
+    over the rows given) records the row operations: it is invertible, and
+    each row of ``left`` times the rows that did not retire as a pivot is
+    zero.  Otherwise ``left`` is None.  Tracking changes no pivot.
 
     Over F2, untracked: each row is an int bit mask over its columns and is
     reduced by the earlier pivot masks at its highest set bit, which only
     lowers that bit, so a mask never outgrows its row.  A row that stays
     nonzero is not in the span of the rows before it, so it retires as the
     pivot ``[row, highest col, 1]``.  The pivot rows are a basis of the row
-    space drawn from the rows of ``m``; over a field any such set of rows
+    space drawn from the rows given; over a field any such set of rows
     is the row set of an invertible minor, so all of them count as units.
     """
-    p = m.ring.p
     if p == 2 and not track:
         pivots, basis = [], {}
-        for r, row in m._rows.items():
-            mask = 0
-            for c in row:
-                mask |= 1 << c
+        for r, mask in rows.items():
             while mask:
                 top = mask.bit_length() - 1
                 b = basis.get(top)
@@ -415,12 +432,11 @@ def _eliminate(m: SparseMatrix, track: bool = False):
                     break
                 mask ^= b
         return pivots, None, len(pivots)
-    rows = {r: dict(row) for r, row in m._rows.items()}
     cols = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    left = {r: {r: 1} for r in range(m.rows)} if track else None
+    left = {r: {r: 1} for r in rows} if track else None
 
     # Singleton removal: a unit alone in its row cancels by deleting its
     # column from the other rows.  A row that this leaves with one entry
@@ -542,7 +558,7 @@ def smith_normal_form(m: SparseMatrix) -> SmithDecomposition:
     matrix, from one untracked elimination."""
     if m.ring.kind != "Z":
         raise ContractViolation("Smith normal form requires integer entries")
-    ds = _divisor_chain([d for _, _, d in _eliminate(m)[0]])
+    ds = _divisor_chain([d for _, _, d in _eliminate(_cut(m), None)[0]])
     return SmithDecomposition(tuple(ds), m.rows, m.cols)
 
 
@@ -553,25 +569,25 @@ def smith_normal_form(m: SparseMatrix) -> SmithDecomposition:
 
 def rank(m: SparseMatrix) -> int:
     """Rank over the fraction field (Q for Z input) or over Z/p."""
-    return len(_eliminate(m)[0])
+    return len(_eliminate(_cut(m), m.ring.p)[0])
 
 
 def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     """Columns spanning the null space of a matrix over a field.
 
-    A tracked elimination of the transpose records its row operations L.
-    Each row of L mT that is not a pivot ends zero, so the matching row of
-    L is a kernel vector of m; L is invertible, so these m.cols - rank
-    vectors are independent.
+    A tracked elimination of the transpose, which owns its new rows,
+    records its row operations L.  Each row of L mT that is not a pivot
+    ends zero, so the matching row of L is a kernel vector of m; L is
+    invertible, so these m.cols - rank vectors are independent.
     """
     ring = m.ring
     if not ring.is_field:
         raise ContractViolation("kernel basis requires a field")
-    pivots, left, _ = _eliminate(m.transpose(), track=True)
+    pivots, left, _ = _eliminate(m.transpose()._rows, ring.p, True)
     used = {r for r, _, _ in pivots}
     free = [r for r in range(m.cols) if r not in used]
     return SparseMatrix._unchecked(m.cols, len(free), ring, _transposed(
-        (j, left[r]) for j, r in enumerate(free)))
+        (j, left.get(r, {r: 1})) for j, r in enumerate(free)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,14 +685,15 @@ class HomologySummary:
         return "\n".join(lines)
 
 
-def _rank_torsion(m: SparseMatrix, ring: Ring):
-    """(rank, torsion, cancelled) of a differential stored over ``ring``:
-    its rank over a field or its Smith divisors over Z, those above 1 being
-    the torsion of the homology at its target, and the rows of the unit
-    prefix of its elimination.  A zero matrix is not reduced."""
-    if m.is_zero():
+def _rank_torsion(m: SparseMatrix, ring: Ring, rows=None, place=None):
+    """(rank, torsion, cancelled) of the block ``_cut`` makes of a differential
+    stored over ``ring``: its rank over a field or Smith divisors over Z, the
+    torsion at its target being those above 1, and the local rows of its
+    unit prefix.  A zero block is not reduced."""
+    owned = _cut(m, rows, place)
+    if not owned:
         return 0, (), ()
-    pivots, _, units = _eliminate(m)
+    pivots, _, units = _eliminate(owned, m.ring.p)
     cancelled = tuple(r for r, _, _ in pivots[:units])
     if ring.is_field:
         return len(pivots), (), cancelled

@@ -43,9 +43,12 @@ from dataclasses import dataclass
 
 from .chain import ChainComplex, ChainMap
 from .diagram import Diagram
-from .errors import ContractViolation
+from .errors import ContractViolation, ParseError
 from .exactlinalg import SparseMatrix
 from .frobenius import FrobeniusAlgebra
+
+MAX_GENERATORS = 1 << 22  # about 18 times the 235,890 of T(3,7)
+_TOO_LARGE = f"diagram too large: over {MAX_GENERATORS} generators in its cube"
 
 
 def _sign_bits(mask: int, c: int) -> int:
@@ -216,13 +219,22 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     internal + |s| + n_plus - 2 * n_minus of its resolved diagram.  Each
     planar smoothing is resolved once (see the module docstring), each
     block is built once per sign, already in the ring, in a dict for this
-    call, and the rows are stored unchecked."""
-    n = d.n_crossings
+    call, and the rows are stored unchecked.  Over ``MAX_GENERATORS``
+    generators raise ParseError: before resolving if the free loops (and
+    one circle more if n > 0) give too many, else as they are resolved."""
+    n, m = d.n_crossings, len(sites)
+    if n + m + d.free_loops + (n > 0) >= MAX_GENERATORS.bit_length():
+        raise ParseError(_TOO_LARGE)
     parity = -1 if shift % 2 else 1
     neg = d  # every site resolved negatively
     for b in sites:
         neg = neg.resolve_double_point(b, -1)
-    configs = [neg.resolve_bits(s) for s in range(1 << n)]
+    configs, size = [], 0
+    for s in range(1 << n):
+        configs.append(neg.resolve_bits(s))
+        size += 1 << (configs[-1].n_circles + m)
+        if size > MAX_GENERATORS:
+            raise ParseError(_TOO_LARGE)
     flips = [_flip(sites, r) for r in range(1 << len(sites))]
     # a positive site moves a crossing from n_minus to n_plus: 3 more
     q_neg = neg.n_plus - 2 * neg.n_minus

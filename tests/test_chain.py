@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khsing.chain import (ChainComplex, ChainMap, Homotopy, cone,
-                          cone_cocone_homotopy, cone_factor,
+from khsing.chain import (ChainComplex, ChainMap, Homotopy, _block_homology,
+                          cone, cone_cocone_homotopy, cone_factor,
                           cone_functorial_map, cone_hfunc_homotopy,
                           cone_inclusion, cone_projection,
                           homology_functor_ranks, is_chain_map,
@@ -13,7 +13,7 @@ from khsing.chain import (ChainComplex, ChainMap, Homotopy, cone,
 from khsing import exactlinalg
 from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
-from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
+from khsing.exactlinalg import HomologySummary, QQ, Ring, SparseMatrix, ZZ
 from khsing.frobenius import FrobeniusAlgebra
 from khsing.khcube import build_cube
 
@@ -23,7 +23,7 @@ from util import (_apply_ops, anticommutator_perturbation,
                   family_after_map, family_anticommutator, family_commutator,
                   homotopy_sum, identity_map, map_sum, null_homotopic_map,
                   random_complex, random_family, random_unimodular_ops,
-                  scale_map)
+                  reference_reduced_blocks, scale_map)
 
 HOPF_PD = [[1, 3, 2, 4], [3, 1, 4, 2]]
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
@@ -227,6 +227,25 @@ class TestHomology:
         monkeypatch.setattr(Ring, "coerce", counted)
         cube.homology(graded=True)
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, Ring.prime_field(2)], ids=str)
+    def test_no_block_cut_as_a_matrix(self, ring, monkeypatch):
+        # each q-block is read from the rows of its differential through
+        # the column map of its degree; no submatrix is built for it
+        cx = build_cube(from_braid([(0, 1)] * 5, 2),
+                        FrobeniusAlgebra(ring, 0, 0)).complex
+        blocks, reduced, _ = reference_reduced_blocks(cx, True)
+        want = HomologySummary.build(ring, {
+            (i, j): _block_homology(blocks, reduced, i, j)
+            for i, by_q in blocks.items() for j in by_q})
+
+        def refused(*args):
+            raise AssertionError("a q-block was cut by submatrix")
+
+        monkeypatch.setattr(SparseMatrix, "submatrix", refused)
+        assert cx.homology(graded=True) == want
+        if ring == ZZ:
+            assert want.group((3, 9)) == (0, (2,))
 
 
 @st.composite

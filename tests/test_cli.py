@@ -8,6 +8,7 @@ import pytest
 
 import khsing
 from khsing.cli import corpus_dir, main
+from khsing.exactlinalg import SparseMatrix
 
 # the child process imports the same khsing as the tests, also when pytest
 # put the source tree on sys.path itself
@@ -110,6 +111,32 @@ class TestHomologyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not planar" in err and "Traceback" not in err
+
+    def test_too_large_refused_before_any_matrix(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # 2^1000000 generators: refused before a q-degree table or a
+        # matrix is built, with one line and no traceback
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"pd": [], "free_loops": 1000000}))
+        built = []
+        init, unchecked = SparseMatrix.__init__, SparseMatrix._unchecked
+
+        def counting_init(self, *args, **kwargs):
+            built.append("checked")
+            init(self, *args, **kwargs)
+
+        def counting_unchecked(*args):
+            built.append("unchecked")
+            return unchecked(*args)
+
+        monkeypatch.setattr(SparseMatrix, "__init__", counting_init)
+        monkeypatch.setattr(SparseMatrix, "_unchecked", counting_unchecked)
+        code = main(["homology", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: diagram too large")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert built == []
 
     def test_missing_file_exit_one(self):
         code, _, _ = run(["homology", "/nonexistent/d.json"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import (HomologySummary, QQ, Ring, SparseMatrix, ZZ,
-                                _eliminate, homology_at, kernel_basis, rank,
-                                smith_normal_form)
+                                _cut, _eliminate, homology_at, kernel_basis,
+                                rank, smith_normal_form)
 from khsing.frobenius import FrobeniusAlgebra
 
 from util import (dense_homology, dense_rank_mod_p, dense_rank_rational,
@@ -21,6 +21,14 @@ F5 = Ring.prime_field(5)
 
 def M(rows, ring=ZZ):
     return matrix_from_dense(rows, ring)
+
+
+def eliminate(m, track=False):
+    """``_eliminate`` on a copy of all rows of ``m``, in ascending order as
+    ``_cut`` gives them."""
+    rows = ({r: dict(row) for r, row in sorted(m.row_items())} if track
+            else _cut(m))
+    return _eliminate(rows, m.ring.p, track)
 
 
 class TestRing:
@@ -212,10 +220,10 @@ class TestEliminationProperties:
         # untracked over F2 the rows are xor-ed bit masks; tracked runs
         # take the general path
         m = m.change_ring(F2)
-        pivots, left, units = _eliminate(m)
+        pivots, left, units = eliminate(m)
         rows = [r for r, _, _ in pivots]
         assert (left, units) == (None, len(pivots))
-        assert len(pivots) == len(_eliminate(m, track=True)[0])
+        assert len(pivots) == len(eliminate(m, track=True)[0])
         dense = dense_rows(m)
         assert len(set(rows)) == len(rows)
         assert dense_rank_mod_p([dense[r] for r in rows], 2) == len(rows)
@@ -226,7 +234,7 @@ class TestEliminationProperties:
         # untracked runs over F2 take the bit-mask path, which picks its
         # own pivots, so only their number can agree
         m = m.change_ring(ring)
-        tracked, untracked = _eliminate(m, track=True)[0], _eliminate(m)[0]
+        tracked, untracked = eliminate(m, track=True)[0], eliminate(m)[0]
         if ring == F2:
             assert len(tracked) == len(untracked)
         else:
@@ -239,7 +247,7 @@ class TestEliminationProperties:
         # the forward pass cancels the unit prefix's rows and columns, so
         # they must carry a minor that is invertible over the ring
         m = m.change_ring(ring)
-        pivots, _, units = _eliminate(m, track=track)
+        pivots, _, units = eliminate(m, track=track)
         dense = dense_rows(m)
         minor = [[dense[r][c] for _, c, _ in pivots[:units]]
                  for r, _, _ in pivots[:units]]
@@ -255,7 +263,7 @@ class TestEliminationProperties:
         # give the divisor 2
         m = M([[2], [3]])
         assert smith_normal_form(m).diagonal == (1,)
-        assert _eliminate(m)[2] == 0
+        assert eliminate(m)[2] == 0
 
 
 ENTRIES = st.sampled_from((0, 0, 0, -2, -1, 1, 2, 3))

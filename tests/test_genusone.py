@@ -16,9 +16,10 @@ from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
 from khsing.khcube import build_cube
 
 from util import (_resolved_pieces, reference_genus_one_components,
-                  reference_labels, reference_singular_differentials,
-                  reference_singular_labels, field_summary_via_dense_rank,
-                  summary_via_dense_oracle)
+                  reference_labels, reference_reduced_blocks,
+                  reference_singular_differentials, reference_singular_labels,
+                  field_summary_via_dense_rank, summary_via_dense_oracle,
+                  with_eliminated_rows)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -490,6 +491,35 @@ class TestRandomSingularClosures:
                     for i, by_q in blocks.items() for j in by_q}
             assert cx.homology() == HomologySummary.build(ring, want), (
                 str(ring), h, t)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(singular_closures())
+    def test_column_map_matches_submatrix_cut(self, d):
+        # the reference cuts each q-block as a matrix of its kept columns;
+        # through the column map the elimination must get the same rows,
+        # each with the same local columns in the same order, graded or not
+        integral = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0)).complex
+        for ring in (ZZ, QQ, F2, F3):
+            cx = integral.change_ring(ring)
+            for graded in (True, False):
+                got, got_rows = with_eliminated_rows(
+                    lambda: cx._reduced_blocks(graded))
+                want, want_rows = with_eliminated_rows(
+                    lambda: reference_reduced_blocks(cx, graded))
+                assert got == want[:2], (str(ring), graded)
+                assert got_rows == want_rows, (str(ring), graded)
+
+    def test_column_map_drops_cancelled_columns(self):
+        # blocks that leave out columns the block below cancelled, in each
+        # ring and grading: the case the property above must cover
+        integral = singular_complex(from_braid(S6_3DP, 3),
+                                    FrobeniusAlgebra(ZZ, 0, 0)).complex
+        for ring in (ZZ, QQ, F2, F3):
+            cx = integral.change_ring(ring)
+            for graded in (True, False):
+                blocks, reduced, dropped = reference_reduced_blocks(cx, graded)
+                assert any(dropped.values()), (str(ring), graded)
+                assert cx._reduced_blocks(graded) == (blocks, reduced)
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(singular_closures())

@@ -4,11 +4,13 @@ from itertools import combinations
 import pytest
 
 from khsing.chain import cone, is_chain_map
-from khsing.diagram import from_braid, parse
+from khsing.diagram import Diagram, from_braid, parse
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
 from khsing.frobenius import FrobeniusAlgebra
-from khsing.genusone import genus_one_map
+from khsing.genusone import genus_one_map, singular_complex
+from khsing import khcube
+from khsing.errors import ParseError
 from khsing.khcube import build_cube, cone_pieces
 
 from util import (SignModule, check_sign, reference_bracket_differentials,
@@ -229,6 +231,33 @@ class TestConeVsBracket:
             for w in labels:
                 assert (cube.complex.diff(w).submatrix(P.get(w + 1, []), P[w])
                         == split.diff(w)), (c, w)
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("word", [[(0, 1)] * 5,
+                                      [(0, 0), (0, -1), (0, 0), (0, 1)]])
+    def test_limit_is_the_exact_count(self, word, monkeypatch):
+        # 2^m * sum over s of 2^k(s) generators: built at that limit,
+        # refused one below it
+        d = from_braid(word, 2)
+        F = FrobeniusAlgebra(ZZ, 0, 0)
+        size = singular_complex(d, F).complex.total_rank()
+        monkeypatch.setattr(khcube, "MAX_GENERATORS", size)
+        assert singular_complex(d, F).complex.total_rank() == size
+        monkeypatch.setattr(khcube, "MAX_GENERATORS", size - 1)
+        with pytest.raises(ParseError, match="too large"):
+            singular_complex(d, F)
+
+    def test_refused_before_resolving(self, monkeypatch):
+        # 3 crossings and 20 free loops: every state has 2^21 generators or
+        # more, 2^24 in all, so no state is resolved
+        calls = []
+        monkeypatch.setattr(Diagram, "resolve_bits",
+                            lambda self, s: calls.append(s))
+        d = parse({"pd": TREFOIL_PD, "free_loops": 20})
+        with pytest.raises(ParseError, match="too large"):
+            build_cube(d, FrobeniusAlgebra(F2, 0, 0))
+        assert calls == []
 
 
 class TestGoldenMatrices:

@@ -2,17 +2,21 @@
 conversions between matrices and dense rows, independent dense Smith and
 rank oracles, an enumerator of generator labels,
 column-by-column reference builders of the cube and crossing-change
-matrices, and generators of random complexes, chain
-maps, and homotopy data whose hypotheses hold by construction."""
+matrices, a reference for the reduction of q-blocks cut as matrices, and
+generators of random complexes, chain maps, and homotopy data whose
+hypotheses hold by construction."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import pytest
+
+from khsing import exactlinalg
 from khsing.chain import ChainComplex, ChainMap, Homotopy
 from khsing.errors import ContractViolation
-from khsing.exactlinalg import Ring, SparseMatrix
+from khsing.exactlinalg import Ring, SparseMatrix, _rank_torsion
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +293,49 @@ def field_summary_via_dense_rank(cx: ChainComplex, graded: bool):
             if dim:
                 out[(i, j) if graded else i] = dim
     return out
+
+
+def reference_reduced_blocks(cx: ChainComplex, graded: bool):
+    """``(blocks, reduced, dropped)``: ``ChainComplex._reduced_blocks``
+    with each q-block cut as a matrix, ``submatrix`` of the kept columns,
+    and reduced whole; ``dropped[(i, j)]`` lists the columns left out of
+    block j of d^i, the rows of the unit prefix of block j of d^(i-1)."""
+    if graded:
+        cx.check_bidegree()
+        blocks = {i: {} for i in cx.degrees()}
+        for i, by_q in blocks.items():
+            for ix, j in enumerate(cx.q.get(i, ())):
+                by_q.setdefault(j, []).append(ix)
+    else:
+        blocks = {i: {None: range(n)} for i, n in cx.ranks.items()}
+    reduced, cancelled, dropped = {}, {}, {}
+    for i in sorted(cx.diffs):
+        for j, cols in blocks.get(i, {}).items():
+            rows = blocks.get(i + 1, {}).get(j, ())
+            drop = cancelled.get((i - 1, j), ())
+            dropped[(i, j)] = sorted(drop)
+            m = cx.diffs[i].submatrix(rows, [c for c in cols if c not in drop])
+            r, torsion, cut = _rank_torsion(m, cx.ring)
+            reduced[(i, j)] = r, torsion
+            cancelled[(i, j)] = {rows[k] for k in cut}
+    return blocks, reduced, dropped
+
+
+def with_eliminated_rows(run):
+    """``(run(), inputs)``: ``inputs`` lists the rows that each call of
+    ``exactlinalg._eliminate`` received during ``run()``, in call order, as
+    (row, bit mask or list of (column, value) in stored order) pairs."""
+    inputs = []
+    eliminate = exactlinalg._eliminate
+
+    def recording(rows, p, track=False):
+        inputs.append([(k, row if isinstance(row, int) else list(row.items()))
+                       for k, row in rows.items()])
+        return eliminate(rows, p, track)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "_eliminate", recording)
+        return run(), inputs
 
 
 # ---------------------------------------------------------------------------
