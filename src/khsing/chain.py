@@ -12,8 +12,8 @@ differ between anticommutator and commutator identities.
 
 A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
 again: ``shift``, ``dual`` and ``change_ring`` are exact images, and
-``homology`` checks only the bidegree.  A cone's d^2 = 0 check covers the
-chain condition of its map, so a coned map is not checked on its own.
+``homology`` checks only the bidegree.  A map keeps its chain condition
+once computed; a cone checks only its map, an induced cone map its legs.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class ChainComplex:
 
     @classmethod
     def _unchecked(cls, ring: Ring, ranks, diffs, q=None):
-        """A complex built without ``validate()``: an exact image of a checked
-        complex, or a piece checked as part of the complex it is built into."""
+        """A complex built without ``validate()``: an exact image or a cone of
+        checked data, or a piece checked as part of the complex it is in."""
         cx = cls.__new__(cls)
         cx._store(ring, ranks, diffs, q)
         return cx
@@ -124,15 +124,7 @@ class ChainComplex:
         (bidegree (1, 0)); requires q."""
         if self.q is None:
             raise ContractViolation("complex carries no quantum grading")
-        for i, m in self.diffs.items():
-            qs = self.q.get(i, ())
-            qt = self.q.get(i + 1, ())
-            for r, row in m.row_items():
-                for c in row:
-                    if qt[r] != qs[c]:
-                        raise ContractViolation(
-                            f"entry ({r},{c}) at degree {i} shifts q by "
-                            f"{qt[r] - qs[c]}")
+        _check_q_kept(self.diffs, self.q, self.q, 1)
 
     # -- homology ---------------------------------------------------------------
 
@@ -223,12 +215,24 @@ class ChainComplex:
                 f"total rank {self.total_rank()})")
 
 
+def _check_q_kept(maps: dict, qs: dict, qt: dict, step: int):
+    """Each entry of maps[i]: qs[i] -> qt[i + step] keeps the q-degree."""
+    for i, m in maps.items():
+        src, tgt = qs.get(i, ()), qt.get(i + step, ())
+        for r, row in m.row_items():
+            for c in row:
+                if tgt[r] != src[c]:
+                    raise ContractViolation(
+                        f"entry ({r},{c}) at degree {i} shifts q by "
+                        f"{tgt[r] - src[c]}")
+
+
 @dataclass
 class ChainMap:
     """Graded map f: X -> Y[shift], components X^i -> Y^(i - shift).
 
     A map is not changed after it is built: ``cone`` keeps its result in
-    ``_cone``.
+    ``_cone`` and ``is_chain_map`` its verdict in ``_check``.
     """
 
     source: ChainComplex
@@ -237,6 +241,8 @@ class ChainMap:
     shift: int = 0
     _cone: ChainComplex | None = field(default=None, init=False, repr=False,
                                        compare=False)
+    _check: "ChainMapCheck | None" = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         self.components = {
@@ -264,8 +270,11 @@ class ChainMap:
         return ChainMap(self.source, self.target, comps, self.shift)
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target,
-                        {i: -m for i, m in self.components.items()}, self.shift)
+        out = ChainMap(self.source, self.target,
+                       {i: -m for i, m in self.components.items()}, self.shift)
+        if self._check and self._check.ok:  # -f is a chain map when f is
+            out._check = self._check
+        return out
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
@@ -287,19 +296,29 @@ class ChainMapCheck:
 
 
 def is_chain_map(f: ChainMap) -> ChainMapCheck:
-    """Check d_Y f = (-1)^shift f d_X degreewise; certificate on failure."""
+    """Check d_Y f = (-1)^shift f d_X degreewise, once (kept on ``f``)."""
+    if f._check is None:
+        f._check = _chain_check(f)
+    return f._check
+
+
+def _chain_check(f: ChainMap) -> ChainMapCheck:
     X, Y, k = f.source, f.target, f.shift
-    sign = -1 if k % 2 else 1
-    degs = set(X.degrees()) | set(f.components)
-    for i in sorted(degs):
+    for i in sorted(set(X.degrees()) | set(f.components)):
         left = Y.diff(i - k) * f.component(i)
         right = f.component(i + 1) * X.diff(i)
-        if sign < 0:
-            right = -right
-        res = left - right
+        res = left + right if k % 2 else left - right
         if not res.is_zero():
             return ChainMapCheck(False, i, res)
     return ChainMapCheck(True)
+
+
+def _require_chain_map(f: ChainMap, what: str):
+    """Raise unless ``f`` is a chain map, naming ``what`` and the degree."""
+    check = is_chain_map(f)
+    if not check.ok:
+        raise ContractViolation(
+            f"{what} is not a chain map at degree {check.degree}")
 
 
 @dataclass
@@ -377,10 +396,10 @@ def cone(f: ChainMap) -> ChainComplex:
     Generators are identified by place: index k of Cone(f)^i is generator k
     of Y^i when k < rank Y^i, else generator k - rank Y^i of X^(i+1).
 
-    The off-diagonal block of d d is d_Y f - f d_X, so the cone's own
-    d^2 = 0 check rejects an ``f`` that is not a chain map.  The cone is
-    kept on ``f`` and returned by later calls, so a map coned in several
-    places is built and checked once; it lives as long as ``f``.
+    d d = [[d_Y^2, d_Y f - f d_X], [0, d_X^2]] and Y, X are checked, so the
+    cone checks only that ``f`` is a chain map.  It is kept on ``f`` and
+    returned by later calls, so a map coned in several places is built
+    once; it lives as long as ``f``.
     """
     if f._cone is None:
         f._cone = _cone(f)
@@ -390,6 +409,7 @@ def cone(f: ChainMap) -> ChainComplex:
 def _cone(f: ChainMap) -> ChainComplex:
     if f.shift != 0:
         raise ContractViolation("cone requires a degree-0 chain map")
+    _require_chain_map(f, "coned map")
     X, Y = f.source, f.target
     ring = Y.ring
     degs = sorted(set(Y.degrees()) | {i - 1 for i in X.degrees()})
@@ -400,15 +420,13 @@ def _cone(f: ChainMap) -> ChainComplex:
         if q is not None:
             q[i] = tuple(Y.q.get(i, ())) + tuple(X.q.get(i + 1, ()))
     diffs = {}
-    for i in degs:
-        if ranks.get(i, 0) == 0 or ranks.get(i + 1, 0) == 0:
-            continue
+    for i in degs:  # ChainComplex drops the empty ones
         diffs[i] = SparseMatrix.block(
             [[Y.diff(i), f.component(i + 1)],
              [None, -X.diff(i + 1)]],
             [Y.rank(i + 1), X.rank(i + 2)],
             [Y.rank(i), X.rank(i + 1)], ring)
-    return ChainComplex(ring, ranks, diffs, q=q)
+    return ChainComplex._unchecked(ring, ranks, diffs, q=q)
 
 
 def cone_inclusion(f: ChainMap) -> ChainMap:
@@ -443,30 +461,32 @@ def cone_functorial_map(f: ChainMap, f_prime: ChainMap, u: ChainMap,
     """Map Cone(f') -> Cone(f) induced by a homotopy-commutative square.
 
     The square has legs u: X' -> X, v: Y' -> Y and homotopy F with
-    d_Y F + F d_X' = f u - v f'.  The induced map has blocks
-    [[v, -F], [0, u]].
+    d_Y F + F d_X' = f u - v f'.  The induced map Phi = [[v, -F], [0, u]]
+    has d Phi - Phi d = [[dv - vd, fu - vf' - (dF + Fd)], [0, ud - du]]: it
+    is a chain map exactly when the legs are and the square holds.
     """
     X, Y = f.source, f.target
     Xp, Yp = f_prime.source, f_prime.target
+    if (u.source, u.target, u.shift, v.source, v.target, v.shift) != (
+            Xp, X, 0, Yp, Y, 0):
+        raise ContractViolation("legs must be degree-0 maps X' -> X, Y' -> Y")
     if F is None:
         F = Homotopy.zero(Xp, Y)
     rhs = {i: f.component(i) * u.component(i) - v.component(i) * f_prime.component(i)
            for i in set(Xp.degrees())}
     _require_relation(_family_defect(F, +1), rhs, "dF + Fd = fu - vf'")
+    _require_chain_map(u, "leg u of the induced cone map")
+    _require_chain_map(v, "leg v of the induced cone map")
     Cp, C = cone(f_prime), cone(f)
-    ring = C.ring
     comps = {}
     for i in Cp.degrees():
         comps[i] = SparseMatrix.block(
             [[v.component(i), -F.component(i + 1)],
              [None, u.component(i + 1)]],
             [Y.rank(i), X.rank(i + 1)],
-            [Yp.rank(i), Xp.rank(i + 1)], ring)
+            [Yp.rank(i), Xp.rank(i + 1)], C.ring)
     out = ChainMap(Cp, C, comps)
-    check = is_chain_map(out)
-    if not check.ok:
-        raise ContractViolation(
-            f"induced cone map is not a chain map at degree {check.degree}")
+    out._check = ChainMapCheck(True)
     return out
 
 
@@ -490,10 +510,7 @@ def cone_factor(f: ChainMap, g: ChainMap, H: Homotopy | None = None) -> ChainMap
             [Z.rank(i)],
             [Y.rank(i), X.rank(i + 1)], Z.ring)
     out = ChainMap(C, Z, comps)
-    check = is_chain_map(out)
-    if not check.ok:
-        raise ContractViolation(
-            f"factored map is not a chain map at degree {check.degree}")
+    _require_chain_map(out, "factored map")
     return out
 
 
@@ -580,10 +597,8 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
 
     r = _cocone_canonical(f, g, h, Cf, Ch)
     r_prime = _cocone_canonical(f_prime, g_prime, h_prime, Cfp, Chp)
-    for m, name in ((r, "r"), (r_prime, "r'")):
-        chk = is_chain_map(m)
-        if not chk.ok:
-            raise ContractViolation(f"canonical map {name} fails at degree {chk.degree}")
+    _require_chain_map(r, "canonical map r")
+    _require_chain_map(r_prime, "canonical map r'")
 
     W, Z = h.target, h.source
     Xp, Yp = f_prime.source, f_prime.target
@@ -633,11 +648,11 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
     """Per-degree data of H(f) over a field.
 
     Returns {key: (dim H_source, dim H_target, rank H(f))}; keys are degrees
-    or (i, j) pairs when ``graded``.  Each q-block of each differential of
-    the source and the target is reduced once, in the forward pass of
-    ``ChainComplex.homology``, and H^i(f) takes one more rank: that of the
-    whole bordered matrix [[f_i, d_Y^(i-1)], [d_X^i, 0]], which is
-    rank H^i(f) + rank d_Y^(i-1) + rank d_X^i.
+    or (i, j) pairs when ``graded`` (f must keep q).  Each q-block of each
+    differential of the source and the target is reduced once, in the
+    forward pass of ``ChainComplex.homology``, and H^i(f) takes one more
+    rank: that of the whole bordered matrix [[f_i, d_Y^(i-1)], [d_X^i, 0]],
+    which is rank H^i(f) + rank d_Y^(i-1) + rank d_X^i.
     """
     X, Y = f.source, f.target
     ring = X.ring
@@ -647,6 +662,8 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
         raise ContractViolation("degree-0 chain maps only")
     bx, rx = X._reduced_blocks(graded)
     by, ry = Y._reduced_blocks(graded)
+    if graded:
+        _check_q_kept(f.components, X.q, Y.q, 0)
     keys = {(i, j) for b in (bx, by) for i, by_q in b.items() for j in by_q}
     out = {}
     for i, j in sorted(keys):  # ungraded, j is None and i is unique
@@ -692,10 +709,22 @@ def _les_rows(data: dict, h_cone: HomologySummary):
     return tuple(rows), all(a == b + k for _, a, b, k in rows)
 
 
+def _by_degree(data: dict) -> dict:
+    """``homology_functor_ranks`` data by degree, summed over q if graded."""
+    out = {}
+    for key, t in data.items():
+        i = key[0] if isinstance(key, tuple) else key
+        out[i] = tuple(a + b for a, b in zip(out.get(i, (0, 0, 0)), t))
+    return out
+
+
 def les_cone_check(f: ChainMap) -> bool:
     """Long-exact-sequence rank identity for a cone over a field:
 
     dim H^i(Cone f) = dim coker H^i(f) + dim ker H^(i+1)(f).
+
+    H(f) is taken by q-block when both complexes carry q.
     """
     hc = cone(f).homology(graded=False)
-    return _les_rows(homology_functor_ranks(f), hc)[1]
+    graded = f.source.q is not None and f.target.q is not None
+    return _les_rows(_by_degree(homology_functor_ranks(f, graded)), hc)[1]

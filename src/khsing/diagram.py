@@ -136,8 +136,6 @@ class Diagram:
         for ci in range(n):
             if ci not in over_entry:
                 components.append(walk(4 * ci + over_hints.get(ci, 3)))
-        if len(visited) != 2 * n:
-            raise ParseError("traversal did not cover the diagram")
         return tuple(over_entry[ci] for ci in range(n)), tuple(components)
 
     def _check_planar(self):

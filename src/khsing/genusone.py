@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import (ChainComplex, ChainMap, _les_rows, cone,
-                    cone_functorial_map, homology_functor_ranks, is_chain_map)
+from .chain import (ChainComplex, ChainMap, _by_degree, _les_rows,
+                    _require_chain_map, cone, cone_functorial_map,
+                    homology_functor_ranks, is_chain_map)
 from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary, SparseMatrix
@@ -136,11 +137,7 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
     S_plus = singular_complex(d_plus, F, site_order)
 
     f = _phi_map(S_minus, S_plus, c)
-    check = is_chain_map(f)
-    if not check.ok:
-        raise ContractViolation(
-            f"crossing-change map fails to be a chain map at degree "
-            f"{check.degree}")
+    _require_chain_map(f, "crossing-change map")
     return GenusOneMap(S_minus, S_plus, f, c)
 
 
@@ -162,9 +159,10 @@ def singular_complex_iterated(d: Diagram, F: FrobeniusAlgebra,
     and dropped on return, holds each crossing-change map under (diagram
     key, crossing, remaining sites) and each bracket cube under its diagram
     key: every cube and every map is built once per call, and since
-    ``cone`` keeps its result on the map, every cone is built and checked
-    once.  A cube serves the m leaf maps along its edges of the cube of
-    resolutions, one per double point, and is dropped after the m-th.
+    ``cone`` keeps its result on the map, every cone is built once.  A cube
+    serves the m leaf maps along its edges of the cube of resolutions, one
+    per double point, and is dropped after the m-th.  Each cube's d^2, leaf
+    map's chain condition and square is checked once, where it is built.
     """
     sites = _sites(d, site_order)
     if not sites:
@@ -192,9 +190,7 @@ def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
         return built[key]
     d_plus = d_minus.crossing_change(c)
     if not sites:
-        # neither the map nor the cubes are checked here: every such map
-        # is coned, and the d^2 = 0 check of the cone covers both; a leg of
-        # cone_functorial_map is covered by its check of the induced map
+        # checked where it is coned or used as a leg
         phi = _phi_map(_cached_cube(d_minus, F, built, m),
                        _cached_cube(d_plus, F, built, m), c)
     else:
@@ -215,12 +211,13 @@ def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
 
 def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict,
                  uses: int) -> CubeComplex:
-    """Normalized cube of d, looked up in or added to ``built`` and dropped
-    from it at its ``uses``-th lookup."""
+    """Normalized cube of d, checked when built, looked up in or added to
+    ``built`` and dropped from it at its ``uses``-th lookup."""
     key = _diagram_key(d)
     entry = built.get(key)
     if entry is None:
         entry = built[key] = [_bracket_cube(d, F, -d.n_minus), uses]
+        entry[0].complex.validate()
     entry[1] -= 1
     if not entry[1]:
         del built[key]
@@ -291,7 +288,7 @@ def skein_triangle_report(d_minus: Diagram, d_plus: Diagram, d_sing: Diagram,
     g1 = genus_one_map(d_minus, b, F)
     S_sing = singular_complex(d_sing, F)
     h_sing = S_sing.homology(graded=False)
-    data = homology_functor_ranks(g1.map)
+    data = _by_degree(homology_functor_ranks(g1.map, F.graded))
     # over a field the homology of the source and target is their dimension
     h_minus = HomologySummary.build(
         F.ring, {i: (hx, ()) for i, (hx, _, _) in data.items()})

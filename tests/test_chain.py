@@ -430,6 +430,79 @@ class TestConeFunctorialMap:
         z = ChainMap(cube, cube, {})
         with pytest.raises(ContractViolation, match="induced cone map"):
             cone_functorial_map(z, z, u, identity_map(cube))
+        with pytest.raises(ContractViolation, match="induced cone map"):
+            cone_functorial_map(z, z, identity_map(cube), u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from([ZZ, QQ]),
+           broken=st.sampled_from(["none", "u", "v", "F", "f"]))
+    def test_verdicts_match_from_scratch_checks(self, seed, ring, broken):
+        # cone(f) checks only f, and cone_functorial_map only its legs and
+        # its square; each verdict must be that of the full check: d^2 of
+        # the whole block differential, and the chain condition of a fresh
+        # map with the induced map's components
+        rng = random.Random(seed)
+        f, f_prime, u, v, F = make_square(rng, ring)
+        X, Y, Xp = f.source, f.target, f_prime.source
+
+        def noisy(m):
+            noise = random_family(rng, m.source, m.target, 0, 0.5)
+            return map_sum(m, ChainMap(m.source, m.target, noise.components))
+
+        if broken == "u":
+            u = noisy(u)
+        elif broken == "v":
+            v = noisy(v)
+        elif broken == "F":
+            F = homotopy_sum(F, random_family(rng, Xp, Y, -1, 0.6))
+        elif broken == "f":
+            f = noisy(f)
+        degs = sorted(set(Y.degrees()) | {i - 1 for i in X.degrees()})
+        full = {i: SparseMatrix.block(
+            [[Y.diff(i), f.component(i + 1)], [None, -X.diff(i + 1)]],
+            [Y.rank(i + 1), X.rank(i + 2)], [Y.rank(i), X.rank(i + 1)], ring)
+            for i in degs}
+        ranks = {i: Y.rank(i) + X.rank(i + 1) for i in degs}
+        try:
+            ChainComplex(ring, ranks, full)
+            full_ok = True
+        except ContractViolation:
+            full_ok = False
+        try:
+            C = cone(f)
+        except ContractViolation:
+            assert not full_ok
+            return
+        assert full_ok
+        assert all(C.diff(i) == full[i] for i in degs)
+        Cp = cone(f_prime)
+        comps = {i: SparseMatrix.block(
+            [[v.component(i), -F.component(i + 1)],
+             [None, u.component(i + 1)]],
+            [Y.rank(i), X.rank(i + 1)],
+            [f_prime.target.rank(i), Xp.rank(i + 1)], ring)
+            for i in Cp.degrees()}
+        scratch = is_chain_map(ChainMap(Cp, C, comps)).ok
+        try:
+            out = cone_functorial_map(f, f_prime, u, v, F)
+        except ContractViolation:
+            assert not scratch
+            return
+        assert scratch and is_chain_map(out).ok
+        assert all(out.component(i) == comps[i] for i in Cp.degrees())
+
+    def test_legs_must_run_between_the_cones_complexes(self):
+        # a leg's chain condition is checked against its own complexes, so
+        # a leg out of an equal but distinct complex is refused
+        rng = random.Random(16)
+        f, f_prime, u, v, F = make_square(rng, ZZ)
+        X = f.source
+        twin = ChainComplex(X.ring, X.ranks, X.diffs)
+        with pytest.raises(ContractViolation, match="legs must"):
+            cone_functorial_map(f, f_prime, identity_map(twin), v, F)
+        with pytest.raises(ContractViolation, match="legs must"):
+            cone_functorial_map(f, f_prime, u,
+                                ChainMap(v.source, v.target, {}, shift=1), F)
 
     def test_homotopy_equivalence_legs_preserve_homology(self):
         # with invertible legs the induced map is a homology isomorphism
@@ -708,3 +781,28 @@ class TestTriangleComposite:
             data = homology_functor_ranks(g.map)
             assert any(r for (_hx, _hy, r) in data.values())
             assert les_cone_check(g.map)
+
+    def test_graded_ranks_sum_to_ungraded(self):
+        # H(f) of a map that keeps q splits by q, so the graded data summed
+        # per degree are the ungraded data, key for key
+        from khsing.chain import _by_degree
+        from khsing.genusone import genus_one_map
+        for pd in (HOPF_PD, TREFOIL_PD):
+            d = parse({"pd": pd})
+            d = d if d.crossing_sign(0) < 0 else d.mirror()
+            for ring in (QQ, Ring.prime_field(2)):
+                g = genus_one_map(d, 0, FrobeniusAlgebra(ring, 0, 0))
+                assert _by_degree(homology_functor_ranks(g.map, True)) == \
+                    homology_functor_ranks(g.map)
+
+    def test_map_that_shifts_q_refused_graded(self):
+        F = FrobeniusAlgebra(QQ, 0, 0)
+        cx = build_cube(parse({"pd": TREFOIL_PD}), F).complex
+        i = next(i for i in cx.degrees() if len(set(cx.q[i])) > 1)
+        c = cx.q[i].index(min(cx.q[i]))
+        r = cx.q[i].index(max(cx.q[i]))
+        f = ChainMap(cx, cx, {i: SparseMatrix(cx.rank(i), cx.rank(i), QQ,
+                                              {r: {c: 1}})})
+        with pytest.raises(ContractViolation, match="shifts q"):
+            homology_functor_ranks(f, graded=True)
+        homology_functor_ranks(f)

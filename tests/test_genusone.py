@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khsing import exactlinalg, genusone
+from khsing import chain, exactlinalg, genusone
 from khsing.chain import (ChainComplex, ChainMap, _block_homology, cone,
                           is_chain_map)
 from khsing.diagram import Diagram, from_braid, parse
@@ -301,29 +301,68 @@ S6_3DP = [(0, 0), (1, 1), (0, 1), (1, 0), (0, 1), (1, 0)]
 
 class TestIteratedAssemblyCounts:
     def test_each_cube_map_and_cone_built_once_per_call(self, monkeypatch):
-        # 3 double points: 8 resolutions, so 8 cubes; the parent built 32
-        # cubes for the 16 leaf maps of the recursion and checked 11 cones,
-        # of which 7 are distinct
-        calls = {"cube": 0, "validate": 0}
+        # 3 double points: 8 resolutions, so 8 cubes, each validated once
+        # when built (the parent built 32 cubes for the 16 leaf maps of the
+        # recursion and checked the d^2 of 11 cones instead).  A cone runs
+        # no d^2 check, and the chain condition is computed once for each
+        # of the 12 leaf maps, the edges of the cube of resolutions: the
+        # induced cone maps take their verdict from their legs and squares
+        calls = {"cube": 0}
+        cubes, validated, computed = [], [], []
         bracket_cube, validate = genusone._bracket_cube, ChainComplex.validate
 
         def counting_cube(*args):
             calls["cube"] += 1
-            return bracket_cube(*args)
+            cubes.append(bracket_cube(*args))
+            return cubes[-1]
 
         def counting_validate(self):
-            calls["validate"] += 1
+            validated.append(self)
             return validate(self)
+
+        def counting_is_chain_map(f):
+            if f._check is None:
+                computed.append(f)
+            return is_chain_map(f)
 
         monkeypatch.setattr(genusone, "_bracket_cube", counting_cube)
         monkeypatch.setattr(ChainComplex, "validate", counting_validate)
+        monkeypatch.setattr(chain, "is_chain_map", counting_is_chain_map)
         d = from_braid(S6_3DP, 3)
         F = FrobeniusAlgebra(QQ, 0, 0)
         singular_complex_iterated(d, F)
-        assert calls == {"cube": 8, "validate": 7}
+        assert calls["cube"] == 8
+        leaves = {id(c.complex) for c in cubes}
+        assert [id(cx) for cx in validated] == [id(c.complex) for c in cubes]
+        assert len(computed) == 12 == len({id(f) for f in computed})
+        assert all({id(f.source), id(f.target)} <= leaves for f in computed)
         # nothing is kept from one call to the next
         singular_complex_iterated(d, F)
         assert calls["cube"] == 16
+
+    def test_leaf_cube_with_nonzero_square_refused(self, monkeypatch):
+        # the check of a leaf cube is its own: with it gone, a broken cube
+        # is caught only as a map that is not a chain map, if at all
+        bracket_cube = genusone._bracket_cube
+        broken = []
+
+        def corrupting_cube(*args):
+            cube = bracket_cube(*args)
+            if not broken:
+                diffs = cube.complex.diffs
+                i = min(i for i in diffs if i + 1 in diffs)
+                r = next(iter(diffs[i + 1].transpose().row_items()))[0]
+                m = diffs[i]
+                diffs[i] = m + SparseMatrix(m.rows, m.cols, m.ring,
+                                            {r: {0: 1}})
+                broken.append(cube)
+            return cube
+
+        monkeypatch.setattr(genusone, "_bracket_cube", corrupting_cube)
+        with pytest.raises(ContractViolation, match="d\\^2 != 0"):
+            singular_complex_iterated(from_braid(S6_3DP, 3),
+                                      FrobeniusAlgebra(QQ, 0, 0))
+        assert broken
 
 
 class TestNoCopyWithoutDoublePoint:
@@ -585,10 +624,11 @@ class TestSkeinTriangle:
         assert rep.h_plus == g1.target.homology(graded=False)
 
     def test_each_differential_reduced_once(self, monkeypatch):
-        # X and Y have 4 differentials each and S_sing 6, each reduced once;
-        # H(f) can be nonzero in one degree, which adds the rank of one
-        # bordered matrix.  Reducing X and Y again for h_minus and h_plus
-        # made 24.
+        # at (0, 0) H(f) is taken by q-blocks: the 4 differentials of X and
+        # Y have 14 and 13 nonzero q-blocks, each reduced once, and S_sing's
+        # 6 differentials are reduced ungraded; H(f) can be nonzero in two
+        # (degree, q) blocks, which adds the rank of two bordered matrices.
+        # Reducing X and Y again for h_minus and h_plus would add 27.
         calls = []
         eliminate = exactlinalg._eliminate
 
@@ -599,7 +639,7 @@ class TestSkeinTriangle:
         monkeypatch.setattr(exactlinalg, "_eliminate", counting_eliminate)
         skein_triangle_report(*self._braid_triple(),
                               FrobeniusAlgebra(QQ, 0, 0))
-        assert len(calls) == 15
+        assert len(calls) == 35
 
     def test_site_mismatch_rejected(self):
         d_minus, d_plus, d_sing = self._kink_triple()
