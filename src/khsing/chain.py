@@ -12,8 +12,8 @@ differ between anticommutator and commutator identities.
 
 A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
 again: ``shift``, ``dual`` and ``change_ring`` are exact images, and
-``homology`` checks only the bidegree.  A map keeps its chain condition
-once computed; a cone checks only its map, an induced cone map its legs.
+``homology`` checks only the bidegree.  A map keeps its chain condition;
+a cone checks only its map, an induced cone map its legs and square.
 """
 
 from __future__ import annotations
@@ -467,11 +467,12 @@ def cone_functorial_map(f: ChainMap, f_prime: ChainMap, u: ChainMap,
     """
     X, Y = f.source, f.target
     Xp, Yp = f_prime.source, f_prime.target
-    if (u.source, u.target, u.shift, v.source, v.target, v.shift) != (
-            Xp, X, 0, Yp, Y, 0):
-        raise ContractViolation("legs must be degree-0 maps X' -> X, Y' -> Y")
     if F is None:
         F = Homotopy.zero(Xp, Y)
+    if (u.source, u.target, u.shift, v.source, v.target, v.shift, F.source,
+            F.target, F.degree) != (Xp, X, 0, Yp, Y, 0, Xp, Y, -1):
+        raise ContractViolation("legs must be degree-0 maps X' -> X, Y' -> Y "
+                                "and F a degree -1 family X' -> Y")
     rhs = {i: f.component(i) * u.component(i) - v.component(i) * f_prime.component(i)
            for i in set(Xp.degrees())}
     _require_relation(_family_defect(F, +1), rhs, "dF + Fd = fu - vf'")
@@ -722,9 +723,6 @@ def les_cone_check(f: ChainMap) -> bool:
     """Long-exact-sequence rank identity for a cone over a field:
 
     dim H^i(Cone f) = dim coker H^i(f) + dim ker H^(i+1)(f).
-
-    H(f) is taken by q-block when both complexes carry q.
     """
     hc = cone(f).homology(graded=False)
-    graded = f.source.q is not None and f.target.q is not None
-    return _les_rows(_by_degree(homology_functor_ranks(f, graded)), hc)[1]
+    return _les_rows(homology_functor_ranks(f), hc)[1]

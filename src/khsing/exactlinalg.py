@@ -42,16 +42,16 @@ an LU factorization with unit pivots, and the prefix names a unimodular
 minor.  A later unit pivot may follow a Euclid step and mix rows, so it
 does not count.
 
-A product sums rows: inline over Z and Q, dropping zeros as they appear,
-by ``_axpy`` over Z/p, and over F2, where a sum of rows is the symmetric
-difference of their column sets, by ``set.symmetric_difference_update``.
-Over F2 an untracked elimination keeps each row as an int bit mask and xors
-it with earlier pivot masks; the rows that stay nonzero are linearly
-independent rows of the matrix, a basis of its row space, and their count
-is the rank.  Over a field, any linearly independent set of rows is the row
-set of an invertible minor, so all of them form the unit prefix and
-cancelling them is still Gaussian elimination.  Tracked runs (kernel bases)
-and the other rings take the general path.
+Over F2: a sum of rows is the symmetric difference of their column sets.
+The product runs ``set.symmetric_difference_update`` over the rows each row
+of the result sums, so it is the same matrix.  An untracked elimination
+keeps each row as an int bit mask and xors it with earlier pivot masks; the
+rows that stay nonzero are linearly independent rows of the matrix, a basis
+of its row space, and their count is the rank.  Over a field, any linearly
+independent set of rows is the row set of an invertible minor, so all of
+them form the unit prefix and cancelling them is still Gaussian
+elimination.  Tracked runs (kernel bases) and the other rings take the
+general path.
 
 No floating point anywhere.
 """
@@ -275,13 +275,8 @@ class SparseMatrix:
             acc = {}
             for k, w in row.items():
                 orow = right.get(k)
-                if orow and p:
+                if orow:
                     _axpy(acc, w, orow, p)
-                elif orow:  # Z and Q inline
-                    for c, v in orow.items():
-                        acc[c] = s = acc.get(c, 0) + w * v
-                        if not s:
-                            del acc[c]
             if acc:
                 data[r] = acc
         return SparseMatrix._unchecked(self.rows, other.cols, self.ring, data)

@@ -10,7 +10,7 @@ from khsing.chain import (ChainComplex, ChainMap, Homotopy, _block_homology,
                           cone_inclusion, cone_projection,
                           homology_functor_ranks, is_chain_map,
                           les_cone_check)
-from khsing import exactlinalg
+from khsing import chain, exactlinalg
 from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import HomologySummary, QQ, Ring, SparseMatrix, ZZ
@@ -492,8 +492,9 @@ class TestConeFunctorialMap:
         assert all(out.component(i) == comps[i] for i in Cp.degrees())
 
     def test_legs_must_run_between_the_cones_complexes(self):
-        # a leg's chain condition is checked against its own complexes, so
-        # a leg out of an equal but distinct complex is refused
+        # a leg's chain condition and the square are checked against their
+        # own complexes, so a leg or homotopy out of an equal but distinct
+        # complex is refused, as is a homotopy of another degree
         rng = random.Random(16)
         f, f_prime, u, v, F = make_square(rng, ZZ)
         X = f.source
@@ -503,6 +504,15 @@ class TestConeFunctorialMap:
         with pytest.raises(ContractViolation, match="legs must"):
             cone_functorial_map(f, f_prime, u,
                                 ChainMap(v.source, v.target, {}, shift=1), F)
+        # the same components from the twin pass the square relation
+        F_twin = Homotopy(twin, F.target, F.components)
+        assert (chain._family_defect(F_twin, +1)
+                == chain._family_defect(F, +1))
+        with pytest.raises(ContractViolation, match="legs must"):
+            cone_functorial_map(f, f_prime, u, v, F_twin)
+        with pytest.raises(ContractViolation, match="legs must"):
+            cone_functorial_map(f, f_prime, u, v,
+                                Homotopy(X, F.target, {}, degree=1))
 
     def test_homotopy_equivalence_legs_preserve_homology(self):
         # with invertible legs the induced map is a homology isomorphism
@@ -806,3 +816,10 @@ class TestTriangleComposite:
         with pytest.raises(ContractViolation, match="shifts q"):
             homology_functor_ranks(f, graded=True)
         homology_functor_ranks(f)
+
+    def test_les_of_a_chain_map_that_shifts_q(self):
+        # les_cone_check takes H(f) ungraded: a chain map between q-graded
+        # complexes that shifts q is valid input
+        X = ChainComplex(QQ, {0: 2}, {}, q={0: (1, 3)})
+        f = ChainMap(X, X, {0: SparseMatrix(2, 2, QQ, {1: {0: 1}})})
+        assert les_cone_check(f)
