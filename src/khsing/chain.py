@@ -6,9 +6,12 @@ shift W[k] has W[k]^i = W^(i-k) and differential (-1)^k d.  A ChainMap with
 ``shift`` k has components X^i -> Y^(i-k) and must satisfy
 d_Y f = (-1)^k f d_X, i.e. it is a degree-zero chain map into Y[k].
 
-Homotopies are stored as raw degree -1 (or -2, -3) families; each combinator
-states and verifies the exact relation it needs, since the sign conventions
-differ between anticommutator and commutator identities.
+A homotopy is a graded map too: ``Homotopy`` is the ChainMap of shift
+-degree (Bar-Natan, arXiv:math/0410495, takes a homotopy to be a morphism
+of degree -1), so homotopies and chain maps share ``compose``, ``+`` and
+``-``.  Each combinator checks the relation it needs, d H + H d or
+d H - H d (the sign differs between anticommutator and commutator
+identities), against one expression in those operations.
 
 A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
 again: ``shift``, ``dual`` and ``change_ring`` are exact images, and
@@ -276,6 +279,9 @@ class ChainMap:
             out._check = self._check
         return out
 
+    def __sub__(self, other: "ChainMap") -> "ChainMap":
+        return self + -other
+
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
         comps = {}
@@ -303,13 +309,10 @@ def is_chain_map(f: ChainMap) -> ChainMapCheck:
 
 
 def _chain_check(f: ChainMap) -> ChainMapCheck:
-    X, Y, k = f.source, f.target, f.shift
-    for i in sorted(set(X.degrees()) | set(f.components)):
-        left = Y.diff(i - k) * f.component(i)
-        right = f.component(i + 1) * X.diff(i)
-        res = left + right if k % 2 else left - right
-        if not res.is_zero():
-            return ChainMapCheck(False, i, res)
+    defect = _family_defect(f, 1 if f.shift % 2 else -1)
+    for i in sorted(defect):
+        if not defect[i].is_zero():
+            return ChainMapCheck(False, i, defect[i])
     return ChainMapCheck(True)
 
 
@@ -321,68 +324,42 @@ def _require_chain_map(f: ChainMap, what: str):
             f"{what} is not a chain map at degree {check.degree}")
 
 
-@dataclass
-class Homotopy:
-    """Degree ``degree`` family of maps X^i -> Y^(i + degree)."""
+class Homotopy(ChainMap):
+    """Graded map of degree ``degree``, components X^i -> Y^(i + degree):
+    the ChainMap of shift -degree.  Sums and composites are ChainMaps."""
 
-    source: ChainComplex
-    target: ChainComplex
-    components: dict
-    degree: int = -1
+    def __init__(self, source: ChainComplex, target: ChainComplex,
+                 components: dict, degree: int = -1):
+        super().__init__(source, target, components, -degree)
 
-    def component(self, i: int) -> SparseMatrix:
-        m = self.components.get(i)
-        if m is None:
-            return SparseMatrix.zero(self.target.rank(i + self.degree),
-                                     self.source.rank(i), self.source.ring)
-        return m
+    @property
+    def degree(self) -> int:
+        return -self.shift
 
     @classmethod
     def zero(cls, source, target, degree=-1) -> "Homotopy":
         return cls(source, target, {}, degree)
 
 
-def _family_defect(H: Homotopy, sign: int) -> dict:
-    """Components of d_Y H + sign * H d_X (degree ``H.degree + 1`` family)."""
+def _family_defect(H: ChainMap, sign: int) -> dict:
+    """Components of d_Y H + sign * H d_X, one degree above H."""
     X, Y = H.source, H.target
     out = {}
     for i in set(X.degrees()) | set(H.components):
-        m = Y.diff(i + H.degree) * H.component(i)
+        m = Y.diff(i - H.shift) * H.component(i)
         n = H.component(i + 1) * X.diff(i)
         out[i] = m + n if sign > 0 else m - n
     return out
 
 
-def _require_relation(defect: dict, rhs, what: str):
-    """defect must equal the rhs family (another dict of matrices)."""
+def _require_relation(defect: dict, rhs: ChainMap, what: str):
+    """Each component of ``defect`` must equal that of the graded map rhs."""
     for i, m in defect.items():
-        r = rhs.get(i) if isinstance(rhs, dict) else rhs(i)
-        if r is None:
-            r = SparseMatrix.zero(m.rows, m.cols, m.ring)
+        r = rhs.component(i)
         if m != r:
             raise ContractViolation(
                 f"hypothesis {what} fails at degree {i}; residual has "
                 f"{(m - r).nnz()} nonzero entries")
-
-
-def _composite_family(g: ChainMap, H: Homotopy) -> dict:
-    """Components of g o H as a family X^i -> Z^(i + H.degree - g.shift)."""
-    return {i: g.component(i + H.degree) * H.component(i)
-            for i in set(H.source.degrees()) | set(H.components)}
-
-
-def _family_precompose(H: Homotopy, f: ChainMap) -> dict:
-    """Components of H o f for a degree-0 chain map f."""
-    return {i: H.component(i) * f.component(i)
-            for i in set(f.source.degrees())}
-
-
-def _family_sum(a: dict, b: dict) -> dict:
-    out = {}
-    for i in set(a) | set(b):
-        m, n = a.get(i), b.get(i)
-        out[i] = m + n if (m is not None and n is not None) else (m or n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +447,11 @@ def cone_functorial_map(f: ChainMap, f_prime: ChainMap, u: ChainMap,
     if F is None:
         F = Homotopy.zero(Xp, Y)
     if (u.source, u.target, u.shift, v.source, v.target, v.shift, F.source,
-            F.target, F.degree) != (Xp, X, 0, Yp, Y, 0, Xp, Y, -1):
+            F.target, F.shift) != (Xp, X, 0, Yp, Y, 0, Xp, Y, 1):
         raise ContractViolation("legs must be degree-0 maps X' -> X, Y' -> Y "
                                 "and F a degree -1 family X' -> Y")
-    rhs = {i: f.component(i) * u.component(i) - v.component(i) * f_prime.component(i)
-           for i in set(Xp.degrees())}
-    _require_relation(_family_defect(F, +1), rhs, "dF + Fd = fu - vf'")
+    _require_relation(_family_defect(F, +1), f.compose(u) - v.compose(f_prime),
+                      "dF + Fd = fu - vf'")
     _require_chain_map(u, "leg u of the induced cone map")
     _require_chain_map(v, "leg v of the induced cone map")
     Cp, C = cone(f_prime), cone(f)
@@ -501,8 +477,7 @@ def cone_factor(f: ChainMap, g: ChainMap, H: Homotopy | None = None) -> ChainMap
     Z = g.target
     if H is None:
         H = Homotopy.zero(X, Z)
-    rhs = {i: -(g.component(i) * f.component(i)) for i in X.degrees()}
-    _require_relation(_family_defect(H, +1), rhs, "dH + Hd = -gf")
+    _require_relation(_family_defect(H, +1), -g.compose(f), "dH + Hd = -gf")
     C = cone(f)
     comps = {}
     for i in C.degrees():
@@ -531,8 +506,9 @@ def cone_hfunc_homotopy(f: ChainMap, g: ChainMap, f_prime: ChainMap,
             raise ContractViolation(f"composite {name} is not strictly zero")
     Xp = f_prime.source
     Z = g.target
-    rhs = _family_sum(_composite_family(g, F), _family_precompose(G, f_prime))
-    _require_relation(_family_defect(Psi, -1), rhs, "dPsi - Psi d = gF + Gf'")
+    _require_relation(_family_defect(Psi, -1),
+                      g.compose(F) + G.compose(f_prime),
+                      "dPsi - Psi d = gF + Gf'")
 
     ghat = cone_factor(f, g)
     ghat_p = cone_factor(f_prime, g_prime)
@@ -546,10 +522,8 @@ def cone_hfunc_homotopy(f: ChainMap, g: ChainMap, f_prime: ChainMap,
             [g_prime.source.rank(i), Xp.rank(i + 1)], Z.ring)
     Ghat = Homotopy(Cp, Z, comps, degree=-1)
     # the identity this family is claimed to satisfy, checked entrywise
-    lhs_a = ghat.compose(Fstar)
-    lhs_b = w.compose(ghat_p)
-    rhs2 = {i: lhs_a.component(i) - lhs_b.component(i) for i in Cp.degrees()}
-    _require_relation(_family_defect(Ghat, +1), rhs2,
+    _require_relation(_family_defect(Ghat, +1),
+                      ghat.compose(Fstar) - w.compose(ghat_p),
                       "d Ghat + Ghat d = ghat F* - w ghat'")
     return Ghat
 
@@ -576,19 +550,14 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
         if not pair[0].compose(pair[1]).is_zero():
             raise ContractViolation(f"composite {name} is not strictly zero")
     ring = h.target.ring
-    rhs_psi = _family_sum(_composite_family(g, F),
-                          _family_precompose(G, f_prime))
-    _require_relation(_family_defect(Psi, -1), rhs_psi,
+    _require_relation(_family_defect(Psi, -1),
+                      g.compose(F) + G.compose(f_prime),
                       "dPsi - Psi d = gF + Gf'")
-    rhs_xi = _family_sum(_composite_family(h, G),
-                         _family_precompose(H, g_prime))
-    _require_relation(_family_defect(Xi, -1), rhs_xi,
+    _require_relation(_family_defect(Xi, -1),
+                      h.compose(G) + H.compose(g_prime),
                       "dXi - Xi d = hG + Hg'")
-    rhs_gamma = {}
-    for i in set(f_prime.source.degrees()) | set(Psi.components):
-        rhs_gamma[i] = (h.component(i - 2) * Psi.component(i)
-                        - Xi.component(i) * f_prime.component(i))
-    _require_relation(_family_defect(Gamma, +1), rhs_gamma,
+    _require_relation(_family_defect(Gamma, +1),
+                      h.compose(Psi) - Xi.compose(f_prime),
                       "dGamma + Gamma d = h Psi - Xi f'")
 
     Fstar = cone_functorial_map(f, f_prime, uX, uY, F)
@@ -614,12 +583,8 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
 
     hstar_shift = ChainMap(r_prime.target, r.target,
                            {i: Hstar.component(i - 1) for i in r_prime.target.degrees()})
-    rhs_total = {}
-    lhs_a = r.compose(Fstar)
-    lhs_b = hstar_shift.compose(r_prime)
-    for i in Cfp.degrees():
-        rhs_total[i] = lhs_a.component(i) - lhs_b.component(i)
-    _require_relation(_family_defect(Gstar, +1), rhs_total,
+    _require_relation(_family_defect(Gstar, +1),
+                      r.compose(Fstar) - hstar_shift.compose(r_prime),
                       "d Gamma* + Gamma* d = r F* - H*[1] r'")
     return Gstar
 

@@ -97,9 +97,14 @@ def cmd_skein_check(args) -> int:
     d_plus = _load(args.plus)
     d_sing = _load(args.sing)
     try:
-        skein_site(d_minus, d_plus, d_sing)
+        b = skein_site(d_minus, d_plus, d_sing)
     except ContractViolation as e:
         raise ParseError(f"triple does not match at one site: {e}") from None
+    if d_minus.crossing_sign(b) > 0:
+        # equal diagrams may differ in the orientation of a component that
+        # passes over everywhere, which the JSON format does not record
+        raise ParseError(f"{args.minus} is positive at the double point's "
+                         f"crossing {b}; the first diagram must be negative")
     ring = _RINGS[args.ring]()
     if not ring.is_field:
         ring = Ring.rationals()

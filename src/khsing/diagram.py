@@ -62,6 +62,9 @@ class Diagram:
                 raise ParseError(f"crossing {c} has a non-positive edge label")
         if free_loops < 0:
             raise ParseError("free_loops must be non-negative")
+        over_hints = over_hints or {}
+        if any(h not in (1, 3) for h in over_hints.values()):
+            raise ContractViolation("an over-entry hint must be slot 1 or 3")
         self.crossings = crossings
         self.kinds = kinds
         self.free_loops = int(free_loops)
@@ -82,7 +85,7 @@ class Diagram:
                     f"edge label {e} appears {len(xs)} times (expected 2)")
             partner[xs[0]], partner[xs[1]] = xs[1], xs[0]
         self._partner, self._first = tuple(partner), tuple(a for a, _ in ends)
-        self.over_entry, self.components = self._trace(over_hints or {})
+        self.over_entry, self.components = self._trace(over_hints)
         self._check_planar()
         self._signs = tuple(1 if oe == 3 else -1 for oe in self.over_entry)
         self.singular_indices = tuple(
@@ -102,13 +105,12 @@ class Diagram:
         over_entry = {}
         components = []
 
+        # a walk follows the cycle of x -> partner[x ^ 2] through an
+        # unvisited end; cycles are disjoint, so it meets no visited end
         def walk(start):
             comp = []
             cur = start
             while True:
-                if cur in visited:
-                    raise ParseError("traversal revisits an entry; "
-                                     "inconsistent orientation data")
                 visited.add(cur)
                 ci, slot = divmod(cur, 4)
                 if slot in (1, 3):
@@ -286,6 +288,9 @@ class Diagram:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The JSON format's fields.  The orientation of a component that
+        passes over at every crossing is not among them: ``parse`` gives
+        it the module's convention, which may flip its crossings' signs."""
         out = {"pd": [list(c) for c in self.crossings],
                "singular": list(self.singular_indices)}
         if self.name:

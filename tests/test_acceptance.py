@@ -233,7 +233,9 @@ def test_criterion_8_homotopy_combinators():
                     [f_prime.target.rank(i), f_prime.source.rank(i + 1)],
                     ring)
                 assert out.component(i) == want
-            assert is_chain_map(out).ok
+            # a fresh map: ``out`` keeps the verdict its legs and square gave
+            assert is_chain_map(ChainMap(out.source, out.target,
+                                         out.components)).ok
             instances += 1
 
             # factorization through the cone (components (g, -H))

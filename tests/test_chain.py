@@ -600,6 +600,44 @@ def make_three_columns(rng, ring, with_noise=True):
     return A, AB, BC, C, f, g, h, u, v, w, x, F, G, H, Psi, Xi, Gamma
 
 
+def same_family(got, want):
+    """``got`` (a graded map) equals ``want`` (a family built in util)
+    component by component, over the same complexes and degree."""
+    degs = (set(want.source.degrees()) | set(got.components)
+            | set(want.components))
+    return ((got.source, got.target, got.shift)
+            == (want.source, want.target, -want.degree)
+            and all(got.component(i) == want.component(i) for i in degs))
+
+
+class TestHomotopyIsAGradedMap:
+    def test_wrong_shape_refused(self):
+        X = ChainComplex(ZZ, {0: 1}, {})
+        Y = ChainComplex(ZZ, {-1: 2, -2: 1}, {})
+        one = SparseMatrix.zero(1, 1, ZZ)
+        with pytest.raises(ContractViolation, match="shape 1x1, expected 2x1"):
+            Homotopy(X, Y, {0: one})
+        assert Homotopy(X, Y, {0: one}, degree=-2).degree == -2
+
+    def test_algebra_matches_the_util_families(self):
+        # compose, + and - of ChainMap against util's own loops
+        rng = random.Random(30)
+        for k in range(12):
+            ring = ZZ if k % 2 else QQ
+            (A, AB, BC, C, f, g, h, u, v, w, x, F, G, H, Psi, Xi,
+             Gamma) = make_three_columns(rng, ring)
+            F2 = random_family(rng, A, AB, -1, 0.5)
+            assert same_family(g.compose(F), compose_family(g, F))
+            assert same_family(h.compose(Psi), compose_family(h, Psi))
+            assert same_family(G.compose(f), family_after_map(G, f))
+            assert same_family(Xi.compose(f), family_after_map(Xi, f))
+            assert same_family(F + F2, homotopy_sum(F, F2))
+            minus_F2 = Homotopy(A, AB,
+                                {i: -m for i, m in F2.components.items()})
+            assert same_family(-F2, minus_F2)
+            assert same_family(F - F2, homotopy_sum(F, minus_F2))
+
+
 class TestConeFactor:
     def test_strict_vanishing_case(self):
         rng = random.Random(16)

@@ -8,6 +8,7 @@ import pytest
 
 import khsing
 from khsing.cli import corpus_dir, main
+from khsing.diagram import from_braid
 from khsing.exactlinalg import SparseMatrix
 
 # the child process imports the same khsing as the tests, also when pytest
@@ -199,6 +200,20 @@ class TestSkeinCheckCommand:
                           str(corpus / "d2.json"),
                           str(corpus / "fi_unknot.json")])
         assert code == 1
+
+    def test_minus_positive_after_json_exit_one(self, tmp_path):
+        # the component over at both crossings loses its orientation in
+        # JSON, so the minus diagram reads back positive at the site
+        d = from_braid([(0, 0), (0, 1)], 2)
+        paths = []
+        for name, x in (("minus", d.resolve_double_point(0, -1)),
+                        ("plus", d.resolve_double_point(0, +1)),
+                        ("sing", d)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(x.to_json())
+        code, out, err = run(["skein-check", *map(str, paths)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "must be negative" in err
 
     def test_unknot_family_triple_passes(self, corpus):
         code, out, _ = run(["skein-check",

@@ -59,6 +59,13 @@ class TestParse:
         with pytest.raises(ParseError, match="not planar"):
             parse({"pd": pd})
 
+    @pytest.mark.parametrize("hint", [0, 2, 4, 5, -1])
+    def test_over_hint_must_be_an_over_slot(self, hint):
+        # the component of edges 2 and 3 passes over at both crossings, so
+        # its orientation comes from a hint, which names slot 1 or 3
+        with pytest.raises(ContractViolation, match="slot 1 or 3"):
+            Diagram([[1, 2, 4, 3], [4, 2, 1, 3]], over_hints={0: hint})
+
     def test_json_roundtrip(self):
         for pd, singular in ((TREFOIL_PD, []), (HOPF_PD, [0])):
             d = parse({"pd": pd, "singular": singular, "name": "x"})
