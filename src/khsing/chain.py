@@ -13,6 +13,11 @@ of degree -1), so homotopies and chain maps share ``compose``, ``+`` and
 d H - H d (the sign differs between anticommutator and commutator
 identities), against one expression in those operations.
 
+A cone is a direct sum, Cone(f)^i = Y^i (+) X^(i+1) with Y first; that
+layout is stated once, by ``_cone_summands``.  A map into or out of a cone
+is a matrix of graded maps between summands, and ``_block_map`` turns it
+into components, so each combinator states its map as one grid.
+
 A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
 again: ``shift``, ``dual`` and ``change_ring`` are exact images, and
 ``homology`` checks only the bidegree.  A map keeps its chain condition;
@@ -266,8 +271,12 @@ class ChainMap:
         return m
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        if self.shift != other.shift:
-            raise ContractViolation("cannot add maps of different shifts")
+        # ChainComplex has no __eq__: the complexes must be the same objects
+        if ((self.source, self.target, self.shift)
+                != (other.source, other.target, other.shift)):
+            raise ContractViolation(
+                "cannot add maps between different complexes or of "
+                "different shifts")
         degs = set(self.components) | set(other.components)
         comps = {i: self.component(i) + other.component(i) for i in degs}
         return ChainMap(self.source, self.target, comps, self.shift)
@@ -368,10 +377,10 @@ def _require_relation(defect: dict, rhs: ChainMap, what: str):
 
 
 def cone(f: ChainMap) -> ChainComplex:
-    """Mapping cone: Cone(f)^i = Y^i (+) X^(i+1), d = [[d_Y, f], [0, -d_X]].
-
-    Generators are identified by place: index k of Cone(f)^i is generator k
-    of Y^i when k < rank Y^i, else generator k - rank Y^i of X^(i+1).
+    """Mapping cone: d = [[d_Y, f], [0, -d_X]] on the summands Y^i and
+    X^(i+1) of ``_cone_summands``, which holds the layout: index k of
+    Cone(f)^i is generator k of Y^i when k < rank Y^i, else generator
+    k - rank Y^i of X^(i+1).
 
     d d = [[d_Y^2, d_Y f - f d_X], [0, d_X^2]] and Y, X are checked, so the
     cone checks only that ``f`` is a chain map.  It is kept on ``f`` and
@@ -406,31 +415,51 @@ def _cone(f: ChainMap) -> ChainComplex:
     return ChainComplex._unchecked(ring, ranks, diffs, q=q)
 
 
-def cone_inclusion(f: ChainMap) -> ChainMap:
-    """The canonical chain map Y -> Cone(f)."""
-    C = cone(f)
-    Y = f.target
+def _cone_summands(f: ChainMap, k: int = 0) -> tuple:
+    """The summands of Cone(f)[k], Y first: a summand (P, o) contributes
+    P^(i+o) to degree i, so Cone(f)^i = Y^i (+) X^(i+1)."""
+    return ((f.target, -k), (f.source, 1 - k))
+
+
+def _block_map(grid, source, target, shift: int = 0) -> dict:
+    """Components of the map of direct sums ``source`` -> ``target``[shift]
+    whose block from summand c to summand r is the graded map grid[r][c]
+    (None for zero).  Summands are (P, o) as in ``_cone_summands``: the
+    block from (P, o) to (Q, p) maps P -> Q[shift + o - p], and its
+    component at degree i of the sum is its component at i + o."""
+    for row, (_, p) in zip(grid, target):
+        for g, (_, o) in zip(row, source):
+            if g is not None and g.shift != shift + o - p:
+                raise ContractViolation(
+                    f"block of shift {g.shift} where {shift + o - p} fits")
+    ring = source[0][0].ring
     comps = {}
-    for i in Y.degrees():
-        comps[i] = SparseMatrix(
-            C.rank(i), Y.rank(i), Y.ring,
-            {r: {r: 1} for r in range(Y.rank(i))})
-    return ChainMap(Y, C, comps)
+    for i in {d - o for P, o in source for d in P.degrees()}:
+        comps[i] = SparseMatrix.block(
+            [[None if g is None else g.component(i + o)
+              for g, (_, o) in zip(row, source)] for row in grid],
+            [Q.rank(i - shift + p) for Q, p in target],
+            [P.rank(i + o) for P, o in source], ring)
+    return comps
+
+
+def _identity(P: ChainComplex) -> ChainMap:
+    return ChainMap(P, P, {i: SparseMatrix.identity(n, P.ring)
+                           for i, n in P.ranks.items()})
+
+
+def cone_inclusion(f: ChainMap) -> ChainMap:
+    """The canonical chain map Y -> Cone(f), [I; 0]."""
+    Y = f.target
+    return ChainMap(Y, cone(f), _block_map([[_identity(Y)], [None]],
+                                           ((Y, 0),), _cone_summands(f)))
 
 
 def cone_projection(f: ChainMap) -> ChainMap:
-    """The canonical chain map Cone(f) -> X[-1]."""
-    C = cone(f)
+    """The canonical chain map Cone(f) -> X[-1], [0 I]."""
     X = f.source
-    Xs = X.shift(-1)
-    comps = {}
-    for i in C.degrees():
-        y_r = f.target.rank(i)
-        x_r = X.rank(i + 1)
-        comps[i] = SparseMatrix(
-            x_r, C.rank(i), X.ring,
-            {r: {y_r + r: 1} for r in range(x_r)})
-    return ChainMap(C, Xs, comps)
+    return ChainMap(cone(f), X.shift(-1), _block_map(
+        [[None, _identity(X)]], _cone_summands(f), ((X, 1),)))
 
 
 def cone_functorial_map(f: ChainMap, f_prime: ChainMap, u: ChainMap,
@@ -454,15 +483,8 @@ def cone_functorial_map(f: ChainMap, f_prime: ChainMap, u: ChainMap,
                       "dF + Fd = fu - vf'")
     _require_chain_map(u, "leg u of the induced cone map")
     _require_chain_map(v, "leg v of the induced cone map")
-    Cp, C = cone(f_prime), cone(f)
-    comps = {}
-    for i in Cp.degrees():
-        comps[i] = SparseMatrix.block(
-            [[v.component(i), -F.component(i + 1)],
-             [None, u.component(i + 1)]],
-            [Y.rank(i), X.rank(i + 1)],
-            [Yp.rank(i), Xp.rank(i + 1)], C.ring)
-    out = ChainMap(Cp, C, comps)
+    out = ChainMap(cone(f_prime), cone(f), _block_map(
+        [[v, -F], [None, u]], _cone_summands(f_prime), _cone_summands(f)))
     out._check = ChainMapCheck(True)
     return out
 
@@ -473,19 +495,12 @@ def cone_factor(f: ChainMap, g: ChainMap, H: Homotopy | None = None) -> ChainMap
     Returns the map (g, -H): Cone(f) -> Z restricting to g along
     Y -> Cone(f).
     """
-    X, Y = f.source, f.target
     Z = g.target
     if H is None:
-        H = Homotopy.zero(X, Z)
+        H = Homotopy.zero(f.source, Z)
     _require_relation(_family_defect(H, +1), -g.compose(f), "dH + Hd = -gf")
-    C = cone(f)
-    comps = {}
-    for i in C.degrees():
-        comps[i] = SparseMatrix.block(
-            [[g.component(i), -H.component(i + 1)]],
-            [Z.rank(i)],
-            [Y.rank(i), X.rank(i + 1)], Z.ring)
-    out = ChainMap(C, Z, comps)
+    out = ChainMap(cone(f), Z, _block_map([[g, -H]], _cone_summands(f),
+                                          ((Z, 0),)))
     _require_chain_map(out, "factored map")
     return out
 
@@ -504,7 +519,6 @@ def cone_hfunc_homotopy(f: ChainMap, g: ChainMap, f_prime: ChainMap,
     for pair, name in (((g, f), "gf"), ((g_prime, f_prime), "g'f'")):
         if not pair[0].compose(pair[1]).is_zero():
             raise ContractViolation(f"composite {name} is not strictly zero")
-    Xp = f_prime.source
     Z = g.target
     _require_relation(_family_defect(Psi, -1),
                       g.compose(F) + G.compose(f_prime),
@@ -513,14 +527,8 @@ def cone_hfunc_homotopy(f: ChainMap, g: ChainMap, f_prime: ChainMap,
     ghat = cone_factor(f, g)
     ghat_p = cone_factor(f_prime, g_prime)
     Fstar = cone_functorial_map(f, f_prime, u, v, F)
-    Cp = Fstar.source
-    comps = {}
-    for i in Cp.degrees():
-        comps[i] = SparseMatrix.block(
-            [[G.component(i), -Psi.component(i + 1)]],
-            [Z.rank(i - 1)],
-            [g_prime.source.rank(i), Xp.rank(i + 1)], Z.ring)
-    Ghat = Homotopy(Cp, Z, comps, degree=-1)
+    Ghat = Homotopy(Fstar.source, Z, _block_map(
+        [[G, -Psi]], _cone_summands(f_prime), ((Z, 0),), 1), degree=-1)
     # the identity this family is claimed to satisfy, checked entrywise
     _require_relation(_family_defect(Ghat, +1),
                       ghat.compose(Fstar) - w.compose(ghat_p),
@@ -542,14 +550,13 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
 
     returns Gamma* = [[-Xi, Gamma], [G, -Psi]] and verifies
     d Gamma* + Gamma* d = r F* - H*[1] r', where r, r' are the canonical
-    maps Cone(f) -> Cone(h)[1].
+    maps Cone(f) -> Cone(h)[1], [[0, 0], [g, 0]].
     """
     for pair, name in (((g, f), "gf"), ((h, g), "hg"),
                        ((g_prime, f_prime), "g'f'"),
                        ((h_prime, g_prime), "h'g'")):
         if not pair[0].compose(pair[1]).is_zero():
             raise ContractViolation(f"composite {name} is not strictly zero")
-    ring = h.target.ring
     _require_relation(_family_defect(Psi, -1),
                       g.compose(F) + G.compose(f_prime),
                       "dPsi - Psi d = gF + Gf'")
@@ -562,47 +569,21 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
 
     Fstar = cone_functorial_map(f, f_prime, uX, uY, F)
     Hstar = cone_functorial_map(h, h_prime, uZ, uW, H)
-    Cfp, Cf = Fstar.source, Fstar.target
-    Chp, Ch = Hstar.source, Hstar.target
-
-    r = _cocone_canonical(f, g, h, Cf, Ch)
-    r_prime = _cocone_canonical(f_prime, g_prime, h_prime, Cfp, Chp)
+    r, r_prime = (ChainMap(cone(a), cone(c).shift(1), _block_map(
+        [[None, None], [b, None]], _cone_summands(a), _cone_summands(c, 1)))
+        for a, b, c in ((f, g, h), (f_prime, g_prime, h_prime)))
     _require_chain_map(r, "canonical map r")
     _require_chain_map(r_prime, "canonical map r'")
 
-    W, Z = h.target, h.source
-    Xp, Yp = f_prime.source, f_prime.target
-    comps = {}
-    for i in Cfp.degrees():
-        comps[i] = SparseMatrix.block(
-            [[-Xi.component(i), Gamma.component(i + 1)],
-             [G.component(i), -Psi.component(i + 1)]],
-            [W.rank(i - 2), Z.rank(i - 1)],
-            [Yp.rank(i), Xp.rank(i + 1)], ring)
-    Gstar = Homotopy(Cfp, r.target, comps, degree=-1)
-
+    Gstar = Homotopy(Fstar.source, r.target, _block_map(
+        [[-Xi, Gamma], [G, -Psi]], _cone_summands(f_prime),
+        _cone_summands(h, 1), 1), degree=-1)
     hstar_shift = ChainMap(r_prime.target, r.target,
                            {i: Hstar.component(i - 1) for i in r_prime.target.degrees()})
     _require_relation(_family_defect(Gstar, +1),
                       r.compose(Fstar) - hstar_shift.compose(r_prime),
                       "d Gamma* + Gamma* d = r F* - H*[1] r'")
     return Gstar
-
-
-def _cocone_canonical(f: ChainMap, g: ChainMap, h: ChainMap,
-                      Cf: ChainComplex, Ch: ChainComplex) -> ChainMap:
-    """Canonical chain map Cone(f) -> Cone(h)[1], (y, x) |-> (0, g y)."""
-    ring = Cf.ring
-    X, Y, Z, W = f.source, f.target, h.source, h.target
-    Chs = Ch.shift(1)
-    comps = {}
-    for i in Cf.degrees():
-        comps[i] = SparseMatrix.block(
-            [[None, None],
-             [g.component(i), None]],
-            [W.rank(i - 1), Z.rank(i)],
-            [Y.rank(i), X.rank(i + 1)], ring)
-    return ChainMap(Cf, Chs, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +611,7 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
     by, ry = Y._reduced_blocks(graded)
     if graded:
         _check_q_kept(f.components, X.q, Y.q, 0)
+    _require_chain_map(f, "map inducing H(f)")
     keys = {(i, j) for b in (bx, by) for i, by_q in b.items() for j in by_q}
     out = {}
     for i, j in sorted(keys):  # ungraded, j is None and i is unique
