@@ -1,9 +1,9 @@
 """Regenerate the bundled diagram corpus.
 
-Every file is validated to round-trip through JSON with its crossing signs
-intact (components that are over-everywhere carry no orientation in a PD
-code, so the generator rotates double-point tuples until the parser's
-deterministic orientation matches the intended one).
+Every file is validated to round-trip through JSON with its orientation
+intact (a component that passes over at every crossing carries no
+orientation in a PD code; the format's ``over_entry`` field records it
+where the parser's convention would orient it the other way).
 
 Run from the repository root:  python scripts/generate_corpus.py
 """
@@ -19,32 +19,9 @@ from khsing.diagram import Diagram, from_braid, parse
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "khsing" / "corpus"
 
 
-def roundtrips(d: Diagram) -> bool:
-    return parse(d.to_json()).over_entry == d.over_entry
-
-
-def fix_orientation(d: Diagram) -> Diagram:
-    """Rotate singular tuples until JSON round-trip preserves orientation."""
-    if roundtrips(d):
-        return d
-    sing = d.singular_indices
-    for bits in range(1, 1 << len(sing)):
-        crossings = list(d.crossings)
-        for k, i in enumerate(sing):
-            if bits >> k & 1:
-                a, b, c, dd = crossings[i]
-                # rotate by one; for a double point this is the same crossing
-                crossings[i] = (dd, a, b, c) if d.over_entry[i] == 3 else (b, c, dd, a)
-        cand = Diagram(crossings, d.kinds, d.free_loops, d.name)
-        if (cand.n_plus, cand.n_minus) == (d.n_plus, d.n_minus) and roundtrips(cand):
-            return cand
-    raise SystemExit(f"could not stabilize orientation of {d.name}")
-
-
 def save(d: Diagram, name: str):
     d = Diagram(d.crossings, d.kinds, d.free_loops, name,
                 over_hints=dict(enumerate(d.over_entry)))
-    d = fix_orientation(d)
     back = parse(d.to_json())
     assert back == d and back.over_entry == d.over_entry, name
     path = OUT / f"{name}.json"

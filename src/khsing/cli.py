@@ -102,7 +102,7 @@ def cmd_skein_check(args) -> int:
         raise ParseError(f"triple does not match at one site: {e}") from None
     if d_minus.crossing_sign(b) > 0:
         # equal diagrams may differ in the orientation of a component that
-        # passes over everywhere, which the JSON format does not record
+        # passes over everywhere, which a file records only in over_entry
         raise ParseError(f"{args.minus} is positive at the double point's "
                          f"crossing {b}; the first diagram must be negative")
     ring = _RINGS[args.ring]()

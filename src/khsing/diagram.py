@@ -10,7 +10,8 @@ Orientations are recovered by traversal: entering a crossing at slot s exits
 at slot (s + 2) mod 4, and every edge must be traversed exactly once.  A
 component that passes over at every crossing it meets carries no orientation
 data in a PD code; such components are oriented by a fixed convention
-(enter the lowest-index crossing at slot 3).
+(enter the lowest-index crossing at slot 3) unless an over-entry hint, or
+the JSON format's ``over_entry`` field, names slot 1 there.
 
 Sign convention (right-hand rule): a crossing is positive when the
 over-strand enters at slot 3, i.e. crosses left-to-right over the oriented
@@ -41,8 +42,8 @@ class Diagram:
 
     __slots__ = ("crossings", "kinds", "free_loops", "name",
                  "over_entry", "components", "_labels", "_edges", "_partner",
-                 "_first", "_signs", "singular_indices", "ordinary_indices",
-                 "n_plus", "n_minus")
+                 "_first", "_over_starts", "_signs", "singular_indices",
+                 "ordinary_indices", "n_plus", "n_minus")
 
     def __init__(self, crossings, kinds=None, free_loops=0, name=None,
                  over_hints=None):
@@ -85,7 +86,8 @@ class Diagram:
                     f"edge label {e} appears {len(xs)} times (expected 2)")
             partner[xs[0]], partner[xs[1]] = xs[1], xs[0]
         self._partner, self._first = tuple(partner), tuple(a for a, _ in ends)
-        self.over_entry, self.components = self._trace(over_hints)
+        self.over_entry, self.components, self._over_starts = self._trace(
+            over_hints)
         self._check_planar()
         self._signs = tuple(1 if oe == 3 else -1 for oe in self.over_entry)
         self.singular_indices = tuple(
@@ -134,11 +136,15 @@ class Diagram:
             if 4 * ci not in visited:
                 components.append(walk(4 * ci))
         # Components that never pass under carry no orientation data in a PD
-        # code; orient them by the caller's hint, defaulting to positive.
+        # code; orient each from its lowest crossing by the caller's hint
+        # there, defaulting to positive, and keep where each walk started.
+        starts = []
         for ci in range(n):
             if ci not in over_entry:
-                components.append(walk(4 * ci + over_hints.get(ci, 3)))
-        return tuple(over_entry[ci] for ci in range(n)), tuple(components)
+                starts.append((ci, over_hints.get(ci, 3)))
+                components.append(walk(4 * ci + starts[-1][1]))
+        return (tuple(over_entry[ci] for ci in range(n)), tuple(components),
+                tuple(starts))
 
     def _check_planar(self):
         """Euler's formula: each connected piece of the crossing graph, with
@@ -273,30 +279,30 @@ class Diagram:
                     e = edges[x]
                     x = partner[x]
                 n_real += 1
-        # circles ordered by minimal edge label, as the walks start in label
-        # order; free loops trail
-        circles = [[] for _ in range(n_real)]
-        for e, k in zip(self._labels, circle_of):
-            circles[k].append(e)
-        circles = [tuple(v) for v in circles]
-        circles += [("loop", k) for k in range(self.free_loops)]
         # slots 0 and 2 lie on the two different arcs of either smoothing
         arc = circle_of.__getitem__
         crossing_arcs = tuple(zip(map(arc, edges[::4]), map(arc, edges[2::4])))
-        return CircleConfiguration(smoothing, tuple(circles), crossing_arcs)
+        return CircleConfiguration(smoothing, n_real + self.free_loops,
+                                   crossing_arcs, tuple(circle_of),
+                                   self._labels)
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The JSON format's fields.  The orientation of a component that
-        passes over at every crossing is not among them: ``parse`` gives
-        it the module's convention, which may flip its crossings' signs."""
+        """The JSON format's fields.  A component that passes over at every
+        crossing has no orientation in the PD code; ``parse`` orients it
+        by entering its lowest crossing at slot 3 unless ``over_entry``
+        lists that crossing with slot 1, so the field lists exactly the
+        components oriented the other way, and is left out when empty."""
         out = {"pd": [list(c) for c in self.crossings],
                "singular": list(self.singular_indices)}
         if self.name:
             out["name"] = self.name
         if self.free_loops:
             out["free_loops"] = self.free_loops
+        flipped = [[ci, slot] for ci, slot in self._over_starts if slot != 3]
+        if flipped:
+            out["over_entry"] = flipped
         return out
 
     def to_json(self) -> str:
@@ -307,20 +313,34 @@ class Diagram:
 class CircleConfiguration:
     """Circles of a complete smoothing with stable identifiers.
 
-    Circles are tuples of the edge labels they carry, ordered by minimal
-    label; crossingless free loops trail as ("loop", k) markers.  For each
-    crossing, ``crossing_arcs`` records the circle indices of its two local
-    strands: for the 0-smoothing the (slot0, slot1) and (slot2, slot3) arcs,
-    for the 1-smoothing the (slot0, slot3) and (slot1, slot2) arcs.
+    A state keeps what the cube build reads: ``n_circles``, free loops
+    included, and for each crossing the circle indices of its two local
+    strands in ``crossing_arcs``: for the 0-smoothing the (slot0, slot1)
+    and (slot2, slot3) arcs, for the 1-smoothing the (slot0, slot3) and
+    (slot1, slot2) arcs.  ``edge_circles[e]`` is the circle of edge
+    ``labels[e]``, the diagram's edge labels in ascending order.  Circles
+    are numbered by minimal edge label, as the walks start in label order;
+    crossingless free loops trail.
+
+    ``circles`` is derived when read, not stored: each circle as the
+    tuple of the edge labels it carries, then a ("loop", k) marker for
+    each free loop.
     """
 
     smoothing: int
-    circles: tuple
+    n_circles: int
     crossing_arcs: tuple
+    edge_circles: tuple
+    labels: tuple
 
     @property
-    def n_circles(self) -> int:
-        return len(self.circles)
+    def circles(self) -> tuple:
+        n_real = max(self.edge_circles, default=-1) + 1
+        circles = [[] for _ in range(n_real)]
+        for e, k in zip(self.labels, self.edge_circles):
+            circles[k].append(e)
+        return tuple(map(tuple, circles)) + tuple(
+            ("loop", k) for k in range(self.n_circles - n_real))
 
 
 def parse(text) -> Diagram:
@@ -328,7 +348,10 @@ def parse(text) -> Diagram:
 
     Accepts a JSON string, a dict, or a path-free file object.  Format:
     ``{"name": str?, "pd": [[a,b,c,d], ...], "singular": [indices],
-    "free_loops": int?}``.
+    "free_loops": int?, "over_entry": [[crossing, slot], ...]?}``.
+    ``over_entry`` orients the components that pass over at every
+    crossing: each pair is read as an over-entry hint (slot 1 or 3), and
+    must agree with the orientation the traversal gives that crossing.
     """
     if isinstance(text, dict):
         obj = text
@@ -359,7 +382,38 @@ def parse(text) -> Diagram:
     if not _is_int(free_loops):
         raise ParseError(f"free_loops {free_loops!r} is not an integer")
     kinds = [SINGULAR if i in set(singular) else ORDINARY for i in range(len(pd))]
-    return Diagram(pd, kinds, free_loops, obj.get("name"))
+    hints = _over_hints(obj.get("over_entry", []), len(pd))
+    d = Diagram(pd, kinds, free_loops, obj.get("name"), over_hints=hints)
+    for ci, slot in hints.items():
+        if d.over_entry[ci] != slot:
+            raise ParseError(
+                f"over_entry gives slot {slot} at crossing {ci}, where the "
+                f"traversal enters the over-strand at slot {d.over_entry[ci]}")
+    return d
+
+
+def _over_hints(pairs, n: int) -> dict:
+    """The ``over_entry`` field as over-entry hints: crossing -> slot."""
+    if not isinstance(pairs, list):
+        raise ParseError("'over_entry' must be a list of [crossing, slot] "
+                         "pairs")
+    hints = {}
+    for pair in pairs:
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not all(map(_is_int, pair))):
+            raise ParseError(f"over_entry {pair!r} is not a [crossing, slot] "
+                             "pair of integers")
+        ci, slot = pair
+        if not 0 <= ci < n:
+            raise ParseError(f"over_entry crossing {ci} is not a crossing "
+                             "index")
+        if ci in hints:
+            raise ParseError(f"over_entry lists crossing {ci} twice")
+        if slot not in (1, 3):
+            raise ParseError(f"over_entry slot {slot} at crossing {ci} is "
+                             "not 1 or 3")
+        hints[ci] = slot
+    return hints
 
 
 def _is_int(v) -> bool:

@@ -21,15 +21,21 @@ Generator order is by vertex (r, then s, each lexicographic in the bit
 tuple), then lexicographic in the circle bit tuple, so matrices are
 reproducible across runs.  This module is the one place that knows it.
 
-A saddle's block depends only on its circle pattern (merge or split, the
-circle counts and the touched circles), and a crossing change's only on
-the circle count and its two circles.  So a cube build makes each block
-once per edge sign, in one dict that lives for the build.  Its key is
-flat: the two vertices' arcs at the crossing, their circle counts and the
-sign; the pattern is worked out only for a new key.  A cached block is
-already multiplied by its sign and reduced into the ring, zeros dropped,
-so each entry is written once, as it is stored, and each matrix is
-wrapped by ``SparseMatrix._unchecked``.  That is safe by construction:
+A saddle is a local cobordism on the one or two circles it touches,
+tensored with the identity on all the others (Bar-Natan), so its block
+is the two-circle table of ``mult_bits`` or ``comult_bits`` times the
+identity on the untouched circles.  The table is signed and reduced into
+the ring once, for its at most 4 input bit patterns; the untouched
+circles keep their order, so each column moves them by a few
+mask-and-shift runs.  A block depends only on its circle pattern (merge
+or split, the circle counts and the touched circles), and a crossing
+change's only on the circle count and its two circles.  So a cube build
+makes each block once per edge sign, in one dict that lives for the
+build, keyed by the two vertices' arcs at the crossing, their circle
+counts and the sign.  A cached block is already multiplied by its sign
+and reduced into the ring, zeros dropped, so each entry is written once,
+as it is stored, and each matrix is wrapped by
+``SparseMatrix._unchecked``.  That is safe by construction:
 ``Ring.coerce`` made every value, every index is a generator of the two
 vertices (an offset plus circle bits below 2^k), no zero is written, and
 a row exists only once a value lands in it.  Distinct edges never share
@@ -91,8 +97,14 @@ class CubeComplex:
 
 
 def _state_order(n: int):
-    """All state masks sorted lexicographically by bit tuple (b0, ..., bn-1)."""
-    return sorted(range(1 << n), key=lambda m: f"{m:0{n}b}"[::-1])
+    """All state masks sorted lexicographically by bit tuple (b0, ..., bn-1).
+
+    Built by doubling: the masks with bit k set follow those without, in
+    the same order, for k from n - 1 down to 0, so bit 0 decides first."""
+    order = [0]
+    for k in reversed(range(n)):
+        order += [m | 1 << k for m in order]
+    return order
 
 
 def _flip(sites, r: int) -> int:
@@ -101,51 +113,58 @@ def _flip(sites, r: int) -> int:
     return sum(1 << b for k, b in enumerate(sites) if r >> k & 1)
 
 
-def _saddle_pattern(src_cfg, tgt_cfg, c: int):
-    """Circle pattern of the saddle at crossing c: the key of its block.
+def _saddle_entries(F: FrobeniusAlgebra, sign: int, src_arcs, tgt_arcs,
+                    k_src: int, k_tgt: int):
+    """``sign`` times the saddle from a k_src-circle state with arcs
+    ``src_arcs`` at its crossing to a k_tgt-circle state with arcs
+    ``tgt_arcs`` there, as (row, col, value) over the 2^k_src source
+    generators in column order, reduced into the ring, zeros dropped.
 
-    Returns (kind, k_src, k_tgt, src_touched, tgt_touched): a "merge" of
-    source circles (i1, i2) into target circle (m,), or a "split" of (i,)
-    into (d1, d2).  The untouched circles keep their edges, so they keep
-    their order (circles are ordered by minimal edge label, free loops
-    last) and fill the remaining target slots in turn: the pattern fixes
-    the block.  The target 1-smooths c, so its ``crossing_arcs[c]`` holds
-    the merged circle twice, or the two circles of a split.
+    Source circles (i1, i2) merge into target circle m, or i splits into
+    (d1, d2): the target 1-smooths the crossing, so its arcs hold the
+    merged circle twice, or the two circles of the split.  Generator g of
+    a k-circle state has the bit of circle i at weight 2^(k - 1 - i).  The
+    block is the table of ``mult_bits`` or ``comult_bits``, keyed by a
+    column's touched bits, times the identity on the untouched circles.
+    Those keep their edges, so they keep their order (circles are ordered
+    by minimal edge label, free loops last) and fill the remaining target
+    slots in turn: each moves by a fixed shift, and the circles of one
+    shift move as one mask.
     """
-    i1, i2 = src_cfg.crossing_arcs[c]
-    d1, d2 = tgt_cfg.crossing_arcs[c]
-    k_src, k_tgt = src_cfg.n_circles, tgt_cfg.n_circles
+    i1, i2 = src_arcs
+    w1, w2 = 1 << (k_src - 1 - i1), 1 << (k_src - 1 - i2)
+    table = {}  # touched bits of a column -> [(target bits, coefficient)]
     if i1 != i2:
-        return ("merge", k_src, k_tgt, (i1, i2), (d1,))
-    return ("split", k_src, k_tgt, (i1,), (d1, d2))
-
-
-def _saddle_block(F: FrobeniusAlgebra, pattern):
-    """The saddle of one circle pattern as (row, col, value) over the
-    2^k_src source generators; each column's terms land on distinct rows.
-
-    Generator index r of a k-circle state has the bit of circle i at weight
-    2^(k - 1 - i), matching the lexicographic order of the bit tuples.
-    """
-    kind, k_src, k_tgt, src_touched, tgt_touched = pattern
-    untouched = list(zip(
-        [k for k in range(k_src) if k not in src_touched],
-        [k for k in range(k_tgt) if k not in tgt_touched]))
+        m = 1 << (k_tgt - 1 - tgt_arcs[0])
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            table[a * w1 | b * w2] = [(bit * m, v)
+                                      for bit, v in F.mult_bits(a, b)]
+        touched, landed = src_arcs, tgt_arcs[:1]
+    else:
+        d1, d2 = (1 << (k_tgt - 1 - d) for d in tgt_arcs)
+        for a in (0, 1):
+            table[a * w1] = [(bl * d1 | br * d2, v)
+                             for bl, br, v in F.comult_bits(a)]
+        touched, landed = src_arcs[:1], tgt_arcs
+    coerce = F.ring.coerce
+    table = {key: [(bits, w) for bits, v in terms if (w := coerce(sign * v))]
+             for key, terms in table.items()}
+    runs = {}  # shift -> source mask of the untouched circles it moves
+    for ks, kt in zip([k for k in range(k_src) if k not in touched],
+                      [k for k in range(k_tgt) if k not in landed]):
+        shift = k_tgt - k_src + ks - kt
+        runs[shift] = runs.get(shift, 0) | 1 << (k_src - 1 - ks)
+    up = [(sh, mask) for sh, mask in runs.items() if sh >= 0]
+    down = [(-sh, mask) for sh, mask in runs.items() if sh < 0]
     out = []
     for col in range(1 << k_src):
-        bits = [col >> (k_src - 1 - i) & 1 for i in range(k_src)]
         base = 0
-        for ks, kt in untouched:
-            base |= bits[ks] << (k_tgt - 1 - kt)
-        if kind == "merge":
-            (i1, i2), (m,) = src_touched, tgt_touched
-            for b, coef in F.mult_bits(bits[i1], bits[i2]):
-                out.append((base | b << (k_tgt - 1 - m), col, coef))
-        else:
-            (i,), (d1, d2) = src_touched, tgt_touched
-            for bl, br, coef in F.comult_bits(bits[i]):
-                out.append((base | bl << (k_tgt - 1 - d1)
-                            | br << (k_tgt - 1 - d2), col, coef))
+        for sh, mask in up:
+            base |= (col & mask) << sh
+        for sh, mask in down:
+            base |= (col & mask) >> sh
+        for bits, v in table[col & (w1 | w2)]:
+            out.append((base | bits, col, v))
     return out
 
 
@@ -163,21 +182,10 @@ def _phi_block(F: FrobeniusAlgebra, k: int, i1: int, i2: int):
     return [(r, col, v) for (r, col), v in entries.items() if v]
 
 
-def _in_ring(F: FrobeniusAlgebra, sign: int, block):
-    """``sign`` times a (row, col, value) ``block``, each value reduced into
-    the ring, zeros dropped: entries ready to be stored as they are."""
-    out = []
-    for r, col, v in block:
-        v = F.ring.coerce(sign * v)
-        if v:
-            out.append((r, col, v))
-    return out
-
-
 def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int):
     """``sign`` times the crossing change at crossing c out of a state
     ``cfg`` that 1-smooths c, into the state with the same circles that
-    0-smooths it, reduced into the ring (see ``_in_ring``); empty where both
+    0-smooths it, reduced into the ring, zeros dropped; empty where both
     strands lie on one circle.  Cached in ``blocks`` under (arcs of c,
     circle count, sign)."""
     arcs, k = cfg.crossing_arcs[c], cfg.n_circles
@@ -185,8 +193,9 @@ def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int):
     block = blocks.get(key)
     if block is None:
         i1, i2 = arcs
-        block = blocks[key] = (
-            [] if i1 == i2 else _in_ring(F, sign, _phi_block(F, k, i1, i2)))
+        block = blocks[key] = [] if i1 == i2 else [
+            (r, col, w) for r, col, v in _phi_block(F, k, i1, i2)
+            if (w := F.ring.coerce(sign * v))]
     return block
 
 
@@ -203,6 +212,19 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeC
     return cube
 
 
+def _put(rows: dict, block, row0: int, col0: int):
+    """Write a (row, col, value) ``block`` into ``rows`` at (row0, col0); a
+    row is made by its first entry."""
+    get = rows.get
+    for i, j, v in block:
+        i += row0
+        row = get(i)
+        if row is None:
+            rows[i] = {col0 + j: v}
+        else:
+            row[col0 + j] = v
+
+
 def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                   sites=()) -> CubeComplex:
     """The cube of resolutions of ``d`` over its crossings and the double
@@ -212,16 +234,19 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     Vertex (r, s) (see ``CubeComplex``) sits in degree |s| + 2|r| + shift;
     within a degree the vertices are laid out by r, then by s, each in
     bit-tuple order.  A saddle edge (r, s) -> (r, s + c) is its check sign
-    times its ``_saddle_block``; a crossing-change edge (r, s) ->
-    (r + k, s - b) at b = ``sites[k]`` is minus its check sign times its
-    ``_phi_block``.  Both carry (-1)^shift, the sign W[shift] gives the
-    differential.  At (h, t) = (0, 0) vertex (r, s) has quantum degrees
-    internal + |s| + n_plus - 2 * n_minus of its resolved diagram.  Each
-    planar smoothing is resolved once (see the module docstring), each
-    block is built once per sign, already in the ring, in a dict for this
-    call, and the rows are stored unchecked.  Over ``MAX_GENERATORS``
-    generators raise ParseError: before resolving if the free loops (and
-    one circle more if n > 0) give too many, else as they are resolved."""
+    times its ``_saddle_entries``: the two-circle table of the saddle times
+    the identity on the untouched circles.  A crossing-change edge
+    (r, s) -> (r + k, s - b) at b = ``sites[k]`` is minus its check sign
+    times its ``_phi_block``.  Both carry (-1)^shift, the sign W[shift]
+    gives the differential.  At (h, t) = (0, 0) vertex (r, s) has quantum
+    degrees internal + |s| + n_plus - 2 * n_minus of its resolved diagram.
+    Each planar smoothing is resolved once (see the module docstring),
+    each block is built once per sign, already in the ring, in a dict for
+    this call, and the rows are stored unchecked.  The edge loop reads the
+    vertex offsets from lists indexed [r][s]; ``offsets`` is their dict.
+    Over ``MAX_GENERATORS`` generators raise ParseError: before resolving
+    if the free loops (and one circle more if n > 0) give too many, else
+    as they are resolved."""
     n, m = d.n_crossings, len(sites)
     if n + m + d.free_loops + (n > 0) >= MAX_GENERATORS.bit_length():
         raise ParseError(_TOO_LARGE)
@@ -235,7 +260,7 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
         size += 1 << (configs[-1].n_circles + m)
         if size > MAX_GENERATORS:
             raise ParseError(_TOO_LARGE)
-    flips = [_flip(sites, r) for r in range(1 << len(sites))]
+    flips = [_flip(sites, r) for r in range(1 << m)]
     # a positive site moves a crossing from n_minus to n_plus: 3 more
     q_neg = neg.n_plus - 2 * neg.n_minus
     # circle count k -> internal q-degree of each of its 2^k generators
@@ -243,21 +268,23 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                 for k in {cfg.n_circles for cfg in configs}}
     levels = {}  # degree -> its vertices in layout order
     s_order = _state_order(n)
-    for r in _state_order(len(sites)):
+    for r in _state_order(m):
         for s in s_order:
             levels.setdefault(s.bit_count() + 2 * r.bit_count() + shift,
                               []).append((r, s))
-    offsets = {}
-    ranks = {}
+    at = [[0] * (1 << n) for _ in flips]  # at[r][s]: offset of vertex (r, s)
+    offsets, ranks = {}, {}
     qdeg = {} if F.graded else None
     for deg, vertices in levels.items():
+        rank = 0
         for r, s in vertices:
             k = configs[s ^ flips[r]].n_circles
-            offsets[(r, s)] = ranks.get(deg, 0)
-            ranks[deg] = offsets[(r, s)] + (1 << k)
+            offsets[(r, s)] = at[r][s] = rank
+            rank += 1 << k
             if qdeg is not None:
                 j = s.bit_count() + q_neg + 3 * r.bit_count()
                 qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
+        ranks[deg] = rank
 
     blocks = {}  # edge key -> its signed, ring-reduced entries, for this call
     diffs = {}
@@ -265,34 +292,30 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
         rows = {}
         # distinct edges never share an entry, nor terms of one edge
         for r, s in levels[deg]:
-            flip = flips[r]
+            flip, at_r = flips[r], at[r]
             cfg = configs[s ^ flip]
             arcs, k_src = cfg.crossing_arcs, cfg.n_circles
-            col0 = offsets[(r, s)]
+            col0 = at_r[s]
             sign = parity  # (-1)^shift times the check sign of bit c
             for c in range(n):
                 if s >> c & 1:
                     sign = -sign
                     continue
-                tgt = (r, s | 1 << c)
-                tcfg = configs[tgt[1] ^ flip]
+                t = s | 1 << c
+                tcfg = configs[t ^ flip]
                 key = (arcs[c], tcfg.crossing_arcs[c], k_src, tcfg.n_circles,
                        sign)
                 block = blocks.get(key)
                 if block is None:
-                    block = blocks[key] = _in_ring(F, sign, _saddle_block(
-                        F, _saddle_pattern(cfg, tcfg, c)))
-                row0 = offsets[tgt]
-                for i, j, v in block:
-                    rows.setdefault(row0 + i, {})[col0 + j] = v
+                    block = blocks[key] = _saddle_entries(F, sign, *key[:4])
+                _put(rows, block, at_r[t], col0)
             for k, b in enumerate(sites):
                 if r >> k & 1 or not s >> b & 1:
                     continue
                 # the target vertex is smoothing cfg too
-                row0 = offsets[(r | 1 << k, s & ~(1 << b))]
-                for i, j, v in _phi_entries(F, blocks, cfg, b,
-                                            -parity * _sign_bits(s, b)):
-                    rows.setdefault(row0 + i, {})[col0 + j] = v
+                _put(rows, _phi_entries(F, blocks, cfg, b,
+                                        -parity * _sign_bits(s, b)),
+                     at[r | 1 << k][s & ~(1 << b)], col0)
         if rows:
             diffs[deg] = SparseMatrix._unchecked(ranks[deg + 1], ranks[deg],
                                                  F.ring, rows)
@@ -307,7 +330,10 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
 
     Vertex (r, s) with c 1-smoothed maps to (r, s - c) by its check sign
     times its ``_phi_block``; every other vertex maps to zero.  Here two
-    separately resolved diagrams meet, so their circles are compared."""
+    separately resolved diagrams meet, so their circles are compared: as
+    the walk data they are derived from (edge labels, the circle of each
+    edge and the circle count), which are equal exactly when the circles
+    are."""
     if tgt.shift != src.shift + 1:
         raise ContractViolation(f"crossing {c} is not negative")
     F = src.algebra
@@ -318,17 +344,16 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
             continue
         t = (r, s & ~(1 << c))
         flip = _flip(src.sites, r)
-        cfg = src.configs[s ^ flip]
-        if tgt.configs[t[1] ^ flip].circles != cfg.circles:
+        cfg, tcfg = src.configs[s ^ flip], tgt.configs[t[1] ^ flip]
+        if ((cfg.labels, cfg.edge_circles, cfg.n_circles)
+                != (tcfg.labels, tcfg.edge_circles, tcfg.n_circles)):
             raise ContractViolation(
                 "resolved configurations disagree; inconsistent cubes")
         block = _phi_entries(F, blocks, cfg, c, _sign_bits(s, c))
         if block:
-            rows = comps.setdefault(
-                s.bit_count() + 2 * r.bit_count() + src.shift, {})
-            row0 = tgt.offsets[t]
-            for i, j, v in block:
-                rows.setdefault(row0 + i, {})[col0 + j] = v
+            _put(comps.setdefault(
+                s.bit_count() + 2 * r.bit_count() + src.shift, {}),
+                block, tgt.offsets[t], col0)
     return ChainMap(src.complex, tgt.complex, {
         deg: SparseMatrix._unchecked(tgt.complex.rank(deg),
                                      src.complex.rank(deg), F.ring, rows)

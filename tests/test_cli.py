@@ -71,6 +71,9 @@ class TestHomologyCommand:
         {"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2.5]]},
         {"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]], "free_loops": True},
         {"pd": [5]},
+        {"pd": [[1, 2, 4, 3], [4, 2, 1, 3]], "over_entry": [[0, 2]]},
+        # a hint that contradicts the traversal
+        {"pd": [[1, 2, 4, 3], [4, 2, 1, 3]], "over_entry": [[1, 3]]},
     ])
     def test_mistyped_field_exit_one(self, tmp_path, bad):
         path = tmp_path / "bad.json"
@@ -201,17 +204,36 @@ class TestSkeinCheckCommand:
                           str(corpus / "fi_unknot.json")])
         assert code == 1
 
-    def test_minus_positive_after_json_exit_one(self, tmp_path):
-        # the component over at both crossings loses its orientation in
-        # JSON, so the minus diagram reads back positive at the site
+    @staticmethod
+    def write_triple(tmp_path, keep_over_entry):
+        # the component over at both crossings is oriented against the
+        # parser's convention in the minus diagram, which only the
+        # over_entry field records
         d = from_braid([(0, 0), (0, 1)], 2)
         paths = []
         for name, x in (("minus", d.resolve_double_point(0, -1)),
                         ("plus", d.resolve_double_point(0, +1)),
                         ("sing", d)):
+            obj = x.to_dict()
+            if not keep_over_entry:
+                obj.pop("over_entry", None)
             paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(x.to_json())
-        code, out, err = run(["skein-check", *map(str, paths)])
+            paths[-1].write_text(json.dumps(obj))
+        return list(map(str, paths))
+
+    def test_json_triple_passes(self, tmp_path):
+        paths = self.write_triple(tmp_path, keep_over_entry=True)
+        assert "over_entry" in pathlib.Path(paths[0]).read_text()
+        code, out, _ = run(["skein-check", *paths])
+        assert code == 0
+        assert json.loads(out)["les_ok"]
+
+    def test_minus_positive_without_over_entry_exit_one(self, tmp_path):
+        # without the field the minus diagram reads back positive at the
+        # site
+        code, out, err = run(["skein-check",
+                              *self.write_triple(tmp_path,
+                                                 keep_over_entry=False)])
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "must be negative" in err
 

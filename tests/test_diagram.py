@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from khsing.cli import corpus_dir
 from khsing.diagram import Diagram, ORDINARY, SINGULAR, from_braid, parse
 from khsing.errors import ContractViolation, ParseError
+
+from util import union_find_circles
 
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF_PD = [[1, 3, 2, 4], [3, 1, 4, 2]]
@@ -71,6 +74,53 @@ class TestParse:
             d = parse({"pd": pd, "singular": singular, "name": "x"})
             assert parse(d.to_json()) == d
 
+    def test_json_roundtrip_keeps_over_everywhere_orientation(self):
+        # the component of edges 2 and 3 passes over at both crossings; the
+        # minus diagram orients it against the convention, and only the
+        # over_entry field carries that
+        d = from_braid([(0, 0), (0, 1)], 2)
+        minus = d.resolve_double_point(0, -1)
+        plus = d.resolve_double_point(0, 1)
+        assert minus.to_dict()["over_entry"] == [[0, 1]]
+        for x in (minus, plus, d):
+            back = parse(x.to_json())
+            assert back == x and back.over_entry == x.over_entry
+        without = {k: v for k, v in minus.to_dict().items()
+                   if k != "over_entry"}
+        assert parse(without).over_entry != minus.over_entry
+
+    def test_without_over_entry_reads_as_before(self):
+        # no field: the traversal's own convention, as if no hint were given
+        for pd in (TREFOIL_PD, HOPF_PD, [[1, 2, 4, 3], [4, 2, 1, 3]]):
+            assert parse({"pd": pd}).over_entry == Diagram(pd).over_entry
+            assert "over_entry" not in parse({"pd": pd}).to_dict()
+
+    @pytest.mark.parametrize("field", [
+        "x", [1, 3], [[0]], [[0, 1, 3]], [[0, True]], [[0, 1.0]], [[2, 1]],
+        [[-1, 3]], [[0, 1], [0, 1]], [[0, 2]], [[0, 0]]])
+    def test_malformed_over_entry(self, field):
+        with pytest.raises(ParseError, match="over_entry"):
+            parse({"pd": [[1, 2, 4, 3], [4, 2, 1, 3]], "over_entry": field})
+
+    @pytest.mark.parametrize("field", [[[0, 1], [1, 1]], [[1, 3]]],
+                             ids=["against_the_start", "not_the_start"])
+    def test_over_entry_contradicting_the_traversal(self, field):
+        # the walk of the over-everywhere component starts at crossing 0:
+        # entering there at slot 1 it enters crossing 1 at slot 3, and at
+        # slot 3 (no hint) it enters crossing 1 at slot 1
+        pd = [[1, 2, 4, 3], [4, 2, 1, 3]]
+        with pytest.raises(ParseError, match="traversal"):
+            parse({"pd": pd, "over_entry": field})
+
+    def test_over_entry_at_an_oriented_crossing(self):
+        # the trefoil has no over-everywhere component: a hint can only
+        # agree with the traversal, or be refused
+        d = parse({"pd": TREFOIL_PD})
+        slot = d.over_entry[0]
+        assert parse({"pd": TREFOIL_PD, "over_entry": [[0, slot]]}) == d
+        with pytest.raises(ParseError, match="traversal"):
+            parse({"pd": TREFOIL_PD, "over_entry": [[0, 4 - slot]]})
+
 
 class TestCrossingSign:
     def test_trefoil_all_same_sign(self):
@@ -134,6 +184,59 @@ class TestResolve:
                     a = d.resolve_bits(mask).n_circles
                     b = d.resolve_bits(mask ^ (1 << c)).n_circles
                     assert abs(a - b) == 1
+
+
+class TestResolveAgainstUnionFind:
+    # the walk of resolve_bits against circles found by union-find from the
+    # PD tuples alone; double points are resolved negatively first, as the
+    # cube resolves its smoothings
+    @staticmethod
+    def assert_matches(d):
+        for b in d.singular_indices:
+            d = d.resolve_double_point(b, -1)
+        for mask in range(1 << d.n_crossings):
+            cfg = d.resolve_bits(mask)
+            circles = union_find_circles(d, mask)
+            assert cfg.circles == circles, mask
+            assert cfg.n_circles == len(circles), mask
+            where = {e: k for k, circ in enumerate(circles)
+                     if circ[0] != "loop" for e in circ}
+            assert cfg.crossing_arcs == tuple(
+                (where[c[0]], where[c[2]]) for c in d.crossings), mask
+
+    def test_corpus(self):
+        paths = sorted(p for p in corpus_dir().glob("*.json")
+                       if p.name != "groups.json")
+        assert len(paths) > 20
+        for path in paths:
+            self.assert_matches(parse(path.read_text()))
+
+    def test_random_braid_closures(self):
+        rng = random.Random(2021)
+        with_loops = 0
+        for _ in range(200):
+            strands = rng.randint(1, 4)
+            word = [(rng.randrange(strands - 1), rng.choice((1, -1, 0)))
+                    for _ in range(rng.randint(0, 7) if strands > 1 else 0)]
+            d = from_braid(word, strands)
+            with_loops += d.free_loops > 0
+            self.assert_matches(d)
+        assert with_loops >= 20
+
+    def test_circles_equal_exactly_when_their_walk_data_are(self):
+        # what _phi_map compares instead of circles: the edge labels, the
+        # circle of each edge and the circle count
+        diagrams = [parse({"pd": TREFOIL_PD}), parse({"pd": HOPF_PD}),
+                    parse({"pd": HOPF_PD, "free_loops": 1}),
+                    parse({"pd": [[e + 10 for e in c] for c in HOPF_PD]}),
+                    Diagram([TREFOIL_PD[i] for i in (1, 0, 2)])]
+        cfgs = [d.resolve_bits(mask) for d in diagrams
+                for mask in range(1 << d.n_crossings)]
+        for a in cfgs:
+            for b in cfgs:
+                assert (a.circles == b.circles) == (
+                    (a.labels, a.edge_circles, a.n_circles)
+                    == (b.labels, b.edge_circles, b.n_circles))
 
 
 class TestMirror:

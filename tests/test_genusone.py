@@ -13,7 +13,7 @@ from khsing.genusone import (genus_one_map, phi_local, singular_complex,
                              singular_complex_iterated, skein_site,
                              skein_triangle_report)
 from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
-from khsing.khcube import build_cube
+from khsing.khcube import _bracket_cube, _phi_map, build_cube
 
 from util import (_resolved_pieces, reference_genus_one_components,
                   reference_labels, reference_reduced_blocks,
@@ -147,6 +147,26 @@ class TestGenusOneMap:
         d = parse({"pd": HOPF_NEG_PD, "singular": [0]})
         with pytest.raises(ContractViolation):
             genus_one_map(d, 0, FrobeniusAlgebra(ZZ, 0, 0))
+
+    @pytest.mark.parametrize("other", ["unrelated", "relabeled"])
+    def test_cubes_that_disagree_are_refused(self, other):
+        # the target cube has the right shift but not the diagram with the
+        # crossing changed: another diagram on the same labels, or the
+        # right one with every label moved, whose states have the same
+        # circle of each edge but other circles
+        F = FrobeniusAlgebra(ZZ, 0, 0)
+        d = from_braid([(0, -1)] * 3, 2)
+        plus = d.crossing_change(0)
+        src = _bracket_cube(d, F, 0)
+        assert is_chain_map(_phi_map(src, _bracket_cube(plus, F, 1), 0)).ok
+        if other == "unrelated":
+            wrong = from_braid([(0, 1), (0, -1), (0, 1)], 2)
+            assert wrong._labels == plus._labels
+        else:
+            wrong = parse({"pd": [[e + 100 for e in c]
+                                  for c in plus.crossings]})
+        with pytest.raises(ContractViolation, match="disagree"):
+            _phi_map(src, _bracket_cube(wrong, F, 1), 0)
 
     def test_vanishes_off_one_smoothed_states(self):
         d = parse({"pd": HOPF_NEG_PD})

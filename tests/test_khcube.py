@@ -107,6 +107,13 @@ class TestSignModules:
                     assert p1 == -p2
 
 
+class TestStateOrder:
+    @pytest.mark.parametrize("n", range(11))
+    def test_doubling_is_the_bit_tuple_sort(self, n):
+        assert khcube._state_order(n) == sorted(
+            range(1 << n), key=lambda m: f"{m:0{n}b}"[::-1])
+
+
 class TestBuildCube:
     def test_unknot(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)

@@ -339,6 +339,36 @@ def with_eliminated_rows(run):
 
 
 # ---------------------------------------------------------------------------
+# Circles of a smoothing, by union-find: the oracle for Diagram.resolve_bits
+# ---------------------------------------------------------------------------
+
+
+def union_find_circles(d, mask):
+    """The circles of the smoothing ``mask`` of an ordinary diagram, found
+    from its PD tuples without walking: the smoothing at crossing i joins
+    slots (0, 1) and (2, 3) if bit i is clear, (0, 3) and (1, 2) if set, and
+    the classes of edge labels so joined are the circles.  Each circle is
+    its labels in ascending order, circles are ordered by minimal label,
+    and a ("loop", k) marker follows for each free loop."""
+    parent = {e: e for c in d.crossings for e in c}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for i, (s0, s1, s2, s3) in enumerate(d.crossings):
+        joined = ((s0, s3), (s1, s2)) if mask >> i & 1 else ((s0, s1), (s2, s3))
+        for x, y in joined:
+            parent[find(x)] = find(y)
+    classes = {}
+    for e in sorted(parent):
+        classes.setdefault(find(e), []).append(e)
+    return (tuple(sorted(map(tuple, classes.values())))
+            + tuple(("loop", k) for k in range(d.free_loops)))
+
+
+# ---------------------------------------------------------------------------
 # Reference matrices, one generator column at a time
 # ---------------------------------------------------------------------------
 
@@ -355,17 +385,19 @@ def _saddle_targets(src_cfg, tgt_cfg, c, crossing):
     Target circles are found by searching ``tgt_cfg.circles`` for an edge."""
     a, b = crossing[0], crossing[1]
     i1, i2 = src_cfg.crossing_arcs[c]
-    real_src = [k for k, circ in enumerate(src_cfg.circles)
+    # a configuration derives its circles when read: read them once
+    src_circles, tgt_circles = src_cfg.circles, tgt_cfg.circles
+    real_src = [k for k, circ in enumerate(src_circles)
                 if not isinstance(circ[0], str)]
-    real_tgt = [k for k, circ in enumerate(tgt_cfg.circles)
+    real_tgt = [k for k, circ in enumerate(tgt_circles)
                 if not isinstance(circ[0], str)]
 
     def tgt_circle(edge):
-        return next(k for k in real_tgt if edge in tgt_cfg.circles[k])
+        return next(k for k in real_tgt if edge in tgt_circles[k])
 
-    idx_map = {k: tgt_circle(src_cfg.circles[k][0])
+    idx_map = {k: tgt_circle(src_circles[k][0])
                for k in real_src if k not in (i1, i2)}
-    for k in range(len(src_cfg.circles) - len(real_src)):
+    for k in range(len(src_circles) - len(real_src)):
         idx_map[len(real_src) + k] = len(real_tgt) + k
     if i1 != i2:
         return ("merge", idx_map, i1, i2, tgt_circle(a))
