@@ -11,7 +11,8 @@ at slot (s + 2) mod 4, and every edge must be traversed exactly once.  A
 component that passes over at every crossing it meets carries no orientation
 data in a PD code; such components are oriented by a fixed convention
 (enter the lowest-index crossing at slot 3) unless an over-entry hint, or
-the JSON format's ``over_entry`` field, names slot 1 there.
+the JSON format's ``over_entry`` field, names slot 1 there.  A diagram
+refuses a hint that contradicts the orientation its traversal gives.
 
 Sign convention (right-hand rule): a crossing is positive when the
 over-strand enters at slot 3, i.e. crosses left-to-right over the oriented
@@ -64,8 +65,10 @@ class Diagram:
         if free_loops < 0:
             raise ParseError("free_loops must be non-negative")
         over_hints = over_hints or {}
-        if any(h not in (1, 3) for h in over_hints.values()):
-            raise ContractViolation("an over-entry hint must be slot 1 or 3")
+        if any(not (type(ci) is int and 0 <= ci < len(crossings))
+               or h not in (1, 3) for ci, h in over_hints.items()):
+            raise ContractViolation(
+                "an over-entry hint must be slot 1 or 3 at a crossing index")
         self.crossings = crossings
         self.kinds = kinds
         self.free_loops = int(free_loops)
@@ -89,6 +92,12 @@ class Diagram:
         self.over_entry, self.components, self._over_starts = self._trace(
             over_hints)
         self._check_planar()
+        for ci, slot in over_hints.items():
+            if self.over_entry[ci] != slot:
+                raise ParseError(
+                    f"over_entry gives slot {slot} at crossing {ci}, where the "
+                    f"traversal enters the over-strand at slot "
+                    f"{self.over_entry[ci]}")
         self._signs = tuple(1 if oe == 3 else -1 for oe in self.over_entry)
         self.singular_indices = tuple(
             i for i, k in enumerate(kinds) if k == SINGULAR)
@@ -350,8 +359,8 @@ def parse(text) -> Diagram:
     ``{"name": str?, "pd": [[a,b,c,d], ...], "singular": [indices],
     "free_loops": int?, "over_entry": [[crossing, slot], ...]?}``.
     ``over_entry`` orients the components that pass over at every
-    crossing: each pair is read as an over-entry hint (slot 1 or 3), and
-    must agree with the orientation the traversal gives that crossing.
+    crossing: each pair is read as an over-entry hint (slot 1 or 3), which
+    ``Diagram`` refuses if it contradicts the traversal there.
     """
     if isinstance(text, dict):
         obj = text
@@ -383,13 +392,7 @@ def parse(text) -> Diagram:
         raise ParseError(f"free_loops {free_loops!r} is not an integer")
     kinds = [SINGULAR if i in set(singular) else ORDINARY for i in range(len(pd))]
     hints = _over_hints(obj.get("over_entry", []), len(pd))
-    d = Diagram(pd, kinds, free_loops, obj.get("name"), over_hints=hints)
-    for ci, slot in hints.items():
-        if d.over_entry[ci] != slot:
-            raise ParseError(
-                f"over_entry gives slot {slot} at crossing {ci}, where the "
-                f"traversal enters the over-strand at slot {d.over_entry[ci]}")
-    return d
+    return Diagram(pd, kinds, free_loops, obj.get("name"), over_hints=hints)
 
 
 def _over_hints(pairs, n: int) -> dict:

@@ -18,29 +18,34 @@ only decides how a matrix is reduced: the rank over Q of an integer matrix
 is its rank over Z, so Q shares Z's elimination, and Smith divisors apply
 to Z alone.
 
-Pivot rule: first the unit singletons are peeled.  A row that holds one
-entry, a unit (+-1 over Z, any nonzero residue over Z/p), cancels by
-deleting its column from the other rows; a row this leaves with one entry
-is peeled in turn, one left empty drops.  This is the singleton removal of
-structured Gaussian elimination, and it takes most pivots of a Khovanov
-differential.  Then a heap orders the remaining rows by (smallest |entry|,
-length), so unit entries in short rows come first.  Within the chosen row
-the pivot is the smallest entry whose column is shortest, which keeps
-fill-in low (Markowitz).  Row operations clear its column: division with
-remainder over Z, the inverse over Z/p.  The pivot retires once its column
-is otherwise zero; if it divides the rest of its row, the row just drops.
-Otherwise (over Z only) column operations leave the remainders in the row,
-which goes back on the heap (the Euclid step).  A tracked run records the
-row operations, and only those; it takes the same pivots as an untracked
-one.  The Smith divisors come from the retired pivots by gcd/lcm steps on
-the non-unit ones.
+Pivot rule: first the unit peel.  A row of one or two entries that holds
+a unit (+-1 over Z, any nonzero residue over Z/p) pivots at it, in the
+shorter column if both entries are units.  Clearing that column changes
+each other row in it only at the pivot row's partner column, so no row
+grows; a row this leaves with one or two entries joins the work list, one
+left empty drops.  Singletons go first, then two-entry rows in ascending
+index, the heap's own tie order.  This is the singleton and doubleton step
+of structured Gaussian elimination (LaMacchia-Odlyzko), and it takes
+nearly every pivot of a Khovanov differential.  Then a heap orders the
+rows the peel leaves by (smallest |entry|, length), so unit entries in
+short rows come first.  Within the chosen row the pivot is the smallest
+entry whose column is shortest, which keeps fill-in low (Markowitz).  The
+peel and the heap clear a pivot column with the same row operations:
+division with remainder over Z, the inverse over Z/p.  The pivot retires
+once its column is otherwise zero; if it divides the rest of its row, the
+row just drops.  Otherwise (over Z only) column operations leave the
+remainders in the row, which goes back on the heap (the Euclid step).  A
+tracked run records the row operations, and only those; it takes the same
+pivots as an untracked one.  The Smith divisors come from the retired
+pivots by gcd/lcm steps on the non-unit ones.
 
 Unit prefix: the peeled pivots, then those the heap retires before the
 first row whose smallest |entry| exceeds 1 is taken (all of them over
 Z/p).  Each cleared its column exactly, so up to there the elimination is
 an LU factorization with unit pivots, and the prefix names a unimodular
-minor.  A later unit pivot may follow a Euclid step and mix rows, so it
-does not count.
+minor: each of its pivots is a cancellation of Bar-Natan's Gaussian
+elimination lemma.  A later unit pivot may follow a Euclid step and mix
+rows, so it does not count.
 
 Over F2: a sum of rows is the symmetric difference of their column sets.
 The product runs ``set.symmetric_difference_update`` over the rows each row
@@ -59,6 +64,7 @@ No floating point anywhere.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 from types import MappingProxyType
@@ -394,9 +400,14 @@ def _cut(m: SparseMatrix, rows=None, place=None) -> dict:
             if mask:
                 out[k] = mask
         return out
-    return {k: row for k, r in enumerate(rows) if (row := {
-        t: v for c, v in src.get(r, {}).items()
-        if (t := place[c]) is not None})}
+    for k, r in enumerate(rows):
+        row = {}
+        for c, v in src.get(r, {}).items():
+            if (t := place[c]) is not None:
+                row[t] = v
+        if row:
+            out[k] = row
+    return out
 
 
 def _eliminate(rows: dict, p: int | None, track: bool = False):
@@ -405,9 +416,11 @@ def _eliminate(rows: dict, p: int | None, track: bool = False):
     The arithmetic is over Z, or over Z/p when ``p`` is given.  Returns
     ``(pivots, left, units)`` where ``pivots`` lists ``[row, col, d]``
     with d > 0 in the order they retired and ``pivots[:units]`` is the
-    unit prefix (see the module docstring).  The unit singletons are peeled
-    before the heap is built; a singleton that is no unit waits for the
-    heap and its Euclid steps.  With ``track``, ``left`` (row -> {row: v},
+    unit prefix (see the module docstring).  The rows of one or two
+    entries that hold a unit are peeled before the heap is built; such a
+    row without a unit waits for the heap and its Euclid steps.  The peel
+    and the heap clear a pivot column through one routine, ``clear``.
+    With ``track``, ``left`` (row -> {row: v},
     over the rows given) records the row operations: it is invertible, and
     each row of ``left`` times the rows that did not retire as a pivot is
     zero.  Otherwise ``left`` is None.  Tracking changes no pivot.
@@ -432,39 +445,102 @@ def _eliminate(rows: dict, p: int | None, track: bool = False):
                     break
                 mask ^= b
         return pivots, None, len(pivots)
-    cols = {}
+    cols = defaultdict(set)
     for r, row in rows.items():
         for c in row:
-            cols.setdefault(c, set()).add(r)
+            cols[c].add(r)
     left = {r: {r: 1} for r in rows} if track else None
-
-    # Singleton removal: a unit alone in its row cancels by deleting its
-    # column from the other rows.  A row that this leaves with one entry
-    # joins the work list, one left empty drops.
     pivots = []
-    todo = [r for r, row in rows.items() if len(row) == 1]
-    while todo:
-        pr = todo.pop()
+
+    def clear(pr, pc):
+        """Subtract multiples of row pr from the other rows of column pc,
+        with division with remainder over Z, and record them if tracked;
+        returns those rows left nonzero, and drops those left empty."""
+        prow = rows[pr]
+        a = prow[pc]
+        unit = p or a in (1, -1)
+        inv = pow(a, -1, p) if p else None
+        rest = prow.copy()
+        del rest[pc]
+        stay, kept = {pr}, []
+        for r in cols[pc]:
+            if r == pr:
+                continue
+            # a unit clears the column exactly; the multiple f matters only
+            # to the rest of the pivot row and to the record
+            row = rows[r]
+            v = row.pop(pc)
+            if not unit and v % a:
+                row[pc] = v % a
+                stay.add(r)
+            if rest or track:
+                f = v * inv % p if p else v // a
+                if f:
+                    for c, w in rest.items():
+                        s = row.get(c, 0) - f * w
+                        if p:
+                            s %= p
+                        if s:
+                            if c not in row:
+                                cols[c].add(r)
+                            row[c] = s
+                        else:
+                            del row[c]
+                            cols[c].discard(r)
+                    if track:
+                        _axpy(left[r], -f, left[pr], p)
+            if row:
+                kept.append(r)
+            else:
+                del rows[r]
+        cols[pc] = stay
+        return kept
+
+    def retire(pr, pc):
+        a = rows[pr][pc]
+        for c in rows.pop(pr):
+            cols[c].discard(pr)
+        pivots.append([pr, pc, abs(a)])
+
+    # The unit peel: a row of one or two entries pivots at a unit, in the
+    # shorter column if both are units.  Its column is cleared exactly and
+    # the other rows change only at its partner column, so no row grows.
+    # Singletons go first.  Once none is left, the rows of two entries are
+    # queued in ascending index, and from then on a row that drops to two
+    # entries joins that queue unless it waits there already.
+    ones = [r for r, row in rows.items() if len(row) == 1]
+    twos, queued = None, set()
+    while True:
+        if ones:
+            pr = ones.pop()
+        elif twos is None:
+            twos = [r for r, row in rows.items() if len(row) == 2]
+            queued.update(twos)
+            heapq.heapify(twos)
+            continue
+        elif twos:
+            pr = heapq.heappop(twos)
+            queued.discard(pr)
+        else:
+            break
         prow = rows.get(pr)
         if prow is None:
             continue
-        [(pc, a)] = prow.items()
-        if not (p or a in (1, -1)):
+        pc = None
+        for c, v in prow.items():
+            if (p or v in (1, -1)) and (
+                    pc is None or len(cols[c]) < len(cols[pc])):
+                pc = c
+        if pc is None:
             continue
-        del rows[pr]
-        for r in cols.pop(pc):
-            if r == pr:
-                continue
-            row = rows[r]
-            v = row.pop(pc)
-            if track:
-                _axpy(left[r], -(v * pow(a, -1, p) if p else v * a),
-                      left[pr], p)
-            if len(row) == 1:
-                todo.append(r)
-            elif not row:
-                del rows[r]
-        pivots.append([pr, pc, abs(a)])
+        for r in clear(pr, pc):
+            n = len(rows[r])
+            if n == 1:
+                ones.append(r)
+            elif n == 2 and twos is not None and r not in queued:
+                queued.add(r)
+                heapq.heappush(twos, r)
+        retire(pr, pc)
 
     def entry(r, row):
         return 1 if p else min(map(abs, row.values())), len(row), r
@@ -478,35 +554,14 @@ def _eliminate(rows: dict, p: int | None, track: bool = False):
         top = heapq.heappop(heap)
         small, _, pr = top
         prow = rows.get(pr)
-        if not prow or entry(pr, prow) != top:
+        if prow is None or entry(pr, prow) != top:
             continue
         if small > 1 and units is None:
             units = len(pivots)
         pc = min((c for c, v in prow.items() if p or abs(v) == small),
                  key=lambda c: len(cols[c]))
-        a = prow[pc]
-        inv = pow(a, -1, p) if p else None
-
-        # clear the pivot column with row operations
-        for r in [r for r in cols[pc] if r != pr]:
-            row = rows[r]
-            f = row[pc] * inv % p if p else row[pc] // a
-            if f:
-                for c, w in prow.items():
-                    s = row.get(c, 0) - f * w
-                    if p:
-                        s %= p
-                    if s:
-                        if c not in row:
-                            cols[c].add(r)
-                        row[c] = s
-                    else:
-                        del row[c]
-                        cols[c].discard(r)
-                if track:
-                    _axpy(left[r], -f, left[pr], p)
-            if row:
-                heapq.heappush(heap, entry(r, row))
+        for r in clear(pr, pc):
+            heapq.heappush(heap, entry(r, rows[r]))
         if len(cols[pc]) > 1:
             # remainders smaller than the pivot stay in its column (Euclid)
             heapq.heappush(heap, top)
@@ -515,6 +570,7 @@ def _eliminate(rows: dict, p: int | None, track: bool = False):
         # over Z, a pivot that does not divide its row leaves the
         # remainders there by column operations; the pivot column is
         # otherwise zero, so they touch no other row
+        a = prow[pc]
         if not (small == 1 or all(v % a == 0 for v in prow.values())):
             for c, v in list(prow.items()):
                 if c == pc:
@@ -526,11 +582,7 @@ def _eliminate(rows: dict, p: int | None, track: bool = False):
                     cols[c].discard(pr)
             heapq.heappush(heap, entry(pr, prow))
             continue
-
-        for c in prow:
-            cols[c].discard(pr)
-        del rows[pr]
-        pivots.append([pr, pc, abs(a)])
+        retire(pr, pc)
     return pivots, left, len(pivots) if units is None else units
 
 

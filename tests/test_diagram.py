@@ -69,6 +69,11 @@ class TestParse:
         with pytest.raises(ContractViolation, match="slot 1 or 3"):
             Diagram([[1, 2, 4, 3], [4, 2, 1, 3]], over_hints={0: hint})
 
+    @pytest.mark.parametrize("ci", [2, -1])
+    def test_over_hint_must_be_at_a_crossing(self, ci):
+        with pytest.raises(ContractViolation, match="crossing index"):
+            Diagram([[1, 2, 4, 3], [4, 2, 1, 3]], over_hints={ci: 3})
+
     def test_json_roundtrip(self):
         for pd, singular in ((TREFOIL_PD, []), (HOPF_PD, [0])):
             d = parse({"pd": pd, "singular": singular, "name": "x"})
@@ -111,6 +116,15 @@ class TestParse:
         pd = [[1, 2, 4, 3], [4, 2, 1, 3]]
         with pytest.raises(ParseError, match="traversal"):
             parse({"pd": pd, "over_entry": field})
+
+    @pytest.mark.parametrize("pd,hints", [
+        ([[1, 2, 4, 3], [4, 2, 1, 3]], {1: 3}), (TREFOIL_PD, {0: 3})],
+        ids=["not_the_start", "oriented_crossing"])
+    def test_constructor_refuses_a_contradicting_hint(self, pd, hints):
+        # the hint is not at the start of an over-everywhere walk, so the
+        # traversal ignores it: over_entry would read (3, 1) and (1, 1, 1)
+        with pytest.raises(ParseError, match="traversal"):
+            Diagram(pd, over_hints=hints)
 
     def test_over_entry_at_an_oriented_crossing(self):
         # the trefoil has no over-everywhere component: a hint can only

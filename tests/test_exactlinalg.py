@@ -189,6 +189,20 @@ def sparse_int_matrices(draw):
     return SparseMatrix(rows, cols, ZZ, data)
 
 
+@st.composite
+def signed_graph_matrices(draw):
+    """Incidence matrices of signed graphs: a row is an edge, one or two
+    entries of +-1 (one for a half-edge), so the unit peel takes nearly
+    every pivot."""
+    n = draw(st.integers(1, 12))
+    vertex, sign = st.integers(0, n - 1), st.sampled_from((1, -1))
+    edges = draw(st.lists(st.tuples(vertex, vertex, sign, sign),
+                          max_size=2 * n))
+    return SparseMatrix(len(edges), n, ZZ, {
+        r: {i: a} if i == j else {i: a, j: b}
+        for r, (i, j, a, b) in enumerate(edges)})
+
+
 class TestEliminationProperties:
     """The one elimination kernel against the dense oracles."""
 
@@ -264,6 +278,35 @@ class TestEliminationProperties:
         m = M([[2], [3]])
         assert smith_normal_form(m).diagonal == (1,)
         assert eliminate(m)[2] == 0
+
+    def test_two_entry_row_pivots_at_its_unit(self):
+        # row 0 is [1, 2]; the 2 sits in the shorter column, but only the
+        # 1 is a unit
+        m = M([[1, 2, 0, 0], [3, 0, 5, 7]])
+        pivots, _, units = eliminate(m)
+        assert pivots[0] == [0, 0, 1] and units == 1
+        assert smith_normal_form(m).diagonal == (1, 1)
+
+    def test_non_unit_two_entry_row_is_not_cancelled(self):
+        # [2, 2] holds no unit: cancelling it at a 2 would give the
+        # divisor 2
+        m = M([[2, 2], [3, 3]])
+        assert smith_normal_form(m).diagonal == (1,)
+        assert eliminate(m)[2] == 0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(signed_graph_matrices())
+    def test_signed_graph_divisors_match_oracle(self, m):
+        assert list(smith_normal_form(m).diagonal) == \
+            dense_smith_divisors(dense_rows(m))
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_odd_unbalanced_cycle_gives_2(self, k):
+        # the edges x_i + x_(i+1) around an odd cycle: the determinant
+        # is 1 + 1
+        m = M([[1 if c in (i, (i + 1) % k) else 0 for c in range(k)]
+               for i in range(k)])
+        assert smith_normal_form(m).diagonal == (1,) * (k - 1) + (2,)
 
 
 ENTRIES = st.sampled_from((0, 0, 0, -2, -1, 1, 2, 3))
