@@ -10,9 +10,8 @@ from .exactlinalg import (HomologySummary, QQ, Ring, SmithDecomposition,
                           SparseMatrix, ZZ, homology_at, rank,
                           smith_normal_form)
 from .frobenius import FrobeniusAlgebra
-from .genusone import (GenusOneMap, genus_one_map, phi_local,
-                       singular_complex, singular_complex_iterated,
-                       skein_triangle_report)
+from .genusone import (GenusOneMap, genus_one_map, singular_complex,
+                       singular_complex_iterated, skein_triangle_report)
 from .invariants import (LaurentPoly, homology_signature, jones_by_skein,
                          jones_polynomial, kauffman_bracket_oracle)
 from .khcube import CubeComplex, build_cube
@@ -27,7 +26,7 @@ __all__ = [
     "cone_hfunc_homotopy", "from_braid",
     "genus_one_map", "homology_at", "homology_signature",
     "is_chain_map", "jones_by_skein", "jones_polynomial",
-    "kauffman_bracket_oracle", "parse", "phi_local", "rank",
+    "kauffman_bracket_oracle", "parse", "rank",
     "singular_complex", "singular_complex_iterated", "skein_triangle_report",
     "smith_normal_form",
 ]

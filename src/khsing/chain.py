@@ -19,9 +19,9 @@ is a matrix of graded maps between summands, and ``_block_map`` turns it
 into components, so each combinator states its map as one grid.
 
 A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
-again: ``shift``, ``dual`` and ``change_ring`` are exact images, and
-``homology`` checks only the bidegree.  A map keeps its chain condition;
-a cone checks only its map, an induced cone map its legs and square.
+again: ``shift`` and ``change_ring`` are exact images, and ``homology``
+checks only the bidegree.  A map keeps its chain condition; a cone checks
+only its map, an induced cone map its legs and square.
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ class ChainComplex:
         q = {i + k: v for i, v in self.q.items()} if self.q else None
         return ChainComplex._unchecked(self.ring, ranks, diffs, q)
 
-    def dual(self) -> "ChainComplex":
-        """Transpose dual: degree i becomes -i, quantum degrees negate."""
-        ranks = {-i: r for i, r in self.ranks.items()}
-        diffs = {}
-        for i, m in self.diffs.items():
-            diffs[-i - 1] = m.transpose()
-        q = ({-i: tuple(-x for x in v) for i, v in self.q.items()}
-             if self.q else None)
-        return ChainComplex._unchecked(self.ring, ranks, diffs, q)
-
     def change_ring(self, ring: Ring) -> "ChainComplex":
         diffs = {i: m.change_ring(ring) for i, m in self.diffs.items()}
         return ChainComplex._unchecked(ring, self.ranks, diffs, self.q)
@@ -179,13 +169,10 @@ class ChainComplex:
         return m.submatrix(blocks.get(i + 1, {}).get(j, ()),
                            blocks.get(i, {}).get(j, ()))
 
-    def homology(self, ring: Ring | None = None,
-                 graded: bool | None = None) -> HomologySummary:
-        """Homology summary, optionally refined by the quantum grading.
-
-        ``ring`` defaults to the complex's own coefficient ring; passing a
-        different ring recomputes with coefficients changed (an integral
-        complex reduced mod p, say; residues mod p do not lift).
+    def homology(self, graded: bool | None = None) -> HomologySummary:
+        """Homology summary over the complex's ring, refined by the quantum
+        grading when ``graded`` (by default, when the complex carries q).
+        ``change_ring`` gives the complex over another ring.
 
         d^2 = 0 was checked when the complex was built, so only the
         bidegree (1, 0) of the differentials is checked here, when graded.
@@ -196,14 +183,12 @@ class ChainComplex:
         its degree's column map, which drops the columns the unit pivots
         below cancelled (``_reduced_blocks``).  Ungraded: one block a degree.
         """
-        ring = ring or self.ring
-        cx = self if ring == self.ring else self.change_ring(ring)
         if graded is None:
-            graded = cx.q is not None
-        blocks, reduced = cx._reduced_blocks(graded)
+            graded = self.q is not None
+        blocks, reduced = self._reduced_blocks(graded)
         groups = {(i, j) if graded else i: _block_homology(blocks, reduced, i, j)
                   for i, by_q in blocks.items() for j in by_q}
-        return HomologySummary.build(ring, groups)
+        return HomologySummary.build(self.ring, groups)
 
     def graded_euler_characteristic(self):
         """Coefficient dict {j: sum of (-1)^i rank C^(i,j)}."""
@@ -664,12 +649,3 @@ def _by_degree(data: dict) -> dict:
         i = key[0] if isinstance(key, tuple) else key
         out[i] = tuple(a + b for a, b in zip(out.get(i, (0, 0, 0)), t))
     return out
-
-
-def les_cone_check(f: ChainMap) -> bool:
-    """Long-exact-sequence rank identity for a cone over a field:
-
-    dim H^i(Cone f) = dim coker H^i(f) + dim ker H^(i+1)(f).
-    """
-    hc = cone(f).homology(graded=False)
-    return _les_rows(homology_functor_ranks(f), hc)[1]

@@ -198,10 +198,6 @@ class Diagram:
         return self._signs[i]
 
     @property
-    def writhe(self) -> int:
-        return self.n_plus - self.n_minus
-
-    @property
     def n_components(self) -> int:
         return len(self.components) + self.free_loops
 
@@ -291,9 +287,8 @@ class Diagram:
         # slots 0 and 2 lie on the two different arcs of either smoothing
         arc = circle_of.__getitem__
         crossing_arcs = tuple(zip(map(arc, edges[::4]), map(arc, edges[2::4])))
-        return CircleConfiguration(smoothing, n_real + self.free_loops,
-                                   crossing_arcs, tuple(circle_of),
-                                   self._labels)
+        return CircleConfiguration(n_real + self.free_loops, crossing_arcs,
+                                   tuple(circle_of), self._labels)
 
     # -- serialization -------------------------------------------------------
 
@@ -329,27 +324,14 @@ class CircleConfiguration:
     (slot1, slot2) arcs.  ``edge_circles[e]`` is the circle of edge
     ``labels[e]``, the diagram's edge labels in ascending order.  Circles
     are numbered by minimal edge label, as the walks start in label order;
-    crossingless free loops trail.
-
-    ``circles`` is derived when read, not stored: each circle as the
-    tuple of the edge labels it carries, then a ("loop", k) marker for
-    each free loop.
+    crossingless free loops trail.  These walk data determine the circles
+    as sets of edge labels; the state does not list them.
     """
 
-    smoothing: int
     n_circles: int
     crossing_arcs: tuple
     edge_circles: tuple
     labels: tuple
-
-    @property
-    def circles(self) -> tuple:
-        n_real = max(self.edge_circles, default=-1) + 1
-        circles = [[] for _ in range(n_real)]
-        for e, k in zip(self.labels, self.edge_circles):
-            circles[k].append(e)
-        return tuple(map(tuple, circles)) + tuple(
-            ("loop", k) for k in range(self.n_circles - n_real))
 
 
 def parse(text) -> Diagram:
@@ -357,7 +339,8 @@ def parse(text) -> Diagram:
 
     Accepts a JSON string, a dict, or a path-free file object.  Format:
     ``{"name": str?, "pd": [[a,b,c,d], ...], "singular": [indices],
-    "free_loops": int?, "over_entry": [[crossing, slot], ...]?}``.
+    "free_loops": int?, "over_entry": [[crossing, slot], ...]?}``, each
+    singular index listed once.
     ``over_entry`` orients the components that pass over at every
     crossing: each pair is read as an over-entry hint (slot 1 or 3), which
     ``Diagram`` refuses if it contradicts the traversal there.
@@ -384,15 +367,20 @@ def parse(text) -> Diagram:
     singular = obj.get("singular", [])
     if not isinstance(singular, list):
         raise ParseError("'singular' must be a list of crossing indices")
-    for i in singular:
+    for k, i in enumerate(singular):
         if not _is_int(i) or not 0 <= i < len(pd):
             raise ParseError(f"singular index {i!r} is not a crossing index")
+        if i in singular[:k]:
+            raise ParseError(f"singular index {i} is listed twice")
     free_loops = obj.get("free_loops", 0)
     if not _is_int(free_loops):
         raise ParseError(f"free_loops {free_loops!r} is not an integer")
+    name = obj.get("name")
+    if not (name is None or isinstance(name, str)):
+        raise ParseError(f"name {name!r} is not a string")
     kinds = [SINGULAR if i in set(singular) else ORDINARY for i in range(len(pd))]
     hints = _over_hints(obj.get("over_entry", []), len(pd))
-    return Diagram(pd, kinds, free_loops, obj.get("name"), over_hints=hints)
+    return Diagram(pd, kinds, free_loops, name, over_hints=hints)
 
 
 def _over_hints(pairs, n: int) -> dict:

@@ -6,11 +6,11 @@ integer matrix, and null-space bases.  All three run one elimination
 routine, ``_eliminate``, over Z or modulo a prime p, on rows it owns.
 
 A ``SparseMatrix`` stores rows, ``{row: {col: int}}``.  The builders hand
-rows to its checked constructor; products, sums, blocks, transposes and
-ring changes are built unchecked from checked matrices.  A q-block is
-not built at all: ``_cut`` reads its rows, through a column map, straight
-into the elimination's own rows.  The ``data`` view, ``{(row, col):
-value}``, serves callers outside the package only.
+rows to its checked constructor; products, sums, blocks and ring changes
+are built unchecked from checked matrices.  A q-block is not built at
+all: ``_cut`` reads its rows, through a column map, straight into the
+elimination's own rows.  The ``data`` view, ``{(row, col): value}``,
+serves callers outside the package only.
 
 Every entry is a Python int.  Z and Q store the same integers, Z/p stores
 residues in [0, p); a value that is not an integer is refused.  The ring
@@ -200,9 +200,6 @@ class SparseMatrix:
         """The stored ``(row, {col: value})`` pairs, to be read only."""
         return self._rows.items()
 
-    def entry(self, r: int, c: int):
-        return self._rows.get(r, {}).get(c, 0)
-
     def nnz(self) -> int:
         return sum(map(len, self._rows.values()))
 
@@ -220,9 +217,6 @@ class SparseMatrix:
             return NotImplemented
         return (self.rows, self.cols, self.ring, self._rows) == (
             other.rows, other.cols, other.ring, other._rows)
-
-    def __hash__(self):
-        raise TypeError("SparseMatrix is not hashable")
 
     def _plus(self, f: int, other: "SparseMatrix") -> "SparseMatrix":
         """self + f * other."""
@@ -286,10 +280,6 @@ class SparseMatrix:
             if acc:
                 data[r] = acc
         return SparseMatrix._unchecked(self.rows, other.cols, self.ring, data)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._unchecked(self.cols, self.rows, self.ring,
-                                       _transposed(self._rows.items()))
 
     def submatrix(self, row_idx, col_idx) -> "SparseMatrix":
         cmap = {c: j for j, c in enumerate(col_idx)}
@@ -635,7 +625,7 @@ def kernel_basis(m: SparseMatrix) -> SparseMatrix:
     ring = m.ring
     if not ring.is_field:
         raise ContractViolation("kernel basis requires a field")
-    pivots, left, _ = _eliminate(m.transpose()._rows, ring.p, True)
+    pivots, left, _ = _eliminate(_transposed(m.row_items()), ring.p, True)
     used = {r for r, _, _ in pivots}
     free = [r for r in range(m.cols) if r not in used]
     return SparseMatrix._unchecked(m.cols, len(free), ring, _transposed(
@@ -707,21 +697,6 @@ class HomologySummary:
                 entry["j"] = k[1]
             out.append(entry)
         return {"ring": str(self.ring), "groups": out}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "HomologySummary":
-        name = payload["ring"]
-        if name == "Z":
-            ring = ZZ
-        elif name == "Q":
-            ring = QQ
-        else:
-            ring = Ring.prime_field(int(name[1:]))
-        entries = {}
-        for g in payload["groups"]:
-            key = (g["i"], g["j"]) if "j" in g else g["i"]
-            entries[key] = (g["free"], tuple(g["torsion"]))
-        return cls.build(ring, entries)
 
     def format_table(self) -> str:
         if not self.groups:

@@ -33,29 +33,9 @@ from .chain import (ChainComplex, ChainMap, _by_degree, _les_rows,
                     homology_functor_ranks, is_chain_map)
 from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
-from .exactlinalg import HomologySummary, SparseMatrix
+from .exactlinalg import HomologySummary
 from .frobenius import FrobeniusAlgebra
-from .khcube import (CubeComplex, _bracket_cube, _phi_block, _phi_map,
-                     build_cube)
-
-
-def phi_local(config, crossing: int, F: FrobeniusAlgebra) -> SparseMatrix:
-    """Local crossing-change endomorphism of a state's module.
-
-    The distinguished crossing must be 1-smoothed in the configuration; the
-    returned square matrix acts on the tensor power over the configuration's
-    circles in lexicographic bit order.
-    """
-    if not (config.smoothing >> crossing) & 1:
-        raise ContractViolation(
-            "crossing is 0-smoothed; the crossing-change map has no "
-            "component there")
-    k = config.n_circles
-    i1, i2 = config.crossing_arcs[crossing]
-    entries = {}
-    for r, col, v in () if i1 == i2 else _phi_block(F, k, i1, i2):
-        entries.setdefault(r, {})[col] = v
-    return SparseMatrix(1 << k, 1 << k, F.ring, entries)
+from .khcube import CubeComplex, _bracket_cube, _phi_map, build_cube
 
 
 # ---------------------------------------------------------------------------

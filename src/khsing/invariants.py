@@ -54,9 +54,6 @@ class LaurentPoly:
             out[e] = out.get(e, 0) - c
         return LaurentPoly(out)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -64,22 +61,10 @@ class LaurentPoly:
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def to_json_dict(self) -> dict:
         return {str(e): self.coeffs[e] for e in sorted(self.coeffs)}

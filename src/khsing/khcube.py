@@ -92,8 +92,8 @@ class CubeComplex:
     configs: list
     offsets: dict
 
-    def homology(self, ring=None, graded=None):
-        return self.complex.homology(ring=ring, graded=graded)
+    def homology(self, graded=None):
+        return self.complex.homology(graded=graded)
 
 
 def _state_order(n: int):
@@ -199,15 +199,15 @@ def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int):
     return block
 
 
-def build_cube(d: Diagram, F: FrobeniusAlgebra, normalize: bool = True) -> CubeComplex:
+def build_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
     """Evaluated cube of resolutions of a diagram without double points.
 
-    With ``normalize`` the cube is built in its final degrees, shifted by
-    -n_minus (see ``_bracket_cube``); at (h, t) = (0, 0) the quantum
-    grading j = internal + |s| + n_plus - 2*n_minus is attached either way.
-    d^2 = 0 is checked once, on the cube as built.
+    The cube is built in its final degrees, shifted by -n_minus (see
+    ``_bracket_cube``); at (h, t) = (0, 0) it carries the quantum grading
+    j = internal + |s| + n_plus - 2*n_minus.  d^2 = 0 is checked once, on
+    the cube as built.
     """
-    cube = _bracket_cube(d, F, -d.n_minus if normalize else 0)
+    cube = _bracket_cube(d, F, -d.n_minus)
     cube.complex.validate()
     return cube
 
@@ -358,41 +358,3 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
         deg: SparseMatrix._unchecked(tgt.complex.rank(deg),
                                      src.complex.rank(deg), F.ring, rows)
         for deg, rows in comps.items()})
-
-
-def cone_pieces(cube: CubeComplex, c: int):
-    """Split the unnormalized bracket cube at crossing c into cone data.
-
-    Returns (X, Y, g) where X collects the states with c 0-smoothed, Y the
-    states with c 1-smoothed (as W[-1]: one degree down, differential
-    negated), and g: X -> Y is minus the connecting block, so that the
-    bracket complex is Cone(g) shifted by one.  Generators are found by
-    state offset and bit index, and keep their order in the cube.  X and Y
-    are not checked again: their d^2 are diagonal blocks of the cube's, as
-    d never leaves the Y states.
-    """
-    if cube.shift or cube.sites:
-        raise ContractViolation("cone splitting works on the bracket cube")
-    cx = cube.complex
-    bit = 1 << c
-    x_idx = {}  # degree of the cube -> indices there of X's generators
-    y_idx = {}
-    for (_r, mask), off in sorted(cube.offsets.items(), key=lambda kv: kv[1]):
-        idx = y_idx if mask & bit else x_idx
-        idx.setdefault(mask.bit_count(), []).extend(
-            range(off, off + (1 << cube.configs[mask].n_circles)))
-    X = _sub_complex(cx, x_idx)
-    Y = _sub_complex(cx, y_idx).shift(-1)
-    comps = {w: -cx.diff(w).submatrix(y_idx[w + 1], xs)
-             for w, xs in x_idx.items() if w + 1 in y_idx}
-    return X, Y, ChainMap(X, Y, comps)
-
-
-def _sub_complex(cx: ChainComplex, idx: dict) -> ChainComplex:
-    """The generators ``idx[w]`` of each degree w of ``cx`` with the
-    restricted differential; unchecked, as a diagonal block of a checked
-    complex."""
-    diffs = {w: cx.diff(w).submatrix(idx[w + 1], ix)
-             for w, ix in idx.items() if w + 1 in idx}
-    return ChainComplex._unchecked(
-        cx.ring, {w: len(ix) for w, ix in idx.items()}, diffs)

@@ -8,8 +8,7 @@ from khsing.chain import (ChainComplex, ChainMap, Homotopy, _block_homology,
                           cone, cone_cocone_homotopy, cone_factor,
                           cone_functorial_map, cone_hfunc_homotopy,
                           cone_inclusion, cone_projection,
-                          homology_functor_ranks, is_chain_map,
-                          les_cone_check)
+                          homology_functor_ranks, is_chain_map)
 from khsing import chain, exactlinalg
 from khsing.diagram import from_braid, parse
 from khsing.errors import ContractViolation
@@ -17,8 +16,8 @@ from khsing.exactlinalg import HomologySummary, QQ, Ring, SparseMatrix, ZZ
 from khsing.frobenius import FrobeniusAlgebra
 from khsing.khcube import build_cube
 
-from util import (_apply_ops, anticommutator_perturbation,
-                  matrix_from_dense,
+from util import (_apply_ops, anticommutator_perturbation, bracket_cube,
+                  les_cone_check, matrix_from_dense,
                   commutator_perturbation, compose_family, direct_sum,
                   family_after_map, family_anticommutator, family_commutator,
                   homotopy_sum, identity_map, map_sum, null_homotopic_map,
@@ -80,7 +79,7 @@ class TestShift:
         # Kh = bracket[-n_minus], realized through the shift operator
         F = FrobeniusAlgebra(ZZ, 0, 0)
         d = parse({"pd": TREFOIL_PD})
-        bracket = build_cube(d, F, normalize=False).complex
+        bracket = bracket_cube(d, F).complex
         normalized = build_cube(d, F).complex
         shifted = bracket.shift(-d.n_minus)
         assert shifted.ranks == normalized.ranks
@@ -227,7 +226,7 @@ class TestHomology:
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cx = build_cube(parse({"pd": TREFOIL_PD}), F).complex
         from khsing.exactlinalg import Ring
-        h2 = cx.homology(ring=Ring.prime_field(2), graded=False)
+        h2 = cx.change_ring(Ring.prime_field(2)).homology(graded=False)
         # universal coefficients: the Z/2 class thickens the F2 dimensions
         assert h2.total_dimension() == 6
 
@@ -237,7 +236,7 @@ class TestHomology:
         cx = build_cube(from_braid([(0, 1)] * 3, 2),
                         FrobeniusAlgebra(Ring.prime_field(3), 0, 0)).complex
         with pytest.raises(ContractViolation, match=f"from F3 to {target}$"):
-            cx.homology(ring=target)
+            cx.change_ring(target).homology()
 
     @pytest.mark.parametrize("ring", [ZZ, Ring.prime_field(2)], ids=str)
     def test_each_block_reduced_once(self, ring, monkeypatch):
@@ -388,7 +387,8 @@ class TestKnownHomology:
         cx, pieces = case
         for ring in (ZZ, QQ, Ring.prime_field(2), Ring.prime_field(3)):
             for graded in (True, False):
-                got = _primary_groups(cx.homology(ring=ring, graded=graded))
+                got = _primary_groups(
+                    cx.change_ring(ring).homology(graded=graded))
                 assert got == _known_groups(pieces, ring, graded), (
                     str(ring), graded)
 
@@ -573,8 +573,6 @@ class TestConeFunctorialMap:
             if X.total_rank() == 0 or Y.total_rank() == 0:
                 continue
             f, f_prime, u, v, F = make_square(rng, QQ)
-            if not (abs(u.component(u.source.degrees()[0]).entry(0, 0) or 1)):
-                continue
             lam_unit = True
             out = cone_functorial_map(f, f_prime, u, v, F)
             data = homology_functor_ranks(out)

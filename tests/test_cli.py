@@ -74,6 +74,8 @@ class TestHomologyCommand:
         {"pd": [[1, 2, 4, 3], [4, 2, 1, 3]], "over_entry": [[0, 2]]},
         # a hint that contradicts the traversal
         {"pd": [[1, 2, 4, 3], [4, 2, 1, 3]], "over_entry": [[1, 3]]},
+        {"pd": [[1, 2, 2, 1]], "singular": [0, 0]},
+        {"pd": [[1, 2, 2, 1]], "name": 5},
     ])
     def test_mistyped_field_exit_one(self, tmp_path, bad):
         path = tmp_path / "bad.json"
@@ -82,6 +84,12 @@ class TestHomologyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_null_name_is_the_file_stem(self, tmp_path):
+        path = tmp_path / "kink.json"
+        path.write_text(json.dumps({"pd": [[1, 2, 2, 1]], "name": None}))
+        code, out, _ = run(["homology", str(path), "--format", "json"])
+        assert code == 0 and json.loads(out)["diagram"] == "kink"
 
     @pytest.mark.parametrize("content", [
         b'\xff\xfe{"pd": []}',                    # not UTF-8
@@ -302,6 +310,20 @@ class TestInProcessMain:
 
 
 class TestPublicNames:
+    def test_all_is_pinned(self):
+        # the public API changes only on purpose
+        assert sorted(khsing.__all__) == [
+            "ChainComplex", "ChainMap", "CubeComplex", "Diagram",
+            "FrobeniusAlgebra", "GenusOneMap", "HomologySummary", "Homotopy",
+            "LaurentPoly", "QQ", "Ring", "SmithDecomposition", "SparseMatrix",
+            "ZZ", "build_cube", "cone", "cone_cocone_homotopy", "cone_factor",
+            "cone_functorial_map", "cone_hfunc_homotopy", "from_braid",
+            "genus_one_map", "homology_at", "homology_signature",
+            "is_chain_map", "jones_by_skein", "jones_polynomial",
+            "kauffman_bracket_oracle", "parse", "rank", "singular_complex",
+            "singular_complex_iterated", "skein_triangle_report",
+            "smith_normal_form"]
+
     def test_all_resolves(self):
         for name in khsing.__all__:
             assert getattr(khsing, name) is not None, name

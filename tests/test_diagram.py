@@ -8,7 +8,7 @@ from khsing.cli import corpus_dir
 from khsing.diagram import Diagram, ORDINARY, SINGULAR, from_braid, parse
 from khsing.errors import ContractViolation, ParseError
 
-from util import union_find_circles
+from util import circles, union_find_circles
 
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF_PD = [[1, 3, 2, 4], [3, 1, 4, 2]]
@@ -48,6 +48,18 @@ class TestParse:
     def test_bad_singular_index(self):
         with pytest.raises(ParseError):
             parse({"pd": HOPF_PD, "singular": [5]})
+
+    def test_repeated_singular_index(self):
+        with pytest.raises(ParseError, match="index 0 is listed twice"):
+            parse({"pd": [[1, 2, 2, 1]], "singular": [0, 0]})
+
+    @pytest.mark.parametrize("name", [5, True, ["x"]])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ParseError, match="is not a string"):
+            parse({"pd": [[1, 2, 2, 1]], "name": name})
+
+    def test_null_name_is_no_name(self):
+        assert parse({"pd": [[1, 2, 2, 1]], "name": None}).name is None
 
     def test_non_closing_traversal(self):
         # edge 2 leaves both crossings through slot 2
@@ -147,7 +159,7 @@ class TestCrossingSign:
             m = d.mirror()
             for i in range(d.n_crossings):
                 assert m.crossing_sign(i) == -d.crossing_sign(i)
-            assert m.writhe == -d.writhe
+            assert m.n_plus - m.n_minus == -(d.n_plus - d.n_minus)
 
     def test_positive_kink(self):
         d = from_braid([(0, 1)], 2)
@@ -169,7 +181,7 @@ class TestResolve:
         d = parse({"pd": TREFOIL_PD})
         # hand edge-following: 0-smoothing joins {1,4}, {2,5}, {3,6}
         cfg = d.resolve_bits(0)
-        assert cfg.circles == ((1, 4), (2, 5), (3, 6))
+        assert circles(cfg) == ((1, 4), (2, 5), (3, 6))
 
     def test_hopf_circles(self):
         d = parse({"pd": HOPF_PD})
@@ -185,8 +197,8 @@ class TestResolve:
                 for new_pos, old in enumerate(perm):
                     if mask >> old & 1:
                         pmask |= 1 << new_pos
-                assert (set(d.resolve_bits(mask).circles)
-                        == set(d2.resolve_bits(pmask).circles))
+                assert (set(circles(d.resolve_bits(mask)))
+                        == set(circles(d2.resolve_bits(pmask))))
 
     def test_toggle_changes_count_by_one(self):
         rng = random.Random(13)
@@ -210,10 +222,10 @@ class TestResolveAgainstUnionFind:
             d = d.resolve_double_point(b, -1)
         for mask in range(1 << d.n_crossings):
             cfg = d.resolve_bits(mask)
-            circles = union_find_circles(d, mask)
-            assert cfg.circles == circles, mask
-            assert cfg.n_circles == len(circles), mask
-            where = {e: k for k, circ in enumerate(circles)
+            expected = union_find_circles(d, mask)
+            assert circles(cfg) == expected, mask
+            assert cfg.n_circles == len(expected), mask
+            where = {e: k for k, circ in enumerate(expected)
                      if circ[0] != "loop" for e in circ}
             assert cfg.crossing_arcs == tuple(
                 (where[c[0]], where[c[2]]) for c in d.crossings), mask
@@ -248,7 +260,7 @@ class TestResolveAgainstUnionFind:
                 for mask in range(1 << d.n_crossings)]
         for a in cfgs:
             for b in cfgs:
-                assert (a.circles == b.circles) == (
+                assert (circles(a) == circles(b)) == (
                     (a.labels, a.edge_circles, a.n_circles)
                     == (b.labels, b.edge_circles, b.n_circles))
 

@@ -11,7 +11,8 @@ from itertools import product
 from khsing.diagram import parse
 from khsing.exactlinalg import QQ, Ring, ZZ
 from khsing.frobenius import FrobeniusAlgebra
-from khsing.khcube import build_cube
+
+from util import bracket_cube
 
 
 def algebras():
@@ -169,8 +170,8 @@ def deg(bit):
 class TestQuantumDegrees:
     def test_basis_degrees(self):
         # the cube of one circle lists its generators 1, x at q = 1, -1
-        cube = build_cube(parse({"pd": [], "free_loops": 1}),
-                          FrobeniusAlgebra(ZZ, 0, 0), normalize=False)
+        cube = bracket_cube(parse({"pd": [], "free_loops": 1}),
+                            FrobeniusAlgebra(ZZ, 0, 0))
         assert cube.complex.q == {0: [deg(0), deg(1)]}
 
     def test_structure_map_degrees_at_zero(self):

@@ -24,7 +24,6 @@ class TestLaurentPoly:
         p = LaurentPoly({1: 1, -1: 1})
         assert p * p == LaurentPoly({2: 1, 0: 2, -2: 1})
         assert p - p == LaurentPoly.zero()
-        assert (p ** 0) == LaurentPoly.one()
 
     def test_json_dict(self):
         assert Q_UNKNOT.to_json_dict() == {"-1": 1, "1": 1}
@@ -86,9 +85,7 @@ class TestSkeinJones:
                     r = d3.resolve_double_point(first, s1)
                     r = r.resolve_double_point(second, s2)
                     term = jones_polynomial(r)
-                    if s1 * s2 < 0:
-                        term = -term
-                    out = out + term
+                    out = out + term if s1 * s2 > 0 else out - term
             return out
         assert jones_by_skein(d3) == full(0, 1) == full(1, 0)
 
@@ -189,16 +186,6 @@ class TestHomologySignature:
         assert {k[0]: f for k, f, _ in hs.groups} == out
 
 
-class TestReportRoundTrip:
-    def test_summary_json_roundtrip(self):
-        from khsing.exactlinalg import HomologySummary
-        for name, ring, h, t in (("trefoil_pos", ZZ, 0, 0),
-                                 ("d1", QQ, 0, 1),
-                                 ("figure8", Ring.prime_field(2), 0, 0)):
-            s = homology_signature(load(name), ring, h, t)
-            assert HomologySummary.from_json_dict(s.to_json_dict()) == s
-
-
 class TestRandomizedCrossChecks:
     def test_random_braid_closures(self):
         # both polynomial pipelines, mirror duality, and Lee dimensions on
@@ -221,7 +208,7 @@ class TestRandomizedCrossChecks:
 
     def test_random_singular_closures(self):
         import random
-        from khsing.chain import les_cone_check
+        from util import les_cone_check
         from khsing.diagram import from_braid
         from khsing.frobenius import FrobeniusAlgebra
         from khsing.genusone import (genus_one_map, singular_complex,

@@ -11,10 +11,11 @@ from khsing.frobenius import FrobeniusAlgebra
 from khsing.genusone import genus_one_map, singular_complex
 from khsing import khcube
 from khsing.errors import ParseError
-from khsing.khcube import build_cube, cone_pieces
+from khsing.khcube import build_cube
 
-from util import (SignModule, check_sign, reference_bracket_differentials,
-                  reference_labels, shuffle_sign, wedge_sign)
+from util import (SignModule, bracket_cube, check_sign, cone_pieces, dual,
+                  reference_bracket_differentials, reference_labels,
+                  shuffle_sign, wedge_sign)
 
 F2 = Ring.prime_field(2)
 F3 = Ring.prime_field(3)
@@ -124,7 +125,7 @@ class TestBuildCube:
     def test_hopf_state_layout(self):
         # 1, 2, 1 states by weight with circle counts 2, 1, 1, 2
         F = FrobeniusAlgebra(ZZ, 0, 0)
-        cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
+        cube = bracket_cube(parse({"pd": HOPF_PD}), F)
         assert [cube.configs[m].n_circles
                 for m in (0, 1, 2, 3)] == [2, 1, 1, 2]
         assert sorted(m.bit_count() for _r, m in cube.offsets) == [0, 1, 1, 2]
@@ -132,7 +133,7 @@ class TestBuildCube:
 
     def test_generator_order_is_lexicographic(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)
-        cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
+        cube = bracket_cube(parse({"pd": HOPF_PD}), F)
         # weight-1 states in bit-tuple order: (0, 1) sorts before (1, 0);
         # the bit order within a state is pinned by the golden matrices
         assert cube.offsets[(0, 0b10)] == 0 and cube.offsets[(0, 0b01)] == 2
@@ -180,7 +181,7 @@ class TestDualize:
     def test_involution_on_shapes(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cube = build_cube(parse({"pd": HOPF_PD}), F)
-        dd = cube.complex.dual().dual()
+        dd = dual(dual(cube.complex))
         assert dd.ranks == cube.complex.ranks
         assert {i: m.data for i, m in dd.diffs.items()} == \
             {i: m.data for i, m in cube.complex.diffs.items()}
@@ -188,12 +189,12 @@ class TestDualize:
     def test_unknot_shape(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)
         cube = build_cube(parse({"pd": [], "free_loops": 1}), F)
-        assert cube.complex.dual().ranks == {0: 2}
+        assert dual(cube.complex).ranks == {0: 2}
 
     def test_dual_matches_mirror_trefoil(self):
         F = FrobeniusAlgebra(QQ, 0, 0)
         d = parse({"pd": TREFOIL_PD})
-        h_dual = build_cube(d, F).complex.dual().homology()
+        h_dual = dual(build_cube(d, F).complex).homology()
         h_mirror = build_cube(d.mirror(), F).homology()
         assert h_dual.groups == h_mirror.groups
 
@@ -203,7 +204,7 @@ class TestConeVsBracket:
         # the bracket complex splits as a shifted cone over either crossing
         F = FrobeniusAlgebra(ZZ, 0, 0)
         d = parse({"pd": HOPF_PD})
-        cube = build_cube(d, F, normalize=False)
+        cube = bracket_cube(d, F)
         h_bracket = cube.complex.homology(graded=False)
         for c in (0, 1):
             X, Y, g = cone_pieces(cube, c)
@@ -213,7 +214,7 @@ class TestConeVsBracket:
 
     def test_trefoil_at_deformed_point(self):
         F = FrobeniusAlgebra(QQ, 1, 1)
-        cube = build_cube(parse({"pd": TREFOIL_PD}), F, normalize=False)
+        cube = bracket_cube(parse({"pd": TREFOIL_PD}), F)
         X, Y, g = cone_pieces(cube, 1)
         assert is_chain_map(g).ok
         assert cone(g).shift(1).homology(graded=False).groups == \
@@ -227,7 +228,7 @@ class TestConeVsBracket:
         # degree w of Cone(g)[1] is Y^(w-1) (+) X^w: the cube's generators
         # of degree w whose state 1-smooths c, then those that 0-smooth it
         d = parse({"pd": pd})
-        cube = build_cube(d, FrobeniusAlgebra(ring, h, t), normalize=False)
+        cube = bracket_cube(d, FrobeniusAlgebra(ring, h, t))
         labels = reference_labels(d)
         for c in range(d.n_crossings):
             P = {w: [i for i, (m, _) in enumerate(lbls) if m >> c & 1]
@@ -273,7 +274,7 @@ class TestGoldenMatrices:
         # circles ({1,3},{2,4}); both saddles merge; at weight 1 the splits
         # carry wedge signs +1 and -1
         F = FrobeniusAlgebra(ZZ, 0, 0)
-        cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
+        cube = bracket_cube(parse({"pd": HOPF_PD}), F)
         d0 = cube.complex.diff(0)
         d1 = cube.complex.diff(1)
         assert sorted(d0.data.items()) == [
@@ -286,10 +287,10 @@ class TestGoldenMatrices:
     def test_deformed_entries(self):
         # x*x = t + h*x shows up in the merge columns
         F = FrobeniusAlgebra(ZZ, 5, 7)
-        cube = build_cube(parse({"pd": HOPF_PD}), F, normalize=False)
+        cube = bracket_cube(parse({"pd": HOPF_PD}), F)
         d0 = cube.complex.diff(0)
-        assert d0.entry(0, 3) == 7 and d0.entry(1, 3) == 5
-        assert d0.entry(2, 3) == 7 and d0.entry(3, 3) == 5
+        assert d0.data[(0, 3)] == 7 and d0.data[(1, 3)] == 5
+        assert d0.data[(2, 3)] == 7 and d0.data[(3, 3)] == 5
 
 
 class TestAssemblyAgainstReference:
@@ -306,7 +307,7 @@ class TestAssemblyAgainstReference:
                              ids=["Z00", "Q01", "F3_11"])
     def test_bracket_cube_matches_reference(self, name, ring, h, t):
         d = from_braid(*self.DIAGRAMS[name])
-        cube = build_cube(d, FrobeniusAlgebra(ring, h, t), normalize=False)
+        cube = bracket_cube(d, FrobeniusAlgebra(ring, h, t))
         ref = reference_bracket_differentials(cube)
         assert set(ref) == set(cube.complex.diffs)
         for w, m in ref.items():
@@ -319,7 +320,7 @@ class TestAssemblyAgainstReference:
         # the points above all have -1 != 1; over F2 -1 = 1, and over F5
         # at (2, 3) the entries h and t and their negatives all reduce
         d = from_braid(*self.DIAGRAMS[name])
-        cube = build_cube(d, FrobeniusAlgebra(ring, h, t), normalize=False)
+        cube = bracket_cube(d, FrobeniusAlgebra(ring, h, t))
         ref = reference_bracket_differentials(cube)
         assert set(ref) == set(cube.complex.diffs)
         for w, m in ref.items():
@@ -369,8 +370,7 @@ class TestBracketDuality:
         F = FrobeniusAlgebra(QQ, 0, 0)
         for pd in (TREFOIL_PD, HOPF_PD):
             d = parse({"pd": pd})
-            lhs = build_cube(d, F, normalize=False).complex.dual().homology(
-                graded=False)
-            rhs = build_cube(d.mirror(), F, normalize=False).complex.shift(
+            lhs = dual(bracket_cube(d, F).complex).homology(graded=False)
+            rhs = bracket_cube(d.mirror(), F).complex.shift(
                 -d.n_crossings).homology(graded=False)
             assert lhs.groups == rhs.groups

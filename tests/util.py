@@ -1,10 +1,12 @@
 """Shared test helpers: the sign modules behind the cube's signs,
 conversions between matrices and dense rows, independent dense Smith and
-rank oracles, an enumerator of generator labels,
-column-by-column reference builders of the cube and crossing-change
-matrices, a reference for the reduction of q-blocks cut as matrices, and
-generators of random complexes, chain maps, and homotopy data whose
-hypotheses hold by construction."""
+rank oracles, the transpose dual of a complex (the mirror-duality oracle),
+the long-exact-sequence check of a cone, the circles of a state, an
+enumerator of generator labels, the unnormalized bracket cube and its split
+as a cone over one crossing, column-by-column reference builders of the
+cube and crossing-change matrices, a reference for the reduction of
+q-blocks cut as matrices, and generators of random complexes, chain maps,
+and homotopy data whose hypotheses hold by construction."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,8 +15,9 @@ from math import gcd
 
 import pytest
 
-from khsing import exactlinalg
-from khsing.chain import ChainComplex, ChainMap, Homotopy
+from khsing import exactlinalg, khcube
+from khsing.chain import (ChainComplex, ChainMap, Homotopy, cone,
+                          homology_functor_ranks)
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import Ring, SparseMatrix, _rank_torsion
 
@@ -339,8 +342,59 @@ def with_eliminated_rows(run):
 
 
 # ---------------------------------------------------------------------------
+# Transpose duality and the long exact sequence of a cone
+# ---------------------------------------------------------------------------
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    """The transpose of ``m``."""
+    return SparseMatrix(m.cols, m.rows, m.ring,
+                        exactlinalg._transposed(m.row_items()))
+
+
+def dual(cx: ChainComplex) -> ChainComplex:
+    """Transpose dual: degree i becomes -i, quantum degrees negate, and the
+    transpose of d^i is the differential out of degree -i-1."""
+    q = ({-i: tuple(-x for x in v) for i, v in cx.q.items()}
+         if cx.q else None)
+    return ChainComplex(cx.ring, {-i: r for i, r in cx.ranks.items()},
+                        {-i - 1: transpose(m) for i, m in cx.diffs.items()},
+                        q)
+
+
+def les_cone_check(f: ChainMap) -> bool:
+    """Long-exact-sequence rank identity for a cone over a field, in every
+    degree i:
+
+        dim H^i(Cone f) = dim coker H^i(f) + dim ker H^(i+1)(f),
+
+    with H(f) from ``homology_functor_ranks``, taken ungraded."""
+    data = homology_functor_ranks(f)
+    h_cone = cone(f).homology(graded=False)
+    zero = (0, 0, 0)
+    for i in set(h_cone.keys()) | set(data) | {i - 1 for i in data}:
+        _, hy, r = data.get(i, zero)
+        hx1, _, r1 = data.get(i + 1, zero)
+        if h_cone.free_rank(i) != (hy - r) + (hx1 - r1):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Circles of a smoothing, by union-find: the oracle for Diagram.resolve_bits
 # ---------------------------------------------------------------------------
+
+
+def circles(cfg) -> tuple:
+    """The circles of a state, from its walk data: each circle as the tuple
+    of the edge labels it carries, in ascending order, circles by minimal
+    label, then a ("loop", k) marker for each free loop."""
+    n_real = max(cfg.edge_circles, default=-1) + 1
+    out = [[] for _ in range(n_real)]
+    for e, k in zip(cfg.labels, cfg.edge_circles):
+        out[k].append(e)
+    return tuple(map(tuple, out)) + tuple(
+        ("loop", k) for k in range(cfg.n_circles - n_real))
 
 
 def union_find_circles(d, mask):
@@ -382,11 +436,10 @@ def _saddle_targets(src_cfg, tgt_cfg, c, crossing):
     """("merge", idx_map, i1, i2, m) or ("split", idx_map, i, d1, d2) for the
     saddle at crossing c; idx_map sends untouched source circles to target
     circles, free loops (("loop", k) markers) to the trailing slots.
-    Target circles are found by searching ``tgt_cfg.circles`` for an edge."""
+    Target circles are found by searching ``circles(tgt_cfg)`` for an edge."""
     a, b = crossing[0], crossing[1]
     i1, i2 = src_cfg.crossing_arcs[c]
-    # a configuration derives its circles when read: read them once
-    src_circles, tgt_circles = src_cfg.circles, tgt_cfg.circles
+    src_circles, tgt_circles = circles(src_cfg), circles(tgt_cfg)
     real_src = [k for k, circ in enumerate(src_circles)
                 if not isinstance(circ[0], str)]
     real_tgt = [k for k, circ in enumerate(tgt_circles)
@@ -417,6 +470,49 @@ def reference_labels(d, shift=0):
         out.setdefault(bin(mask).count("1") + shift, []).extend(
             (mask, bits) for bits in product((0, 1), repeat=k))
     return out
+
+
+def bracket_cube(d, F):
+    """The cube of ``d`` in degrees |s|, not normalized, with d^2 = 0
+    checked as ``build_cube`` checks the normalized one."""
+    cube = khcube._bracket_cube(d, F, 0)
+    cube.complex.validate()
+    return cube
+
+
+def cone_pieces(cube, c: int):
+    """Split a ``bracket_cube`` at crossing c into cone data: the bracket is
+    the cone of a saddle split.
+
+    Returns (X, Y, g) where X collects the states with c 0-smoothed, Y the
+    states with c 1-smoothed (as W[-1]: one degree down, differential
+    negated), and g: X -> Y is minus the connecting block, so that the
+    bracket complex is Cone(g) shifted by one.  Generators are found by
+    state offset and bit index, and keep their order in the cube."""
+    if cube.shift or cube.sites:
+        raise ContractViolation("cone splitting works on the bracket cube")
+    cx = cube.complex
+    bit = 1 << c
+    x_idx = {}  # degree of the cube -> indices there of X's generators
+    y_idx = {}
+    for (_r, mask), off in sorted(cube.offsets.items(), key=lambda kv: kv[1]):
+        idx = y_idx if mask & bit else x_idx
+        idx.setdefault(mask.bit_count(), []).extend(
+            range(off, off + (1 << cube.configs[mask].n_circles)))
+    X = sub_complex(cx, x_idx)
+    Y = sub_complex(cx, y_idx).shift(-1)
+    comps = {w: -cx.diff(w).submatrix(y_idx[w + 1], xs)
+             for w, xs in x_idx.items() if w + 1 in y_idx}
+    return X, Y, ChainMap(X, Y, comps)
+
+
+def sub_complex(cx: ChainComplex, idx: dict) -> ChainComplex:
+    """The generators ``idx[w]`` of each degree w of ``cx`` with the
+    restricted differential."""
+    diffs = {w: cx.diff(w).submatrix(idx[w + 1], ix)
+             for w, ix in idx.items() if w + 1 in idx}
+    return ChainComplex(cx.ring, {w: len(ix) for w, ix in idx.items()},
+                        diffs)
 
 
 def _resolved_pieces(S):
