@@ -284,11 +284,8 @@ class Diagram:
                     e = edges[x]
                     x = partner[x]
                 n_real += 1
-        # slots 0 and 2 lie on the two different arcs of either smoothing
-        arc = circle_of.__getitem__
-        crossing_arcs = tuple(zip(map(arc, edges[::4]), map(arc, edges[2::4])))
-        return CircleConfiguration(n_real + self.free_loops, crossing_arcs,
-                                   tuple(circle_of), self._labels)
+        return CircleConfiguration(n_real + self.free_loops, tuple(circle_of),
+                                   self._labels, edges)
 
     # -- serialization -------------------------------------------------------
 
@@ -313,25 +310,33 @@ class Diagram:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleConfiguration:
     """Circles of a complete smoothing with stable identifiers.
 
-    A state keeps what the cube build reads: ``n_circles``, free loops
-    included, and for each crossing the circle indices of its two local
-    strands in ``crossing_arcs``: for the 0-smoothing the (slot0, slot1)
-    and (slot2, slot3) arcs, for the 1-smoothing the (slot0, slot3) and
-    (slot1, slot2) arcs.  ``edge_circles[e]`` is the circle of edge
-    ``labels[e]``, the diagram's edge labels in ascending order.  Circles
-    are numbered by minimal edge label, as the walks start in label order;
-    crossingless free loops trail.  These walk data determine the circles
-    as sets of edge labels; the state does not list them.
+    A state is its walk: ``n_circles``, free loops included, and
+    ``edge_circles[e]``, the circle of edge ``labels[e]``, the diagram's
+    edge labels in ascending order.  ``ends[4 * c + slot]`` is the edge
+    index at that end of crossing c; ``labels`` and ``ends`` are the
+    diagram's own tables, shared by all its states.  Circles are numbered
+    by minimal edge label, as the walks start in label order; crossingless
+    free loops trail.  These walk data determine the circles as sets of
+    edge labels; the state does not list them.  ``crossing_arcs`` reads,
+    for each crossing, the circles of its slot-0 and slot-2 edges, which
+    lie on its two local strands in either smoothing: (slot0, slot1) and
+    (slot2, slot3) when 0-smoothed, (slot0, slot3) and (slot1, slot2) when
+    1-smoothed.
     """
 
     n_circles: int
-    crossing_arcs: tuple
     edge_circles: tuple
     labels: tuple
+    ends: tuple
+
+    @property
+    def crossing_arcs(self) -> tuple:
+        arc = self.edge_circles.__getitem__
+        return tuple(zip(map(arc, self.ends[::4]), map(arc, self.ends[2::4])))
 
 
 def parse(text) -> Diagram:

@@ -497,13 +497,14 @@ def _eliminate(rows: dict, p: int | None, track: bool = False):
     # the other rows change only at its partner column, so no row grows.
     # Singletons go first.  Once none is left, the rows of two entries are
     # queued in ascending index, and from then on a row that drops to two
-    # entries joins that queue unless it waits there already.
+    # entries joins that queue unless it waits there already; a block the
+    # singletons empty sets up neither the queue nor the heap.
     ones = [r for r, row in rows.items() if len(row) == 1]
     twos, queued = None, set()
     while True:
         if ones:
             pr = ones.pop()
-        elif twos is None:
+        elif twos is None and rows:
             twos = [r for r, row in rows.items() if len(row) == 2]
             queued.update(twos)
             heapq.heapify(twos)
@@ -531,6 +532,9 @@ def _eliminate(rows: dict, p: int | None, track: bool = False):
                 queued.add(r)
                 heapq.heappush(twos, r)
         retire(pr, pc)
+
+    if not rows:
+        return pivots, left, len(pivots)
 
     def entry(r, row):
         return 1 if p else min(map(abs, row.values())), len(row), r

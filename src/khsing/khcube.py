@@ -29,17 +29,20 @@ the ring once, for its at most 4 input bit patterns; the untouched
 circles keep their order, so each column moves them by a few
 mask-and-shift runs.  A block depends only on its circle pattern (merge
 or split, the circle counts and the touched circles), and a crossing
-change's only on the circle count and its two circles.  So a cube build
-makes each block once per edge sign, in one dict that lives for the
-build, keyed by the two vertices' arcs at the crossing, their circle
-counts and the sign.  A cached block is already multiplied by its sign
-and reduced into the ring, zeros dropped, so each entry is written once,
-as it is stored, and each matrix is wrapped by
-``SparseMatrix._unchecked``.  That is safe by construction:
+change's only on the circle count and its two circles.  A crossing's
+two circles are those of its slot-0 and slot-2 edges, read from a
+state's ``edge_circles`` through the diagram's end table.  So a cube
+build makes each block once per edge sign, in one dict that lives for
+the build, keyed by one flat tuple: the four circle ids of the two
+vertices at the crossing, their circle counts and the sign.  A cached
+block is already multiplied by its sign and reduced into the ring, zeros
+dropped, so each entry is written once, as it is stored, into a list of
+row dicts indexed by row, and each matrix keeps the nonempty rows,
+wrapped by ``SparseMatrix._unchecked``.  That is safe by construction:
 ``Ring.coerce`` made every value, every index is a generator of the two
 vertices (an offset plus circle bits below 2^k), no zero is written, and
-a row exists only once a value lands in it.  Distinct edges never share
-an entry, so nothing is summed.  ``_phi_map`` assembles the
+no empty row is kept.  Distinct edges never share an entry, so nothing
+is summed.  ``_phi_map`` assembles the
 crossing-change chain map between two cubes the same way.
 """
 
@@ -113,16 +116,16 @@ def _flip(sites, r: int) -> int:
     return sum(1 << b for k, b in enumerate(sites) if r >> k & 1)
 
 
-def _saddle_entries(F: FrobeniusAlgebra, sign: int, src_arcs, tgt_arcs,
-                    k_src: int, k_tgt: int):
-    """``sign`` times the saddle from a k_src-circle state with arcs
-    ``src_arcs`` at its crossing to a k_tgt-circle state with arcs
-    ``tgt_arcs`` there, as (row, col, value) over the 2^k_src source
-    generators in column order, reduced into the ring, zeros dropped.
+def _saddle_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
+                    k_src: int, k_tgt: int, sign: int):
+    """``sign`` times the saddle from a k_src-circle state with circles
+    (i1, i2) on the slot-0 and slot-2 edges of its crossing to a
+    k_tgt-circle state with circles (j1, j2) there, as (row, col, value)
+    over the 2^k_src source generators in column order, reduced into the
+    ring, zeros dropped.
 
-    Source circles (i1, i2) merge into target circle m, or i splits into
-    (d1, d2): the target 1-smooths the crossing, so its arcs hold the
-    merged circle twice, or the two circles of the split.  Generator g of
+    Source circles (i1, i2) merge into target circle m = j1 = j2, or
+    i = i1 = i2 splits into (d1, d2) = (j1, j2).  Generator g of
     a k-circle state has the bit of circle i at weight 2^(k - 1 - i).  The
     block is the table of ``mult_bits`` or ``comult_bits``, keyed by a
     column's touched bits, times the identity on the untouched circles.
@@ -131,21 +134,20 @@ def _saddle_entries(F: FrobeniusAlgebra, sign: int, src_arcs, tgt_arcs,
     slots in turn: each moves by a fixed shift, and the circles of one
     shift move as one mask.
     """
-    i1, i2 = src_arcs
     w1, w2 = 1 << (k_src - 1 - i1), 1 << (k_src - 1 - i2)
     table = {}  # touched bits of a column -> [(target bits, coefficient)]
     if i1 != i2:
-        m = 1 << (k_tgt - 1 - tgt_arcs[0])
+        m = 1 << (k_tgt - 1 - j1)
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
             table[a * w1 | b * w2] = [(bit * m, v)
                                       for bit, v in F.mult_bits(a, b)]
-        touched, landed = src_arcs, tgt_arcs[:1]
+        touched, landed = (i1, i2), (j1,)
     else:
-        d1, d2 = (1 << (k_tgt - 1 - d) for d in tgt_arcs)
+        d1, d2 = 1 << (k_tgt - 1 - j1), 1 << (k_tgt - 1 - j2)
         for a in (0, 1):
             table[a * w1] = [(bl * d1 | br * d2, v)
                              for bl, br, v in F.comult_bits(a)]
-        touched, landed = src_arcs[:1], tgt_arcs
+        touched, landed = (i1,), (j1, j2)
     coerce = F.ring.coerce
     table = {key: [(bits, w) for bits, v in terms if (w := coerce(sign * v))]
              for key, terms in table.items()}
@@ -186,15 +188,15 @@ def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int):
     """``sign`` times the crossing change at crossing c out of a state
     ``cfg`` that 1-smooths c, into the state with the same circles that
     0-smooths it, reduced into the ring, zeros dropped; empty where both
-    strands lie on one circle.  Cached in ``blocks`` under (arcs of c,
-    circle count, sign)."""
-    arcs, k = cfg.crossing_arcs[c], cfg.n_circles
-    key = (arcs, k, sign)  # shorter than a saddle's key, so never equal
+    strands lie on one circle.  Cached in ``blocks`` under (the circles of
+    the slot-0 and slot-2 edges of c, circle count, sign)."""
+    circ, ends = cfg.edge_circles, cfg.ends
+    i1, i2 = circ[ends[4 * c]], circ[ends[4 * c + 2]]
+    key = (i1, i2, cfg.n_circles, sign)  # shorter than a saddle's key
     block = blocks.get(key)
     if block is None:
-        i1, i2 = arcs
         block = blocks[key] = [] if i1 == i2 else [
-            (r, col, w) for r, col, v in _phi_block(F, k, i1, i2)
+            (r, col, w) for r, col, v in _phi_block(F, cfg.n_circles, i1, i2)
             if (w := F.ring.coerce(sign * v))]
     return block
 
@@ -212,17 +214,18 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
     return cube
 
 
-def _put(rows: dict, block, row0: int, col0: int):
-    """Write a (row, col, value) ``block`` into ``rows`` at (row0, col0); a
-    row is made by its first entry."""
-    get = rows.get
+def _put(rows: list, block, row0: int, col0: int):
+    """Write a (row, col, value) ``block`` into the row dicts ``rows``,
+    indexed by row, at (row0, col0)."""
     for i, j, v in block:
-        i += row0
-        row = get(i)
-        if row is None:
-            rows[i] = {col0 + j: v}
-        else:
-            row[col0 + j] = v
+        rows[row0 + i][col0 + j] = v
+
+
+def _matrix(rows: list, cols: int, ring) -> SparseMatrix:
+    """The matrix of the row dicts ``rows`` written by ``_put``, its
+    nonempty rows kept."""
+    return SparseMatrix._unchecked(len(rows), cols, ring, {
+        i: row for i, row in enumerate(rows) if row})
 
 
 def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
@@ -242,11 +245,11 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     degrees internal + |s| + n_plus - 2 * n_minus of its resolved diagram.
     Each planar smoothing is resolved once (see the module docstring),
     each block is built once per sign, already in the ring, in a dict for
-    this call, and the rows are stored unchecked.  The edge loop reads the
-    vertex offsets from lists indexed [r][s]; ``offsets`` is their dict.
-    Over ``MAX_GENERATORS`` generators raise ParseError: before resolving
-    if the free loops (and one circle more if n > 0) give too many, else
-    as they are resolved."""
+    this call, and written by ``_put``; the rows are stored unchecked.
+    The edge loop reads the vertex offsets from lists indexed [r][s];
+    ``offsets`` is their dict.  Over ``MAX_GENERATORS`` generators raise
+    ParseError: before resolving if the free loops (and one circle more if
+    n > 0) give too many, else as they are resolved."""
     n, m = d.n_crossings, len(sites)
     if n + m + d.free_loops + (n > 0) >= MAX_GENERATORS.bit_length():
         raise ParseError(_TOO_LARGE)
@@ -286,15 +289,16 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                 qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
         ranks[deg] = rank
 
+    ends = configs[0].ends  # shared; crossing c's circles: ends 4c, 4c + 2
     blocks = {}  # edge key -> its signed, ring-reduced entries, for this call
     diffs = {}
     for deg in sorted(levels):
-        rows = {}
+        rows = [{} for _ in range(ranks.get(deg + 1, 0))]
         # distinct edges never share an entry, nor terms of one edge
         for r, s in levels[deg]:
             flip, at_r = flips[r], at[r]
             cfg = configs[s ^ flip]
-            arcs, k_src = cfg.crossing_arcs, cfg.n_circles
+            circ, k_src = cfg.edge_circles, cfg.n_circles
             col0 = at_r[s]
             sign = parity  # (-1)^shift times the check sign of bit c
             for c in range(n):
@@ -303,11 +307,12 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                     continue
                 t = s | 1 << c
                 tcfg = configs[t ^ flip]
-                key = (arcs[c], tcfg.crossing_arcs[c], k_src, tcfg.n_circles,
-                       sign)
+                tcirc, e0, e2 = tcfg.edge_circles, ends[4 * c], ends[4 * c + 2]
+                key = (circ[e0], circ[e2], tcirc[e0], tcirc[e2], k_src,
+                       tcfg.n_circles, sign)
                 block = blocks.get(key)
                 if block is None:
-                    block = blocks[key] = _saddle_entries(F, sign, *key[:4])
+                    block = blocks[key] = _saddle_entries(F, *key)
                 _put(rows, block, at_r[t], col0)
             for k, b in enumerate(sites):
                 if r >> k & 1 or not s >> b & 1:
@@ -316,9 +321,9 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                 _put(rows, _phi_entries(F, blocks, cfg, b,
                                         -parity * _sign_bits(s, b)),
                      at[r | 1 << k][s & ~(1 << b)], col0)
-        if rows:
-            diffs[deg] = SparseMatrix._unchecked(ranks[deg + 1], ranks[deg],
-                                                 F.ring, rows)
+        m = _matrix(rows, ranks[deg], F.ring)
+        if not m.is_zero():
+            diffs[deg] = m
     cx = ChainComplex._unchecked(F.ring, ranks, diffs, qdeg)
     return CubeComplex(cx, d, F, shift, tuple(sites), configs, offsets)
 
@@ -351,10 +356,10 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
                 "resolved configurations disagree; inconsistent cubes")
         block = _phi_entries(F, blocks, cfg, c, _sign_bits(s, c))
         if block:
-            _put(comps.setdefault(
-                s.bit_count() + 2 * r.bit_count() + src.shift, {}),
-                block, tgt.offsets[t], col0)
+            deg = s.bit_count() + 2 * r.bit_count() + src.shift
+            if deg not in comps:
+                comps[deg] = [{} for _ in range(tgt.complex.rank(deg))]
+            _put(comps[deg], block, tgt.offsets[t], col0)
     return ChainMap(src.complex, tgt.complex, {
-        deg: SparseMatrix._unchecked(tgt.complex.rank(deg),
-                                     src.complex.rank(deg), F.ring, rows)
+        deg: _matrix(rows, src.complex.rank(deg), F.ring)
         for deg, rows in comps.items()})

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import random
@@ -5,7 +6,8 @@ import random
 import pytest
 
 from khsing.cli import corpus_dir
-from khsing.diagram import Diagram, ORDINARY, SINGULAR, from_braid, parse
+from khsing.diagram import (CircleConfiguration, Diagram, ORDINARY, SINGULAR,
+                            from_braid, parse)
 from khsing.errors import ContractViolation, ParseError
 
 from util import circles, union_find_circles
@@ -263,6 +265,38 @@ class TestResolveAgainstUnionFind:
                 assert (circles(a) == circles(b)) == (
                     (a.labels, a.edge_circles, a.n_circles)
                     == (b.labels, b.edge_circles, b.n_circles))
+
+    def test_a_state_stores_its_walk_only(self):
+        # no per-crossing tuple is stored: crossing_arcs is read from the
+        # walk's edge circles, and the label and end tables are the
+        # diagram's own, shared by all its states
+        fields = ("n_circles", "edge_circles", "labels", "ends")
+        assert tuple(f.name for f in dataclasses.fields(
+            CircleConfiguration)) == fields
+        assert CircleConfiguration.__slots__ == fields
+        d = from_braid([(0, 1), (1, -1)] * 3, 3)
+        a, b = d.resolve_bits(0), d.resolve_bits(0b101101)
+        assert a.labels is b.labels and a.ends is b.ends
+        assert isinstance(CircleConfiguration.crossing_arcs, property)
+
+    def test_crossing_arcs_on_random_singular_closures(self):
+        # each double point resolved either way, so that the slot-0 and
+        # slot-2 edges of a positive resolution come rotated
+        rng = random.Random(2024)
+        for _ in range(50):
+            strands = rng.randint(2, 4)
+            word = [(rng.randrange(strands - 1), rng.choice((1, -1, 0)))
+                    for _ in range(rng.randint(1, 7))]
+            word[rng.randrange(len(word))] = (rng.randrange(strands - 1), 0)
+            d = from_braid(word, strands)
+            for b in d.singular_indices:
+                d = d.resolve_double_point(b, rng.choice((1, -1)))
+            for mask in range(1 << d.n_crossings):
+                expected = union_find_circles(d, mask)
+                where = {e: k for k, circ in enumerate(expected)
+                         if circ[0] != "loop" for e in circ}
+                assert d.resolve_bits(mask).crossing_arcs == tuple(
+                    (where[c[0]], where[c[2]]) for c in d.crossings), mask
 
 
 class TestMirror:
