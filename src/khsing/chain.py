@@ -16,7 +16,8 @@ identities), against one expression in those operations.
 A cone is a direct sum, Cone(f)^i = Y^i (+) X^(i+1) with Y first; that
 layout is stated once, by ``_cone_summands``.  A map into or out of a cone
 is a matrix of graded maps between summands, and ``_block_map`` turns it
-into components, so each combinator states its map as one grid.
+into components, so the cone's differential and each combinator's map are
+each stated as one grid.
 
 A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
 again: ``shift`` and ``change_ring`` are exact images, and ``homology``
@@ -365,7 +366,9 @@ def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: d = [[d_Y, f], [0, -d_X]] on the summands Y^i and
     X^(i+1) of ``_cone_summands``, which holds the layout: index k of
     Cone(f)^i is generator k of Y^i when k < rank Y^i, else generator
-    k - rank Y^i of X^(i+1).
+    k - rank Y^i of X^(i+1).  The ranks and q-degrees are those of the
+    summands, and d is their ``_block_map``, each differential a graded
+    map of shift -1.
 
     d d = [[d_Y^2, d_Y f - f d_X], [0, d_X^2]] and Y, X are checked, so the
     cone checks only that ``f`` is a chain map.  It is kept on ``f`` and
@@ -382,22 +385,14 @@ def _cone(f: ChainMap) -> ChainComplex:
         raise ContractViolation("cone requires a degree-0 chain map")
     _require_chain_map(f, "coned map")
     X, Y = f.source, f.target
-    ring = Y.ring
-    degs = sorted(set(Y.degrees()) | {i - 1 for i in X.degrees()})
-    ranks = {}
-    q = {} if (X.q is not None and Y.q is not None) else None
-    for i in degs:
-        ranks[i] = Y.rank(i) + X.rank(i + 1)
-        if q is not None:
-            q[i] = tuple(Y.q.get(i, ())) + tuple(X.q.get(i + 1, ()))
-    diffs = {}
-    for i in degs:  # ChainComplex drops the empty ones
-        diffs[i] = SparseMatrix.block(
-            [[Y.diff(i), f.component(i + 1)],
-             [None, -X.diff(i + 1)]],
-            [Y.rank(i + 1), X.rank(i + 2)],
-            [Y.rank(i), X.rank(i + 1)], ring)
-    return ChainComplex._unchecked(ring, ranks, diffs, q=q)
+    summands = _cone_summands(f)
+    d_X, d_Y = (ChainMap(P, P, P.diffs, -1) for P in (X, Y))
+    diffs = _block_map([[d_Y, f], [None, -d_X]], summands, summands, -1)
+    ranks = {i: sum(P.rank(i + o) for P, o in summands) for i in diffs}
+    q = None if X.q is None or Y.q is None else {
+        i: sum((tuple(P.q.get(i + o, ())) for P, o in summands), ())
+        for i in ranks}
+    return ChainComplex._unchecked(Y.ring, ranks, diffs, q=q)
 
 
 def _cone_summands(f: ChainMap, k: int = 0) -> tuple:
@@ -419,7 +414,7 @@ def _block_map(grid, source, target, shift: int = 0) -> dict:
                     f"block of shift {g.shift} where {shift + o - p} fits")
     ring = source[0][0].ring
     comps = {}
-    for i in {d - o for P, o in source for d in P.degrees()}:
+    for i in sorted({d - o for P, o in source for d in P.degrees()}):
         comps[i] = SparseMatrix.block(
             [[None if g is None else g.component(i + o)
               for g, (_, o) in zip(row, source)] for row in grid],

@@ -321,22 +321,13 @@ class CircleConfiguration:
     diagram's own tables, shared by all its states.  Circles are numbered
     by minimal edge label, as the walks start in label order; crossingless
     free loops trail.  These walk data determine the circles as sets of
-    edge labels; the state does not list them.  ``crossing_arcs`` reads,
-    for each crossing, the circles of its slot-0 and slot-2 edges, which
-    lie on its two local strands in either smoothing: (slot0, slot1) and
-    (slot2, slot3) when 0-smoothed, (slot0, slot3) and (slot1, slot2) when
-    1-smoothed.
+    edge labels; the state does not list them.
     """
 
     n_circles: int
     edge_circles: tuple
     labels: tuple
     ends: tuple
-
-    @property
-    def crossing_arcs(self) -> tuple:
-        arc = self.edge_circles.__getitem__
-        return tuple(zip(map(arc, self.ends[::4]), map(arc, self.ends[2::4])))
 
 
 def parse(text) -> Diagram:

@@ -646,7 +646,8 @@ class HomologySummary:
     """Per-degree free rank and torsion, the canonical invariant report.
 
     Keys are integers (homological degree) or (i, j) pairs when a quantum
-    grading is available.  Only nonzero groups are stored.
+    grading is available.  Only nonzero groups are stored.  ``build``
+    refuses a rank or torsion coefficient that is not an integer.
     """
 
     ring: Ring
@@ -656,14 +657,15 @@ class HomologySummary:
     def build(cls, ring: Ring, entries: dict) -> "HomologySummary":
         rows = []
         for key, (free, torsion) in entries.items():
-            torsion = tuple(sorted(int(t) for t in torsion))
+            free = ZZ.coerce(free)
+            torsion = tuple(sorted(map(ZZ.coerce, torsion)))
             if any(t <= 1 for t in torsion):
                 raise ContractViolation("torsion coefficients must exceed 1")
             if ring.is_field and torsion:
                 raise ContractViolation("field homology cannot carry torsion")
             if free or torsion:
                 rows.append(((key,) if isinstance(key, int) else tuple(key),
-                             int(free), torsion))
+                             free, torsion))
         rows.sort(key=lambda e: e[0])
         return cls(ring, tuple(rows))
 

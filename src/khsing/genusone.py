@@ -191,13 +191,12 @@ def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
 
 def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict,
                  uses: int) -> CubeComplex:
-    """Normalized cube of d, checked when built, looked up in or added to
-    ``built`` and dropped from it at its ``uses``-th lookup."""
+    """``build_cube(d, F)``, looked up in or added to ``built`` and dropped
+    from it at its ``uses``-th lookup."""
     key = _diagram_key(d)
     entry = built.get(key)
     if entry is None:
-        entry = built[key] = [_bracket_cube(d, F, -d.n_minus), uses]
-        entry[0].complex.validate()
+        entry = built[key] = [build_cube(d, F), uses]
     entry[1] -= 1
     if not entry[1]:
         del built[key]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .diagram import Diagram
 from .errors import ContractViolation
-from .exactlinalg import HomologySummary, QQ, Ring
+from .exactlinalg import HomologySummary, QQ, Ring, ZZ
 from .frobenius import FrobeniusAlgebra
 from .genusone import singular_complex
 from .khcube import build_cube
@@ -24,11 +24,15 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
-        for e, c in (coeffs or {}).items():
-            if c:
-                self.coeffs[int(e)] = self.coeffs.get(int(e), 0) + int(c)
-        self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+        """``coeffs`` is {exponent: coefficient} or an iterable of
+        (exponent, coefficient) terms; repeated exponents are summed, and
+        ``ZZ.coerce`` refuses a value that is not an integer."""
+        terms = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        out = {}
+        for e, c in terms:
+            e = ZZ.coerce(e)
+            out[e] = out.get(e, 0) + ZZ.coerce(c)
+        self.coeffs = {e: c for e, c in out.items() if c}
 
     @classmethod
     def monomial(cls, e: int, c: int = 1) -> "LaurentPoly":
@@ -43,23 +47,15 @@ class LaurentPoly:
         return cls({0: 1})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly([*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+        return self + LaurentPoly((e, -c) for e, c in other.coeffs.items())
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly((e1 + e2, c1 * c2)
+                           for e1, c1 in self.coeffs.items()
+                           for e2, c2 in other.coeffs.items())
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

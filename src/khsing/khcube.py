@@ -21,29 +21,30 @@ Generator order is by vertex (r, then s, each lexicographic in the bit
 tuple), then lexicographic in the circle bit tuple, so matrices are
 reproducible across runs.  This module is the one place that knows it.
 
-A saddle is a local cobordism on the one or two circles it touches,
-tensored with the identity on all the others (Bar-Natan), so its block
-is the two-circle table of ``mult_bits`` or ``comult_bits`` times the
-identity on the untouched circles.  The table is signed and reduced into
-the ring once, for its at most 4 input bit patterns; the untouched
-circles keep their order, so each column moves them by a few
-mask-and-shift runs.  A block depends only on its circle pattern (merge
-or split, the circle counts and the touched circles), and a crossing
-change's only on the circle count and its two circles.  A crossing's
-two circles are those of its slot-0 and slot-2 edges, read from a
-state's ``edge_circles`` through the diagram's end table.  So a cube
-build makes each block once per edge sign, in one dict that lives for
-the build, keyed by one flat tuple: the four circle ids of the two
-vertices at the crossing, their circle counts and the sign.  A cached
-block is already multiplied by its sign and reduced into the ring, zeros
-dropped, so each entry is written once, as it is stored, into a list of
-row dicts indexed by row, and each matrix keeps the nonempty rows,
-wrapped by ``SparseMatrix._unchecked``.  That is safe by construction:
-``Ring.coerce`` made every value, every index is a generator of the two
-vertices (an offset plus circle bits below 2^k), no zero is written, and
-no empty row is kept.  Distinct edges never share an entry, so nothing
-is summed.  ``_phi_map`` assembles the
-crossing-change chain map between two cubes the same way.
+Every edge is a local cobordism on the arcs at one crossing, tensored
+with the identity on all the other circles (Bar-Natan): a saddle merges
+or splits the circles it touches, a crossing change is the genus-one map
+on the two circles at its site.  One builder, ``_edge_entries``, makes
+every block; the circles at the crossing before and after the edge choose
+the table.  A crossing's two circles are those of its slot-0 and slot-2
+edges, read from a state's ``edge_circles`` through the diagram's end
+table: these edges lie on its two local strands in either smoothing,
+(slot0, slot1) and (slot2, slot3) when 0-smoothed, (slot0, slot3) and
+(slot1, slot2) when 1-smoothed.  The table is signed and reduced into the
+ring once, for its at most 4 input bit patterns; the untouched circles
+keep their order, so each column moves them by a few mask-and-shift runs.
+A block depends only on one flat key: the four circle ids at the crossing
+of the two vertices, their circle counts and the edge sign.  So a cube
+build makes each block once, in one dict that lives for the build.  A
+cached block is already multiplied by its sign and reduced into the ring,
+zeros dropped, so each entry is written once, as it is stored, into a
+list of row dicts indexed by row, and each matrix keeps the nonempty
+rows, wrapped by ``SparseMatrix._unchecked``.  That is safe by
+construction: ``Ring.coerce`` made every value, every index is a
+generator of the two vertices (an offset plus circle bits below 2^k), no
+zero is written, and no empty row is kept.  Distinct edges never share an
+entry, so only the terms within a block are summed.  ``_phi_map``
+assembles the crossing-change chain map between two cubes the same way.
 """
 
 from __future__ import annotations
@@ -116,41 +117,52 @@ def _flip(sites, r: int) -> int:
     return sum(1 << b for k, b in enumerate(sites) if r >> k & 1)
 
 
-def _saddle_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
-                    k_src: int, k_tgt: int, sign: int):
-    """``sign`` times the saddle from a k_src-circle state with circles
+def _edge_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
+                  k_src: int, k_tgt: int, sign: int):
+    """``sign`` times the edge from a k_src-circle state with circles
     (i1, i2) on the slot-0 and slot-2 edges of its crossing to a
     k_tgt-circle state with circles (j1, j2) there, as (row, col, value)
-    over the 2^k_src source generators in column order, reduced into the
-    ring, zeros dropped.
+    over the 2^k_src source generators in column order, colliding terms
+    summed, reduced into the ring, zeros dropped.
 
-    Source circles (i1, i2) merge into target circle m = j1 = j2, or
-    i = i1 = i2 splits into (d1, d2) = (j1, j2).  Generator g of
-    a k-circle state has the bit of circle i at weight 2^(k - 1 - i).  The
-    block is the table of ``mult_bits`` or ``comult_bits``, keyed by a
-    column's touched bits, times the identity on the untouched circles.
-    Those keep their edges, so they keep their order (circles are ordered
-    by minimal edge label, free loops last) and fill the remaining target
-    slots in turn: each moves by a fixed shift, and the circles of one
-    shift move as one mask.
+    The edge is a local cobordism on the touched circles, chosen by the
+    circles before and after: (i1, i2) merge into j1 = j2; i1 = i2 splits
+    into (j1, j2); on (j1, j2) = (i1, i2) it is the genus-one map
+    (x on i2) - (x on i1), zero where all four are one circle.  Generator
+    g of a k-circle state has the bit of circle i at weight 2^(k - 1 - i).
+    The block is the table of the cobordism, keyed by a column's touched
+    bits, times the identity on the untouched circles.  Those keep their
+    edges, so they keep their order (circles are ordered by minimal edge
+    label, free loops last) and fill the remaining target slots in turn:
+    each moves by a fixed shift, and the circles of one shift move as one
+    mask.
     """
+    if i1 == i2 == j1 == j2:
+        return []
     w1, w2 = 1 << (k_src - 1 - i1), 1 << (k_src - 1 - i2)
-    table = {}  # touched bits of a column -> [(target bits, coefficient)]
-    if i1 != i2:
-        m = 1 << (k_tgt - 1 - j1)
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            table[a * w1 | b * w2] = [(bit * m, v)
-                                      for bit, v in F.mult_bits(a, b)]
+    v1, v2 = 1 << (k_tgt - 1 - j1), 1 << (k_tgt - 1 - j2)
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    if j1 == j2:  # merge
+        terms = [(a * w1 | b * w2, bit * v1, v) for a, b in pairs
+                 for bit, v in F.mult_bits(a, b)]
         touched, landed = (i1, i2), (j1,)
-    else:
-        d1, d2 = 1 << (k_tgt - 1 - j1), 1 << (k_tgt - 1 - j2)
-        for a in (0, 1):
-            table[a * w1] = [(bl * d1 | br * d2, v)
-                             for bl, br, v in F.comult_bits(a)]
+    elif i1 == i2:  # split
+        terms = [(a * w1, bl * v1 | br * v2, v) for a in (0, 1)
+                 for bl, br, v in F.comult_bits(a)]
         touched, landed = (i1,), (j1, j2)
+    else:  # genus one, (j1, j2) = (i1, i2)
+        terms = ([(a * w1 | b * w2, a * v1 | bit * v2, v) for a, b in pairs
+                  for bit, v in F.mult_bits(1, b)]
+                 + [(a * w1 | b * w2, bit * v1 | b * v2, -v) for a, b in pairs
+                    for bit, v in F.mult_bits(1, a)])
+        touched = landed = (i1, i2)
+    # a column's touched bits -> {target bits: coefficient}
+    table = {a * w1 | b * w2: {} for a, b in pairs}
+    for key, bits, v in terms:
+        table[key][bits] = table[key].get(bits, 0) + v
     coerce = F.ring.coerce
-    table = {key: [(bits, w) for bits, v in terms if (w := coerce(sign * v))]
-             for key, terms in table.items()}
+    table = {key: [(bits, w) for bits, v in col.items()
+                   if (w := coerce(sign * v))] for key, col in table.items()}
     runs = {}  # shift -> source mask of the untouched circles it moves
     for ks, kt in zip([k for k in range(k_src) if k not in touched],
                       [k for k in range(k_tgt) if k not in landed]):
@@ -170,34 +182,17 @@ def _saddle_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
     return out
 
 
-def _phi_block(F: FrobeniusAlgebra, k: int, i1: int, i2: int):
-    """(x on circle i2) - (x on circle i1) on the 2^k generators of a state,
-    as (row, col, value) with colliding terms summed (at h != 0 the two
-    x-terms cancel on the diagonal) and zeros dropped."""
-    w1, w2 = 1 << (k - 1 - i1), 1 << (k - 1 - i2)
-    entries = {}
-    for col in range(1 << k):
-        for w, sign in ((w2, 1), (w1, -1)):
-            for bit, coef in F.mult_bits(1, 1 if col & w else 0):
-                r = col & ~w | (w if bit else 0)
-                entries[(r, col)] = entries.get((r, col), 0) + sign * coef
-    return [(r, col, v) for (r, col), v in entries.items() if v]
-
-
 def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int):
     """``sign`` times the crossing change at crossing c out of a state
     ``cfg`` that 1-smooths c, into the state with the same circles that
-    0-smooths it, reduced into the ring, zeros dropped; empty where both
-    strands lie on one circle.  Cached in ``blocks`` under (the circles of
-    the slot-0 and slot-2 edges of c, circle count, sign)."""
-    circ, ends = cfg.edge_circles, cfg.ends
+    0-smooths it: the ``_edge_entries`` with the same circles before and
+    after, looked up in or added to ``blocks`` under a saddle's key."""
+    circ, ends, k = cfg.edge_circles, cfg.ends, cfg.n_circles
     i1, i2 = circ[ends[4 * c]], circ[ends[4 * c + 2]]
-    key = (i1, i2, cfg.n_circles, sign)  # shorter than a saddle's key
+    key = (i1, i2, i1, i2, k, k, sign)
     block = blocks.get(key)
     if block is None:
-        block = blocks[key] = [] if i1 == i2 else [
-            (r, col, w) for r, col, v in _phi_block(F, cfg.n_circles, i1, i2)
-            if (w := F.ring.coerce(sign * v))]
+        block = blocks[key] = _edge_entries(F, *key)
     return block
 
 
@@ -237,14 +232,14 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     Vertex (r, s) (see ``CubeComplex``) sits in degree |s| + 2|r| + shift;
     within a degree the vertices are laid out by r, then by s, each in
     bit-tuple order.  A saddle edge (r, s) -> (r, s + c) is its check sign
-    times its ``_saddle_entries``: the two-circle table of the saddle times
-    the identity on the untouched circles.  A crossing-change edge
-    (r, s) -> (r + k, s - b) at b = ``sites[k]`` is minus its check sign
-    times its ``_phi_block``.  Both carry (-1)^shift, the sign W[shift]
-    gives the differential.  At (h, t) = (0, 0) vertex (r, s) has quantum
+    times its ``_edge_entries``, a crossing-change edge
+    (r, s) -> (r + k, s - b) at b = ``sites[k]`` minus its check sign times
+    its ``_edge_entries`` (through ``_phi_entries``): the table of the
+    local cobordism times the identity on the untouched circles.  Both
+    carry (-1)^shift, the sign W[shift] gives the differential.  At (h, t) = (0, 0) vertex (r, s) has quantum
     degrees internal + |s| + n_plus - 2 * n_minus of its resolved diagram.
     Each planar smoothing is resolved once (see the module docstring),
-    each block is built once per sign, already in the ring, in a dict for
+    each block is built once per key, already in the ring, in a dict for
     this call, and written by ``_put``; the rows are stored unchecked.
     The edge loop reads the vertex offsets from lists indexed [r][s];
     ``offsets`` is their dict.  Over ``MAX_GENERATORS`` generators raise
@@ -312,7 +307,7 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                        tcfg.n_circles, sign)
                 block = blocks.get(key)
                 if block is None:
-                    block = blocks[key] = _saddle_entries(F, *key)
+                    block = blocks[key] = _edge_entries(F, *key)
                 _put(rows, block, at_r[t], col0)
             for k, b in enumerate(sites):
                 if r >> k & 1 or not s >> b & 1:
@@ -334,7 +329,7 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
     degree up so that the map has degree 0.  Unchecked.
 
     Vertex (r, s) with c 1-smoothed maps to (r, s - c) by its check sign
-    times its ``_phi_block``; every other vertex maps to zero.  Here two
+    times its ``_phi_entries``; every other vertex maps to zero.  Here two
     separately resolved diagrams meet, so their circles are compared: as
     the walk data they are derived from (edge labels, the circle of each
     edge and the circle count), which are equal exactly when the circles

@@ -261,7 +261,10 @@ class TestInvarianceCommand:
         assert "MISMATCH" not in out
 
     def test_deformed_points_pass(self):
-        for ring, h, t in (("q", 0, 1), ("f2", 1, 0)):
+        # (1, 1) is Naot's universal point (arXiv:math/0603347): h and t
+        # are both live in every table, the genus-one one included
+        for ring, h, t in (("q", 0, 1), ("f2", 1, 0), ("z", 1, 1),
+                           ("f3", 1, 1)):
             code, out, _ = run(["invariance", "--ring", ring,
                                 "--h", str(h), "--t", str(t)])
             assert code == 0, out

@@ -10,7 +10,7 @@ from khsing.diagram import (CircleConfiguration, Diagram, ORDINARY, SINGULAR,
                             from_braid, parse)
 from khsing.errors import ContractViolation, ParseError
 
-from util import circles, union_find_circles
+from util import circles, crossing_arcs, union_find_circles
 
 TREFOIL_PD = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 HOPF_PD = [[1, 3, 2, 4], [3, 1, 4, 2]]
@@ -229,7 +229,7 @@ class TestResolveAgainstUnionFind:
             assert cfg.n_circles == len(expected), mask
             where = {e: k for k, circ in enumerate(expected)
                      if circ[0] != "loop" for e in circ}
-            assert cfg.crossing_arcs == tuple(
+            assert crossing_arcs(cfg) == tuple(
                 (where[c[0]], where[c[2]]) for c in d.crossings), mask
 
     def test_corpus(self):
@@ -267,9 +267,9 @@ class TestResolveAgainstUnionFind:
                     == (b.labels, b.edge_circles, b.n_circles))
 
     def test_a_state_stores_its_walk_only(self):
-        # no per-crossing tuple is stored: crossing_arcs is read from the
-        # walk's edge circles, and the label and end tables are the
-        # diagram's own, shared by all its states
+        # no per-crossing tuple is stored: the cube reads a crossing's
+        # circles from the walk's edge circles, and the label and end
+        # tables are the diagram's own, shared by all its states
         fields = ("n_circles", "edge_circles", "labels", "ends")
         assert tuple(f.name for f in dataclasses.fields(
             CircleConfiguration)) == fields
@@ -277,7 +277,7 @@ class TestResolveAgainstUnionFind:
         d = from_braid([(0, 1), (1, -1)] * 3, 3)
         a, b = d.resolve_bits(0), d.resolve_bits(0b101101)
         assert a.labels is b.labels and a.ends is b.ends
-        assert isinstance(CircleConfiguration.crossing_arcs, property)
+        assert not hasattr(CircleConfiguration, "crossing_arcs")
 
     def test_crossing_arcs_on_random_singular_closures(self):
         # each double point resolved either way, so that the slot-0 and
@@ -295,7 +295,7 @@ class TestResolveAgainstUnionFind:
                 expected = union_find_circles(d, mask)
                 where = {e: k for k, circ in enumerate(expected)
                          if circ[0] != "loop" for e in circ}
-                assert d.resolve_bits(mask).crossing_arcs == tuple(
+                assert crossing_arcs(d.resolve_bits(mask)) == tuple(
                     (where[c[0]], where[c[2]]) for c in d.crossings), mask
 
 

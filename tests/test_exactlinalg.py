@@ -62,6 +62,12 @@ class TestNonIntegralRefused:
         with pytest.raises(ContractViolation):
             FrobeniusAlgebra(ring, 0, value)
 
+    def test_homology_summary(self, ring, value):
+        with pytest.raises(ContractViolation):
+            HomologySummary.build(ring, {0: (value, ())})
+        with pytest.raises(ContractViolation):
+            HomologySummary.build(ring, {0: (0, (value,))})
+
 
 class TestSparseMatrix:
     def test_no_zero_entries_stored(self):
@@ -475,6 +481,11 @@ class TestHomologySummary:
         assert s.keys() == [1]
         assert s.group(1) == (2, (2,))
         assert s.group(0) == (0, ())
+
+    def test_non_integral_rank_refused(self):
+        # not truncated to free rank 1
+        with pytest.raises(ContractViolation):
+            HomologySummary.build(ZZ, {0: (1.9, ())})
 
     def test_torsion_contract(self):
         with pytest.raises(ContractViolation):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khsing import chain, exactlinalg, genusone
+from khsing import chain, exactlinalg, genusone, khcube
 from khsing.chain import (ChainComplex, ChainMap, _block_homology, cone,
                           is_chain_map)
 from khsing.diagram import Diagram, from_braid, parse
@@ -16,6 +16,7 @@ from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
 from khsing.khcube import _bracket_cube, _phi_entries, _phi_map, build_cube
 
 from util import (_resolved_pieces, bracket_cube, circles, cone_pieces,
+                  crossing_arcs,
                   reference_genus_one_components,
                   reference_labels, reference_reduced_blocks,
                   reference_singular_differentials, reference_singular_labels,
@@ -68,7 +69,7 @@ class TestPhiLocal:
         d = parse({"pd": HOPF_NEG_PD})
         for F in algebra_points():
             cfg = d.resolve_bits(0b01)  # crossing 0 one-smoothed: 2 circles?
-            if cfg.crossing_arcs[0][0] == cfg.crossing_arcs[0][1]:
+            if crossing_arcs(cfg)[0][0] == crossing_arcs(cfg)[0][1]:
                 cfg = d.resolve_bits(0b11)
             m = phi_block(cfg, 0, F)
             assert m == phi_matrix(F)
@@ -84,9 +85,9 @@ class TestPhiLocal:
     def test_same_circle_zero(self):
         d = parse({"pd": HOPF_NEG_PD})
         cfg = d.resolve_bits(0b01)
-        if cfg.crossing_arcs[0][0] != cfg.crossing_arcs[0][1]:
+        if crossing_arcs(cfg)[0][0] != crossing_arcs(cfg)[0][1]:
             cfg = d.resolve_bits(0b11)
-        assert cfg.crossing_arcs[0][0] == cfg.crossing_arcs[0][1]
+        assert crossing_arcs(cfg)[0][0] == crossing_arcs(cfg)[0][1]
         for F in algebra_points():
             assert phi_block(cfg, 0, F).is_zero()
 
@@ -334,7 +335,7 @@ class TestIteratedAssemblyCounts:
         # induced cone maps take their verdict from their legs and squares
         calls = {"cube": 0}
         cubes, validated, computed = [], [], []
-        bracket_cube, validate = genusone._bracket_cube, ChainComplex.validate
+        bracket_cube, validate = khcube._bracket_cube, ChainComplex.validate
 
         def counting_cube(*args):
             calls["cube"] += 1
@@ -350,7 +351,7 @@ class TestIteratedAssemblyCounts:
                 computed.append(f)
             return is_chain_map(f)
 
-        monkeypatch.setattr(genusone, "_bracket_cube", counting_cube)
+        monkeypatch.setattr(khcube, "_bracket_cube", counting_cube)
         monkeypatch.setattr(ChainComplex, "validate", counting_validate)
         monkeypatch.setattr(chain, "is_chain_map", counting_is_chain_map)
         d = from_braid(S6_3DP, 3)
@@ -368,7 +369,7 @@ class TestIteratedAssemblyCounts:
     def test_leaf_cube_with_nonzero_square_refused(self, monkeypatch):
         # the check of a leaf cube is its own: with it gone, a broken cube
         # is caught only as a map that is not a chain map, if at all
-        bracket_cube = genusone._bracket_cube
+        bracket_cube = khcube._bracket_cube
         broken = []
 
         def corrupting_cube(*args):
@@ -383,7 +384,7 @@ class TestIteratedAssemblyCounts:
                 broken.append(cube)
             return cube
 
-        monkeypatch.setattr(genusone, "_bracket_cube", corrupting_cube)
+        monkeypatch.setattr(khcube, "_bracket_cube", corrupting_cube)
         with pytest.raises(ContractViolation, match="d\\^2 != 0"):
             singular_complex_iterated(from_braid(S6_3DP, 3),
                                       FrobeniusAlgebra(QQ, 0, 0))
@@ -508,9 +509,9 @@ class TestRandomSingularClosures:
                 own = piece.resolve_bits(s)
                 cfg = S.configs[s ^ flip]
                 assert circles(cfg) == circles(own), (r, s)
-                assert list(cfg.crossing_arcs) == [
+                assert list(crossing_arcs(cfg)) == [
                     arcs[::-1] if flip >> c & 1 and not s >> c & 1 else arcs
-                    for c, arcs in enumerate(own.crossing_arcs)], (r, s)
+                    for c, arcs in enumerate(crossing_arcs(own))], (r, s)
 
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(singular_closures())

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -24,6 +25,34 @@ class TestLaurentPoly:
         p = LaurentPoly({1: 1, -1: 1})
         assert p * p == LaurentPoly({2: 1, 0: 2, -2: 1})
         assert p - p == LaurentPoly.zero()
+
+    def test_sums_match_term_by_term(self):
+        def nonzero(t):
+            return {e: c for e, c in t.items() if c}
+
+        rng = random.Random(25)
+        for _ in range(200):
+            p, q = ({rng.randint(-3, 3): rng.randint(-2, 2) for _ in range(4)}
+                    for _ in range(2))
+            added, subtracted, product = {}, {}, {}
+            for e, c in p.items():
+                added[e] = subtracted[e] = c
+                for f, d in q.items():
+                    product[e + f] = product.get(e + f, 0) + c * d
+            for e, c in q.items():
+                added[e] = added.get(e, 0) + c
+                subtracted[e] = subtracted.get(e, 0) - c
+            P, Q = LaurentPoly(p), LaurentPoly(q)
+            assert (P + Q).coeffs == nonzero(added)
+            assert (P - Q).coeffs == nonzero(subtracted)
+            assert (P * Q).coeffs == nonzero(product)
+
+    @pytest.mark.parametrize("coeffs", [{0.5: 1}, {0: 1.9}, {"1": 1},
+                                        {0: None}], ids=repr)
+    def test_non_integral_refused(self, coeffs):
+        # not truncated: {0.5: 1} is not the polynomial 1
+        with pytest.raises(ContractViolation):
+            LaurentPoly(coeffs)
 
     def test_json_dict(self):
         assert Q_UNKNOT.to_json_dict() == {"-1": 1, "1": 1}

@@ -1,7 +1,8 @@
 """Shared test helpers: the sign modules behind the cube's signs,
 conversions between matrices and dense rows, independent dense Smith and
 rank oracles, the transpose dual of a complex (the mirror-duality oracle),
-the long-exact-sequence check of a cone, the circles of a state, an
+the long-exact-sequence check of a cone, the circles of a state and
+of each crossing, an
 enumerator of generator labels, the unnormalized bracket cube and its split
 as a cone over one crossing, column-by-column reference builders of the
 cube and crossing-change matrices, a reference for the reduction of
@@ -397,6 +398,13 @@ def circles(cfg) -> tuple:
         ("loop", k) for k in range(cfg.n_circles - n_real))
 
 
+def crossing_arcs(cfg) -> tuple:
+    """For each crossing, the circles of its slot-0 and slot-2 edges, read
+    from a state's walk data as the cube reads them."""
+    arc = cfg.edge_circles.__getitem__
+    return tuple(zip(map(arc, cfg.ends[::4]), map(arc, cfg.ends[2::4])))
+
+
 def union_find_circles(d, mask):
     """The circles of the smoothing ``mask`` of an ordinary diagram, found
     from its PD tuples without walking: the smoothing at crossing i joins
@@ -438,7 +446,7 @@ def _saddle_targets(src_cfg, tgt_cfg, c, crossing):
     circles, free loops (("loop", k) markers) to the trailing slots.
     Target circles are found by searching ``circles(tgt_cfg)`` for an edge."""
     a, b = crossing[0], crossing[1]
-    i1, i2 = src_cfg.crossing_arcs[c]
+    i1, i2 = crossing_arcs(src_cfg)[c]
     src_circles, tgt_circles = circles(src_cfg), circles(tgt_cfg)
     real_src = [k for k, circ in enumerate(src_circles)
                 if not isinstance(circ[0], str)]
@@ -592,7 +600,7 @@ def _phi_column(d, F, c, mask, bits):
     the check sign, landing on the state without c; nothing otherwise."""
     if not mask >> c & 1:
         return []
-    i1, i2 = d.resolve_bits(mask).crossing_arcs[c]
+    i1, i2 = crossing_arcs(d.resolve_bits(mask))[c]
     if i1 == i2:
         return []
     out = []
