@@ -9,13 +9,15 @@ Subcommands:
     corpus     -- print the bundled corpus directory
 
 Exit codes: 0 success, 1 parse/usage error or failed check, 2 internal
-contract violation.
+contract violation.  A reader that closes stdout early, as ``head`` does,
+changes neither the exit code nor stderr (see ``_print``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -36,6 +38,17 @@ _RINGS = {
     "f3": lambda: Ring.prime_field(3),
     "f5": lambda: Ring.prime_field(5),
 }
+
+
+def _print(text):
+    """Print a line of output.  A reader that closed the pipe, as ``head``
+    does, chose to stop reading: stdout then points at devnull, so the rest
+    of the output and the flush at exit go nowhere, quietly, and the
+    command runs on to its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def corpus_dir() -> pathlib.Path:
@@ -77,18 +90,18 @@ def cmd_homology(args) -> int:
     if args.format == "json":
         out = {"diagram": d.name, "h": args.h, "t": args.t}
         out.update(summary.to_json_dict())
-        print(json.dumps(out, sort_keys=True))
+        _print(json.dumps(out, sort_keys=True))
     else:
-        print(f"# {d.name}: homology over {ring} at (h, t) = "
-              f"({args.h}, {args.t})")
-        print(summary.format_table())
+        _print(f"# {d.name}: homology over {ring} at (h, t) = "
+               f"({args.h}, {args.t})")
+        _print(summary.format_table())
     return 0
 
 
 def cmd_jones(args) -> int:
     d = _load(args.diagram)
     poly = jones_by_skein(d)
-    print(json.dumps(poly.to_json_dict(), sort_keys=True))
+    _print(json.dumps(poly.to_json_dict(), sort_keys=True))
     return 0
 
 
@@ -110,7 +123,7 @@ def cmd_skein_check(args) -> int:
         ring = Ring.rationals()
     report = skein_triangle_report(d_minus, d_plus, d_sing,
                                    FrobeniusAlgebra(ring, args.h, args.t))
-    print(json.dumps(report.to_json_dict(), sort_keys=True))
+    _print(json.dumps(report.to_json_dict(), sort_keys=True))
     return 0 if report.ok else 1
 
 
@@ -141,13 +154,13 @@ def cmd_invariance(args) -> int:
         base_name, base = sigs[0]
         bad = [name for name, s in sigs[1:] if s != base]
         status = "ok" if not bad else f"MISMATCH vs {base_name}: {bad}"
-        print(f"{group['name']:>14}: {status}")
+        _print(f"{group['name']:>14}: {status}")
         mismatches += len(bad)
     return 0 if mismatches == 0 else 1
 
 
 def cmd_corpus(args) -> int:
-    print(corpus_dir())
+    _print(corpus_dir())
     return 0
 
 

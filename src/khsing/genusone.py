@@ -52,7 +52,7 @@ def _sites(d: Diagram, site_order) -> tuple:
 
 
 def singular_complex(d: Diagram, F: FrobeniusAlgebra,
-                     site_order=None) -> CubeComplex:
+                     site_order=None, half=False) -> CubeComplex:
     """Flattened iterated-cone complex of a singular diagram: its cube of
     resolutions over the crossings and the double points ``site_order``.
 
@@ -69,10 +69,11 @@ def singular_complex(d: Diagram, F: FrobeniusAlgebra,
     d^2 = 0 is checked once, on the total complex: its diagonal blocks are
     the d^2 of each bracket cube, and its off-diagonal blocks say that each
     crossing-change map is a chain map and that the maps at distinct
-    double points anticommute.
+    double points anticommute.  With ``half`` it is the half cube XC of
+    ``invariants.homology_signature``, and d^2 = 0 is checked on that.
     """
     sites = _sites(d, site_order)
-    cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites)
+    cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites, half)
     cube.complex.validate()
     return cube
 

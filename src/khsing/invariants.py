@@ -143,6 +143,29 @@ def homology_signature(d: Diagram, ring: Ring, h=0, t=0) -> HomologySummary:
     Graded by (i, j) at (h, t) = (0, 0), by homological degree otherwise;
     the summary is canonical and directly comparable across isotopic
     diagrams.
+
+    Over F2 at (0, 0) half the cube is built and reduced (Shumakovitch,
+    arXiv:math/0405474): H(i, j) = H_XC(i, j) + H_XC(i, j - 2).  Mark
+    circle 0 (see ``khcube``) and let X be x on it.  X commutes with every
+    edge: saddles are A-module maps, the genus-one map multiplies by
+    x_i1 + x_i2, and every sign is 1 mod 2.  So XC = X(C), the generators
+    where the marked circle carries x, is a subcomplex, and X maps C/XC
+    onto it isomorphically, lowering q by 2.  Let nu = sum_c d_c, with
+    d_c(1) = 0 and d_c(x) = 1 on circle c.  As x^2 = 0 = 2x, d_c is a
+    derivation of A, so nu commutes with merges and splits; it commutes
+    with x_i1 + x_i2, as d_c x_c + x_c d_c = id gives id + id = 0.  So nu is
+    a chain map and nu X + X nu = id.  Then X nu fixes XC (X^2 = 0), so it
+    splits C = XC (+) C/XC as complexes.  At (1, 0), x^2 = x breaks nu
+    (d_c(x x) = d_c(x) = 1, not 2x = 0), and over Z or Q 2x is not 0; off (0, 0) there
+    is no q to shift.  The empty diagram, with no circle to mark, takes
+    the full cube.
     """
     F = FrobeniusAlgebra(ring, h, t)
-    return singular_complex(d, F).homology()
+    if ring.p != 2 or not F.graded or d.n_crossings + d.free_loops == 0:
+        return singular_complex(d, F).homology()
+    groups = {}
+    half = singular_complex(d, F, None, True).homology()
+    for (i, j), free, _ in half.groups:
+        for q in (j, j + 2):
+            groups[i, q] = groups.get((i, q), 0) + free
+    return HomologySummary.build(ring, {k: (f, ()) for k, f in groups.items()})

@@ -45,6 +45,16 @@ generator of the two vertices (an offset plus circle bits below 2^k), no
 zero is written, and no empty row is kept.  Distinct edges never share an
 entry, so only the terms within a block are summed.  ``_phi_map``
 assembles the crossing-change chain map between two cubes the same way.
+
+A half cube is the subcomplex XC of the generators on which circle 0
+carries x (``invariants.homology_signature`` reads F2 homology at (0, 0)
+off it).  Circle 0 is the circle through the lowest-labelled PD edge in
+every state, as the walks start in label order, or the first free loop
+when there is no crossing.  Its bit is a generator's top bit, 2^(k - 1),
+so XC is the upper half of each vertex: generator g' of a k-circle vertex
+is full generator 2^(k - 1) + g', with that generator's q-degree.  Each
+block keeps the entries whose column and row carry the top bit, and
+subtracts it from both.
 """
 
 from __future__ import annotations
@@ -85,7 +95,8 @@ class CubeComplex:
     weight 2^(k - 1 - i), 0 for the unit and 1 for x.  ``configs`` lists
     the circle configurations of the 2^n planar smoothings by state mask:
     vertex (r, s) has ``configs[s ^ _flip(sites, r)]`` (see the module
-    docstring).  With no sites, r is 0.
+    docstring).  With no sites, r is 0.  In a half cube g is read with
+    the bit of circle 0, set, added (see the module docstring).
     """
 
     complex: ChainComplex
@@ -118,7 +129,7 @@ def _flip(sites, r: int) -> int:
 
 
 def _edge_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
-                  k_src: int, k_tgt: int, sign: int):
+                  k_src: int, k_tgt: int, sign: int, half=False):
     """``sign`` times the edge from a k_src-circle state with circles
     (i1, i2) on the slot-0 and slot-2 edges of its crossing to a
     k_tgt-circle state with circles (j1, j2) there, as (row, col, value)
@@ -135,7 +146,8 @@ def _edge_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
     edges, so they keep their order (circles are ordered by minimal edge
     label, free loops last) and fill the remaining target slots in turn:
     each moves by a fixed shift, and the circles of one shift move as one
-    mask.
+    mask.  With ``half``, the block of the half cube: the entries whose
+    column and row carry x on circle 0, that top bit taken from both.
     """
     if i1 == i2 == j1 == j2:
         return []
@@ -179,20 +191,26 @@ def _edge_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
             base |= (col & mask) >> sh
         for bits, v in table[col & (w1 | w2)]:
             out.append((base | bits, col, v))
-    return out
+    if not half:
+        return out
+    top_s, top_t = 1 << k_src - 1, 1 << k_tgt - 1
+    return [(row - top_t, col - top_s, v) for row, col, v in out
+            if col & top_s and row & top_t]
 
 
-def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int):
+def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int,
+                 half=False):
     """``sign`` times the crossing change at crossing c out of a state
     ``cfg`` that 1-smooths c, into the state with the same circles that
     0-smooths it: the ``_edge_entries`` with the same circles before and
-    after, looked up in or added to ``blocks`` under a saddle's key."""
+    after (of the half cube with ``half``), looked up in or added to
+    ``blocks`` under a saddle's key."""
     circ, ends, k = cfg.edge_circles, cfg.ends, cfg.n_circles
     i1, i2 = circ[ends[4 * c]], circ[ends[4 * c + 2]]
     key = (i1, i2, i1, i2, k, k, sign)
     block = blocks.get(key)
     if block is None:
-        block = blocks[key] = _edge_entries(F, *key)
+        block = blocks[key] = _edge_entries(F, *key, half)
     return block
 
 
@@ -224,7 +242,7 @@ def _matrix(rows: list, cols: int, ring) -> SparseMatrix:
 
 
 def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
-                  sites=()) -> CubeComplex:
+                  sites=(), half=False) -> CubeComplex:
     """The cube of resolutions of ``d`` over its crossings and the double
     points ``sites``, built in place as W[shift], unchecked: the caller
     checks d^2 = 0 on it or on the complex it is assembled into.
@@ -242,9 +260,12 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     each block is built once per key, already in the ring, in a dict for
     this call, and written by ``_put``; the rows are stored unchecked.
     The edge loop reads the vertex offsets from lists indexed [r][s];
-    ``offsets`` is their dict.  Over ``MAX_GENERATORS`` generators raise
-    ParseError: before resolving if the free loops (and one circle more if
-    n > 0) give too many, else as they are resolved."""
+    ``offsets`` is their dict.  With ``half`` it is the half cube XC of
+    the module docstring; the diagram must have a circle.  Over
+    ``MAX_GENERATORS`` generators of the full cube raise ParseError, so
+    every ring refuses the same diagrams: before resolving if the free
+    loops (and one circle more if n > 0) give too many, else as they are
+    resolved."""
     n, m = d.n_crossings, len(sites)
     if n + m + d.free_loops + (n > 0) >= MAX_GENERATORS.bit_length():
         raise ParseError(_TOO_LARGE)
@@ -261,8 +282,10 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     flips = [_flip(sites, r) for r in range(1 << m)]
     # a positive site moves a crossing from n_minus to n_plus: 3 more
     q_neg = neg.n_plus - 2 * neg.n_minus
-    # circle count k -> internal q-degree of each of its 2^k generators
-    internal = {k: [k - 2 * g.bit_count() for g in range(1 << k)]
+    # circle count k -> internal q-degree of each of its generators: the
+    # last 2^(k - half) of its 2^k
+    internal = {k: [k - 2 * g.bit_count()
+                    for g in range((1 << k) - (1 << k - half), 1 << k)]
                 for k in {cfg.n_circles for cfg in configs}}
     levels = {}  # degree -> its vertices in layout order
     s_order = _state_order(n)
@@ -278,7 +301,7 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
         for r, s in vertices:
             k = configs[s ^ flips[r]].n_circles
             offsets[(r, s)] = at[r][s] = rank
-            rank += 1 << k
+            rank += 1 << k - half
             if qdeg is not None:
                 j = s.bit_count() + q_neg + 3 * r.bit_count()
                 qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
@@ -307,14 +330,14 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                        tcfg.n_circles, sign)
                 block = blocks.get(key)
                 if block is None:
-                    block = blocks[key] = _edge_entries(F, *key)
+                    block = blocks[key] = _edge_entries(F, *key, half)
                 _put(rows, block, at_r[t], col0)
             for k, b in enumerate(sites):
                 if r >> k & 1 or not s >> b & 1:
                     continue
                 # the target vertex is smoothing cfg too
                 _put(rows, _phi_entries(F, blocks, cfg, b,
-                                        -parity * _sign_bits(s, b)),
+                                        -parity * _sign_bits(s, b), half),
                      at[r | 1 << k][s & ~(1 << b)], col0)
         m = _matrix(rows, ranks[deg], F.ring)
         if not m.is_zero():

@@ -299,6 +299,37 @@ class TestInvarianceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``head`` does, chose to stop
+    reading: the command keeps its exit code and writes no traceback."""
+
+    COMMANDS = {
+        "homology_json": ["homology", "trefoil_pos.json", "--format", "json"],
+        "homology_table": ["homology", "trefoil_pos.json"],
+        "skein_check": ["skein-check", "d1.json", "d2.json", "d3.json"],
+        "invariance": ["invariance", "--ring", "f2"],
+    }
+
+    @pytest.mark.parametrize("unbuffered", ["1", None],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_reader_closes_early(self, corpus, command, unbuffered):
+        args = [str(corpus / a) if a.endswith(".json") else a
+                for a in self.COMMANDS[command]]
+        env = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen([sys.executable, "-m", "khsing.cli", *args],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        # closed before the child has imported khsing: every write fails
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
+
+
 class TestInProcessMain:
     def test_main_returns_zero(self, corpus, capsys):
         assert main(["jones", str(corpus / "unknot.json")]) == 0

@@ -6,8 +6,10 @@ of each crossing, an
 enumerator of generator labels, the unnormalized bracket cube and its split
 as a cone over one crossing, column-by-column reference builders of the
 cube and crossing-change matrices, a reference for the reduction of
-q-blocks cut as matrices, and generators of random complexes, chain maps,
-and homotopy data whose hypotheses hold by construction."""
+q-blocks cut as matrices, the field dimensions that the universal
+coefficient theorem predicts from integral homology, random singular braid
+closures, and generators of random complexes, chain maps, and homotopy
+data whose hypotheses hold by construction."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +21,7 @@ import pytest
 from khsing import exactlinalg, khcube
 from khsing.chain import (ChainComplex, ChainMap, Homotopy, cone,
                           homology_functor_ranks)
+from khsing.diagram import from_braid
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import Ring, SparseMatrix, _rank_torsion
 
@@ -297,6 +300,21 @@ def field_summary_via_dense_rank(cx: ChainComplex, graded: bool):
             if dim:
                 out[(i, j) if graded else i] = dim
     return out
+
+
+def uct_field_dims(h_z, p: int) -> dict:
+    """``{(i, j): dimension}`` of the homology over F_p of a graded complex
+    of free abelian groups, predicted from its integral homology summary
+    ``h_z`` by the universal coefficient theorem, q-block by q-block: for
+    a cochain complex H^i(C (x) F_p) = H^i(C) (x) F_p (+) Tor(H^(i+1)(C), F_p),
+    so the free rank at (i, j) plus the torsion coefficients at (i, j) and
+    at (i + 1, j) that p divides.  Reads no matrix."""
+    out = {}
+    for (i, j), free, torsion in h_z.groups:
+        tor = sum(t % p == 0 for t in torsion)
+        out[i, j] = out.get((i, j), 0) + free + tor
+        out[i - 1, j] = out.get((i - 1, j), 0) + tor
+    return {k: v for k, v in out.items() if v}
 
 
 def reference_reduced_blocks(cx: ChainComplex, graded: bool):
@@ -872,3 +890,21 @@ def anticommutator_perturbation(rng, X, Y, degree) -> Homotopy:
     """d S + S d for a random generator S of degree (degree - 1)."""
     return family_anticommutator(
         random_family(rng, X, Y, degree - 1, density=0.4))
+
+
+# ---------------------------------------------------------------------------
+# Random singular braid closures
+# ---------------------------------------------------------------------------
+
+
+def random_singular_closures(rng, count: int, letters: tuple):
+    """``count`` closures of random braids on 2 or 3 strands, each with a
+    length drawn from ``letters`` = (fewest, most) and letters positive,
+    negative or double points alike (``from_braid``'s +1, -1 and 0)."""
+    out = []
+    for _ in range(count):
+        strands = rng.choice((2, 3))
+        word = [(rng.randrange(strands - 1), rng.choice((1, -1, 0)))
+                for _ in range(rng.randint(*letters))]
+        out.append(from_braid(word, strands))
+    return out
