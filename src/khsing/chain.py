@@ -22,7 +22,8 @@ each stated as one grid.
 A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
 again: ``shift`` and ``change_ring`` are exact images, and ``homology``
 checks only the bidegree.  A map keeps its chain condition; a cone checks
-only its map, an induced cone map its legs and square.
+only its map, an induced cone map its legs and square.  Homology and H(f)
+cut each q-block through the column maps of ``_reduced_blocks``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation
-# homology_at and kernel_basis are re-exported: tools that wrap them look
-# them up here too
+# homology_at, kernel_basis and rank are re-exported: tools that wrap them
+# look them up here too
 from .exactlinalg import (HomologySummary, Ring, SparseMatrix, _rank_torsion,
                           homology_at, kernel_basis, rank)  # noqa: F401
 
@@ -128,7 +129,7 @@ class ChainComplex:
     # -- homology ---------------------------------------------------------------
 
     def _reduced_blocks(self, graded: bool):
-        """``(blocks, reduced)``: ``blocks[i][j]`` lists the degree-i
+        """``(blocks, reduced, place)``: ``blocks[i][j]`` lists the degree-i
         generators of quantum degree j (one block j = None when ungraded),
         ``reduced[(i, j)]`` is the rank and torsion of block j of d^i.
 
@@ -137,8 +138,8 @@ class ChainComplex:
         Gaussian elimination lemma (arXiv:math/0606318, Lemma 4.2), those
         cancellations delete just these columns of d^i, so its image, rank
         and divisors stay.  Each block is cut from the rows of d^i through
-        a column map per degree: a column's place among the kept columns of
-        its q-block, or None."""
+        ``place[i]``, every degree's column map: a column's place among the
+        kept columns of its q-block, or None."""
         if graded:
             self.check_bidegree()
             blocks = {i: {} for i in self.degrees()}
@@ -147,28 +148,20 @@ class ChainComplex:
                     by_q.setdefault(j, []).append(ix)
         else:
             blocks = {i: {None: range(n)} for i, n in self.ranks.items()}
-        reduced, dropped = {}, {}  # degree i -> generators d^(i-1) cancelled
-        for i in sorted(self.diffs):
+        reduced, place, dropped = {}, {}, {}  # dropped: cancelled by d^(i-1)
+        for i, by_q in sorted(blocks.items()):
             drop, cut = dropped.get(i, ()), dropped.setdefault(i + 1, set())
-            place = [None] * self.rank(i)
-            for j, cols in blocks.get(i, {}).items():
+            place[i] = kept = [None] * self.rank(i)
+            for j, cols in by_q.items():
                 for k, c in enumerate([c for c in cols if c not in drop]):
-                    place[c] = k
-                rows = blocks.get(i + 1, {}).get(j, ())
-                r, torsion, units = _rank_torsion(self.diffs[i], self.ring,
-                                                  rows, place)
-                reduced[(i, j)] = r, torsion
-                cut.update(rows[k] for k in units)
-        return blocks, reduced
-
-    def _block(self, blocks, i: int, j) -> SparseMatrix:
-        """Block j of d^i: all of d^i when j is None, else its rows and
-        columns of quantum degree j."""
-        m = self.diff(i)
-        if j is None:
-            return m
-        return m.submatrix(blocks.get(i + 1, {}).get(j, ()),
-                           blocks.get(i, {}).get(j, ()))
+                    kept[c] = k
+                if i in self.diffs:
+                    rows = blocks.get(i + 1, {}).get(j, ())
+                    r, torsion, units = _rank_torsion(self.diffs[i], self.ring,
+                                                      rows, kept)
+                    reduced[(i, j)] = r, torsion
+                    cut.update(rows[k] for k in units)
+        return blocks, reduced, place
 
     def homology(self, graded: bool | None = None) -> HomologySummary:
         """Homology summary over the complex's ring, refined by the quantum
@@ -186,7 +179,7 @@ class ChainComplex:
         """
         if graded is None:
             graded = self.q is not None
-        blocks, reduced = self._reduced_blocks(graded)
+        blocks, reduced, _ = self._reduced_blocks(graded)
         groups = {(i, j) if graded else i: _block_homology(blocks, reduced, i, j)
                   for i, by_q in blocks.items() for j in by_q}
         return HomologySummary.build(self.ring, groups)
@@ -575,11 +568,17 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
     """Per-degree data of H(f) over a field.
 
     Returns {key: (dim H_source, dim H_target, rank H(f))}; keys are degrees
-    or (i, j) pairs when ``graded`` (f must keep q).  Each q-block of each
-    differential of the source and the target is reduced once, in the
-    forward pass of ``ChainComplex.homology``, and H^i(f) takes one more
-    rank: that of the whole bordered matrix [[f_i, d_Y^(i-1)], [d_X^i, 0]],
-    which is rank H^i(f) + rank d_Y^(i-1) + rank d_X^i.
+    or (i, j) pairs when ``graded`` (f must keep q).  The forward pass of
+    ``ChainComplex.homology`` reduces each q-block of X and Y once.  H^i(f)
+    takes one more rank, that of B = [[d_Y^(i-1), f_i], [0, d_X^i]],
+    Cone(f)'s d^(i-1) up to the sign of d_X: B's columns project onto
+    im d_X^i with kernel im d_Y + f(ker d_X), and f(im d_X) lies in im d_Y,
+    so rank B = rank H^i(f) + rank d_Y^(i-1) + rank d_X^i.  B is built once
+    a degree and cut by q-block (f keeps q) through the forward pass's
+    column maps.  Replacing a cancelled generator b by d(a) keeps every
+    other column; the new column is zero for a Y^(i-1) generator and
+    [d_Y f a; 0], in the span of the kept d_Y columns, for an X^i one.  So
+    the kept columns have the rank of the whole block.
     """
     X, Y = f.source, f.target
     ring = X.ring
@@ -587,30 +586,29 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
         raise ContractViolation("induced homology maps need field coefficients")
     if f.shift != 0:
         raise ContractViolation("degree-0 chain maps only")
-    bx, rx = X._reduced_blocks(graded)
-    by, ry = Y._reduced_blocks(graded)
+    bx, rx, px = X._reduced_blocks(graded)
+    by, ry, py = Y._reduced_blocks(graded)
     if graded:
         _check_q_kept(f.components, X.q, Y.q, 0)
     _require_chain_map(f, "map inducing H(f)")
     keys = {(i, j) for b in (bx, by) for i, by_q in b.items() for j in by_q}
-    out = {}
+    out, built = {}, None
     for i, j in sorted(keys):  # ungraded, j is None and i is unique
         hx = _block_homology(bx, rx, i, j)[0]
         hy = _block_homology(by, ry, i, j)[0]
         r = 0
         if hx and hy:
-            # the columns (f x + d_Y y, d_X x) project onto im d_X with
-            # kernel f(ker d_X) + im d_Y, and f(im d_X) lies in im d_Y
-            fi = f.component(i)
-            if j is not None:
-                fi = fi.submatrix(by[i][j], bx[i][j])
-            dy_in = Y._block(by, i - 1, j)
-            dx_out = X._block(bx, i, j)
-            bordered = SparseMatrix.block(
-                [[fi, dy_in], [dx_out, None]], [fi.rows, dx_out.rows],
-                [fi.cols, dy_in.cols], ring)
-            r = (rank(bordered) - ry.get((i - 1, j), (0, ()))[0]
-                 - rx.get((i, j), (0, ()))[0])
+            if built != i:
+                built, n = i, Y.rank(i - 1)
+                bordered = SparseMatrix.block(
+                    [[Y.diff(i - 1), f.component(i)], [None, X.diff(i)]],
+                    [Y.rank(i), X.rank(i + 1)], [n, X.rank(i)], ring)
+                place = [*py.get(i - 1, ()),
+                         *(None if c is None else c + n for c in px[i])]
+            rows = [*by[i][j], *(k + Y.rank(i)
+                                 for k in bx.get(i + 1, {}).get(j, ()))]
+            r = (_rank_torsion(bordered, ring, rows, place)[0]
+                 - ry.get((i - 1, j), (0, ()))[0] - rx.get((i, j), (0, ()))[0])
         out[(i, j) if graded else i] = (hx, hy, r)
     return out
 

@@ -74,9 +74,17 @@ def _load(path: str):
     return parse(obj)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ParseError``: exit 1 and one line, as for other
+    bad input.  Subparsers take the class of their parser."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _add_ring_args(p):
     p.add_argument("--ring", choices=sorted(_RINGS), default="z",
-                   help="coefficient ring (default: z)")
+                   help="coefficient ring (default z, as q for skein-check)")
     p.add_argument("--h", type=int, default=0, metavar="H",
                    help="deformation parameter h (default 0)")
     p.add_argument("--t", type=int, default=0, metavar="T",
@@ -165,7 +173,7 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="khsing",
         description="Khovanov-type homology of (singular) link diagrams")
     p.add_argument("--version", action="version", version=__version__)
@@ -202,9 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

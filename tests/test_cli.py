@@ -330,6 +330,31 @@ class TestClosedPipe:
         assert err == b""
 
 
+class TestUsageErrors:
+    # a usage error is bad input: it exits 1 with one line, as a bad file
+    # does; exit code 2 is left to an internal contract violation
+    @pytest.mark.parametrize("args", [
+        ["homology", "x.json", "--h", "1.5"],
+        ["homology", "x.json", "--ring", "z7"],
+        ["nope"],
+        [],
+        ["homology"],
+        ["skein-check", "a.json", "b.json"],
+    ], ids=["float_h", "unknown_ring", "unknown_command", "no_command",
+            "no_diagram", "no_sing"])
+    def test_exit_one_with_one_line(self, args):
+        code, out, err = run(args)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:"), err
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"],
+                                      ["homology", "--help"]])
+    def test_help_and_version_exit_zero(self, args):
+        code, out, err = run(args)
+        assert code == 0 and out and err == ""
+
+
 class TestInProcessMain:
     def test_main_returns_zero(self, corpus, capsys):
         assert main(["jones", str(corpus / "unknot.json")]) == 0

@@ -1,6 +1,7 @@
 """Shared test helpers: the sign modules behind the cube's signs,
 conversions between matrices and dense rows, independent dense Smith and
-rank oracles, the transpose dual of a complex (the mirror-duality oracle),
+rank oracles and the dense ranks of an induced map on homology, the
+transpose dual of a complex (the mirror-duality oracle),
 the long-exact-sequence check of a cone, the circles of a state and
 of each crossing, an
 enumerator of generator labels, the unnormalized bracket cube and its split
@@ -13,6 +14,7 @@ data whose hypotheses hold by construction."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -302,6 +304,50 @@ def field_summary_via_dense_rank(cx: ChainComplex, graded: bool):
     return out
 
 
+def dense_functor_ranks(f: ChainMap, graded: bool) -> dict:
+    """``homology_functor_ranks(f, graded)`` from dense ranks of whole
+    q-blocks, every row and column kept: dim H^i of the source X and the
+    target Y, and rank H^i(f) = rank [[d_Y^(i-1), f_i], [0, d_X^i]] -
+    rank d_Y^(i-1) - rank d_X^i where both dimensions are nonzero (0
+    elsewhere, as H^i(f) is then 0).  Key (i, j) when ``graded``, else i."""
+    X, Y = f.source, f.target
+    p = X.ring.p
+    dense = {P: {i: dense_rows(m) for i, m in P.diffs.items()} for P in (X, Y)}
+
+    def qs(P, i):
+        return list(P.q.get(i, ())) if graded else [None] * P.rank(i)
+
+    def block_rank(rows, row_q, col_q, j):
+        # rank of the entries whose row and column are of quantum degree j
+        cols = [c for c, q in enumerate(col_q) if q == j]
+        m = [[rows[r][c] for c in cols]
+             for r, q in enumerate(row_q) if q == j]
+        return dense_rank_mod_p(m, p) if p else dense_rank_rational(m)
+
+    @cache
+    def d_rank(P, i, j):
+        if i not in dense[P]:
+            return 0
+        return block_rank(dense[P][i], qs(P, i + 1), qs(P, i), j)
+
+    out = {}
+    for i in sorted(set(X.ranks) | set(Y.ranks)):
+        for j in sorted(set(qs(X, i)) | set(qs(Y, i)), key=repr):
+            hx = qs(X, i).count(j) - d_rank(X, i, j) - d_rank(X, i - 1, j)
+            hy = qs(Y, i).count(j) - d_rank(Y, i, j) - d_rank(Y, i - 1, j)
+            r = 0
+            if hx and hy:
+                n = Y.rank(i - 1)
+                top = [a + b for a, b in zip(dense_rows(Y.diff(i - 1)),
+                                             dense_rows(f.component(i)))]
+                bottom = [[0] * n + row for row in dense_rows(X.diff(i))]
+                r = (block_rank(top + bottom, qs(Y, i) + qs(X, i + 1),
+                                qs(Y, i - 1) + qs(X, i), j)
+                     - d_rank(Y, i - 1, j) - d_rank(X, i, j))
+            out[(i, j) if graded else i] = (hx, hy, r)
+    return out
+
+
 def uct_field_dims(h_z, p: int) -> dict:
     """``{(i, j): dimension}`` of the homology over F_p of a graded complex
     of free abelian groups, predicted from its integral homology summary
@@ -341,6 +387,16 @@ def reference_reduced_blocks(cx: ChainComplex, graded: bool):
             reduced[(i, j)] = r, torsion
             cancelled[(i, j)] = {rows[k] for k in cut}
     return blocks, reduced, dropped
+
+
+def whole_block(cx: ChainComplex, blocks, i: int, j) -> SparseMatrix:
+    """Block j of d^i cut as a matrix, every column kept: all of d^i when j
+    is None, else its rows and columns of quantum degree j."""
+    m = cx.diff(i)
+    if j is None:
+        return m
+    return m.submatrix(blocks.get(i + 1, {}).get(j, ()),
+                       blocks.get(i, {}).get(j, ()))
 
 
 def with_eliminated_rows(run):
