@@ -3,7 +3,7 @@
 Subcommands:
 
     homology   -- homology of a diagram file (table or JSON)
-    jones      -- unnormalized Jones polynomial (skein-resolved if singular)
+    jones      -- unnormalized Jones polynomial (singular too)
     skein-check -- verify the crossing-change triangle for a triple of files
     invariance -- all-pairs signature comparison within corpus groups
     corpus     -- print the bundled corpus directory

@@ -12,16 +12,17 @@ one circle.  Tensored with the alternating sign that removes the crossing
 from the state, this assembles into a chain map between the two Khovanov
 complexes.
 
-A diagram with double points is evaluated on one cube of resolutions
-(``khcube._bracket_cube``): each vertex resolves every double point one way
-or the other and smooths every crossing, and its edges are the saddles and
-the crossing changes at the double points.  A crossing change swaps the 0-
-and 1-smoothing of its site, so the 2^m resolutions share their 2^n planar
-smoothings, and the cube resolves each of them once.  This is the iterated
-mapping cone over the double points in flattened form, built in place at
-its final degrees, shifted by -(n_minus + 2 * n_double).  Every
-crossing-change map between two such complexes, and so each leaf of the
-literal iterated cone, is assembled by ``khcube._phi_map``.
+A diagram with double points is evaluated on one cube of resolutions by
+``khcube.build_cube``, the one validated cube builder, which this module
+also names ``singular_complex``, after the paper: each vertex resolves
+every double point one way or the other and smooths every crossing, and
+its edges are the saddles and the crossing changes at the double points.
+This is the iterated mapping cone over the double points in flattened
+form.  Here it is compared with what the cone is made of: the
+crossing-change map between two such cubes (``genus_one_map``, assembled
+by ``khcube._phi_map``), the literal iterated cone
+(``singular_complex_iterated``) and the exact triangle of one crossing
+change (``skein_triangle_report``).
 """
 
 from __future__ import annotations
@@ -35,47 +36,11 @@ from .diagram import Diagram, ORDINARY
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary
 from .frobenius import FrobeniusAlgebra
-from .khcube import CubeComplex, _bracket_cube, _phi_map, build_cube
+from .khcube import CubeComplex, _phi_map, _sites, build_cube
 
-
-# ---------------------------------------------------------------------------
-# Flattened singular complex
-# ---------------------------------------------------------------------------
-
-
-def _sites(d: Diagram, site_order) -> tuple:
-    """The double points of ``d`` in ``site_order`` (default: index order)."""
-    sites = tuple(site_order) if site_order is not None else d.singular_indices
-    if sorted(sites) != sorted(d.singular_indices):
-        raise ContractViolation("site order must enumerate the double points")
-    return sites
-
-
-def singular_complex(d: Diagram, F: FrobeniusAlgebra,
-                     site_order=None, half=False) -> CubeComplex:
-    """Flattened iterated-cone complex of a singular diagram: its cube of
-    resolutions over the crossings and the double points ``site_order``.
-
-    With no double points this is exactly the normalized cube.  Otherwise
-    each resolution scheme r contributes its bracket cube shifted up by
-    twice the number |r| of positive resolutions, glued by the
-    crossing-change maps (with a uniform minus sign; the alternating signs
-    that make distinct double points anticommute live in the state-level
-    check signs), and the total is shifted by -(n_minus + 2 * n_double).
-    ``_bracket_cube`` builds all of it in place, in its final degrees, and
-    resolves each of the 2^n planar smoothings once: every scheme reads
-    them off the diagram with all its double points resolved negatively.
-
-    d^2 = 0 is checked once, on the total complex: its diagonal blocks are
-    the d^2 of each bracket cube, and its off-diagonal blocks say that each
-    crossing-change map is a chain map and that the maps at distinct
-    double points anticommute.  With ``half`` it is the half cube XC of
-    ``invariants.homology_signature``, and d^2 = 0 is checked on that.
-    """
-    sites = _sites(d, site_order)
-    cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites, half)
-    cube.complex.validate()
-    return cube
+# the paper's name for the complex of a (singular) diagram, its cube; tools
+# that wrap it look it up here and in ``invariants`` too
+singular_complex = build_cube
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +79,8 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
         raise ContractViolation(f"crossing {c} is positive; the "
                                 "crossing-change map starts at a negative one")
     d_plus = d_minus.crossing_change(c)
-    S_minus = singular_complex(d_minus, F, site_order)
-    S_plus = singular_complex(d_plus, F, site_order)
+    S_minus = build_cube(d_minus, F, site_order)
+    S_plus = build_cube(d_plus, F, site_order)
 
     f = _phi_map(S_minus, S_plus, c)
     _require_chain_map(f, "crossing-change map")
@@ -266,7 +231,7 @@ def skein_triangle_report(d_minus: Diagram, d_plus: Diagram, d_sing: Diagram,
         raise ContractViolation("the rank identity needs field coefficients")
     b = skein_site(d_minus, d_plus, d_sing)
     g1 = genus_one_map(d_minus, b, F)
-    S_sing = singular_complex(d_sing, F)
+    S_sing = build_cube(d_sing, F)
     h_sing = S_sing.homology(graded=False)
     data = _by_degree(homology_functor_ranks(g1.map, F.graded))
     # over a field the homology of the source and target is their dimension

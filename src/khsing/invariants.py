@@ -2,10 +2,14 @@
 homology signatures.
 
 The Jones polynomial here is the unnormalized one (the unknot evaluates to
-q + 1/q), computed as the graded Euler characteristic of rational homology.
-An independent state-sum oracle computes the same polynomial without any
-homological machinery; their agreement is an end-to-end check of the sign
-and grading conventions.
+q + 1/q), computed as the graded Euler characteristic of the rational cube
+at (h, t) = (0, 0), which is that of its homology.  A singular diagram's
+cube is the cone of a crossing-change map f: X -> Y, and chi(Cone f) =
+chi(Y) - chi(X) is the skein relation.  An independent state-sum oracle
+computes the same polynomial without any homological machinery.  The
+Euler characteristic of a complex does not depend on its differentials,
+so their agreement checks the degree and q shifts and the circle counts,
+not the signs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from .diagram import Diagram
 from .errors import ContractViolation
 from .exactlinalg import HomologySummary, QQ, Ring, ZZ
 from .frobenius import FrobeniusAlgebra
-from .genusone import singular_complex
+# singular_complex is re-exported: tools that wrap it look it up here too
+from .genusone import singular_complex  # noqa: F401
 from .khcube import build_cube
 
 
@@ -89,17 +94,13 @@ _Q_UNKNOT = LaurentPoly({1: 1, -1: 1})
 
 def jones_polynomial(d: Diagram) -> LaurentPoly:
     """Graded Euler characteristic of rational Khovanov homology at
-    (h, t) = (0, 0); the unknot gives q + 1/q."""
+    (h, t) = (0, 0) of a diagram without double points; the unknot gives
+    q + 1/q."""
     if d.n_singular:
         raise ContractViolation(
             "Jones polynomial of a singular diagram is defined by skein "
-            "resolution; resolve the double points first")
-    F = FrobeniusAlgebra(QQ, 0, 0)
-    h = build_cube(d, F).homology(graded=True)
-    out = {}
-    for (i, j), free, _tors in h.groups:
-        out[j] = out.get(j, 0) + (-free if i % 2 else free)
-    return LaurentPoly(out)
+            "resolution; use jones_by_skein")
+    return jones_by_skein(d)
 
 
 def kauffman_bracket_oracle(d: Diagram) -> LaurentPoly:
@@ -128,13 +129,12 @@ def kauffman_bracket_oracle(d: Diagram) -> LaurentPoly:
 
 
 def jones_by_skein(d: Diagram) -> LaurentPoly:
-    """Jones polynomial of a singular diagram via the skein relation
-    value(double point) = value(positive) - value(negative)."""
-    if not d.n_singular:
-        return jones_polynomial(d)
-    b = d.singular_indices[0]
-    return (jones_by_skein(d.resolve_double_point(b, +1))
-            - jones_by_skein(d.resolve_double_point(b, -1)))
+    """Jones polynomial of a (singular) diagram: the graded Euler
+    characteristic of its cube over Q at (h, t) = (0, 0), which satisfies
+    the skein relation value(double point) = value(positive) -
+    value(negative) (see the module docstring)."""
+    return LaurentPoly(build_cube(d, FrobeniusAlgebra(QQ)).complex
+                       .graded_euler_characteristic())
 
 
 def homology_signature(d: Diagram, ring: Ring, h=0, t=0) -> HomologySummary:
@@ -162,9 +162,9 @@ def homology_signature(d: Diagram, ring: Ring, h=0, t=0) -> HomologySummary:
     """
     F = FrobeniusAlgebra(ring, h, t)
     if ring.p != 2 or not F.graded or d.n_crossings + d.free_loops == 0:
-        return singular_complex(d, F).homology()
+        return build_cube(d, F).homology()
     groups = {}
-    half = singular_complex(d, F, None, True).homology()
+    half = build_cube(d, F, None, True).homology()
     for (i, j), free, _ in half.groups:
         for q in (j, j + 2):
             groups[i, q] = groups.get((i, q), 0) + free

@@ -214,15 +214,39 @@ def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int,
     return block
 
 
-def build_cube(d: Diagram, F: FrobeniusAlgebra) -> CubeComplex:
-    """Evaluated cube of resolutions of a diagram without double points.
+def _sites(d: Diagram, site_order) -> tuple:
+    """The double points of ``d`` in ``site_order`` (default: index order)."""
+    sites = tuple(site_order) if site_order is not None else d.singular_indices
+    if sorted(sites) != sorted(d.singular_indices):
+        raise ContractViolation("site order must enumerate the double points")
+    return sites
 
-    The cube is built in its final degrees, shifted by -n_minus (see
-    ``_bracket_cube``); at (h, t) = (0, 0) it carries the quantum grading
-    j = internal + |s| + n_plus - 2*n_minus.  d^2 = 0 is checked once, on
-    the cube as built.
+
+def build_cube(d: Diagram, F: FrobeniusAlgebra, site_order=None,
+               half=False) -> CubeComplex:
+    """The complex of a diagram: its cube of resolutions over the crossings
+    and the double points ``site_order``, checked.
+
+    With no double points this is the normalized Khovanov cube.  Otherwise
+    it is the iterated mapping cone over the double points in flattened
+    form: each resolution scheme r contributes its bracket cube shifted up
+    by twice the number |r| of positive resolutions, glued by the
+    crossing-change maps (with a uniform minus sign; the alternating signs
+    that make distinct double points anticommute live in the state-level
+    check signs).  ``_bracket_cube`` builds all of it in place, in its
+    final degrees, shifted by -(n_minus + 2 * n_double), and resolves each
+    of the 2^n planar smoothings once.  At (h, t) = (0, 0) it carries the
+    quantum grading j = internal + |s| + n_plus - 2 * n_minus of each
+    resolved diagram.
+
+    d^2 = 0 is checked once, on the cube as built: its diagonal blocks are
+    the d^2 of each bracket cube, and its off-diagonal blocks say that each
+    crossing-change map is a chain map and that the maps at distinct
+    double points anticommute.  With ``half`` it is the half cube XC of
+    ``invariants.homology_signature``, and d^2 = 0 is checked on that.
     """
-    cube = _bracket_cube(d, F, -d.n_minus)
+    sites = _sites(d, site_order)
+    cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites, half)
     cube.complex.validate()
     return cube
 

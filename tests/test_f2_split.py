@@ -15,7 +15,7 @@ import pytest
 
 from util import random_singular_closures, uct_field_dims
 
-from khsing import genusone
+from khsing import khcube
 from khsing.cli import corpus_dir
 from khsing.diagram import from_braid, parse
 from khsing.errors import ParseError
@@ -178,13 +178,13 @@ class TestEdgeCases:
 
     def test_other_points_and_rings_keep_the_full_cube(self, monkeypatch):
         marks = []
-        bracket_cube = genusone._bracket_cube
+        bracket_cube = khcube._bracket_cube
 
         def recording_cube(d, F, shift, sites, half):
             marks.append(half)
             return bracket_cube(d, F, shift, sites, half)
 
-        monkeypatch.setattr(genusone, "_bracket_cube", recording_cube)
+        monkeypatch.setattr(khcube, "_bracket_cube", recording_cube)
         d = load("trefoil_pos")
         for ring, h, t in ((F2, 1, 0), (F2, 0, 1), (F3, 0, 0), (ZZ, 0, 0)):
             homology_signature(d, ring, h, t)

@@ -401,7 +401,7 @@ class TestNoCopyWithoutDoublePoint:
     def test_cube_differentials_taken_as_is(self, ring, monkeypatch):
         # an ordinary diagram's singular complex is its cube as built
         calls = {"cube": 0, "validate": 0}
-        bracket_cube, validate = genusone._bracket_cube, ChainComplex.validate
+        bracket_cube, validate = khcube._bracket_cube, ChainComplex.validate
 
         def counting_cube(*args):
             calls["cube"] += 1
@@ -411,7 +411,7 @@ class TestNoCopyWithoutDoublePoint:
             calls["validate"] += 1
             return validate(self)
 
-        monkeypatch.setattr(genusone, "_bracket_cube", counting_cube)
+        monkeypatch.setattr(khcube, "_bracket_cube", counting_cube)
         monkeypatch.setattr(ChainComplex, "validate", counting_validate)
         # T(2,5) and its mirror: an even and an odd normalization shift
         for kind, n_minus in ((1, 0), (-1, 5)):
@@ -720,15 +720,13 @@ class TestSkeinTriangle:
 
 
 class TestFunctorRanksDenseOracle:
-    def test_random_closures(self):
-        # H(f) of crossing-change maps against dense ranks of the whole
-        # bordered q-blocks, which owe nothing to the column maps.  Dense
-        # ranks over Q of a 4-letter closure ungraded take up to seconds,
-        # so these closures have 2 or 3 letters; 28 have a negative
-        # crossing, and 17 of them a nonzero H(f) somewhere
-        ds = [d for d in random_singular_closures(random.Random(28), 40,
-                                                  (2, 3))
-              if _negative_crossings(d)]
+    """H(f) of crossing-change maps against dense ranks of the whole
+    bordered q-blocks, which owe nothing to the column maps."""
+
+    @staticmethod
+    def _closures_with_nonzero_map(ds):
+        """Check every closure at 12 settings; the indices of those with a
+        nonzero H(f) somewhere."""
         nonzero = set()
         for k, d in enumerate(ds):
             c = _negative_crossings(d)[0]
@@ -741,7 +739,26 @@ class TestFunctorRanksDenseOracle:
                         k, str(ring), h, t, graded)
                     if any(r for _, _, r in got.values()):
                         nonzero.add(k)
+        return nonzero
+
+    def test_random_closures(self):
+        # 2 or 3 letters: 28 have a negative crossing, and 17 of them a
+        # nonzero H(f) somewhere
+        ds = [d for d in random_singular_closures(random.Random(28), 40,
+                                                  (2, 3))
+              if _negative_crossings(d)]
+        nonzero = self._closures_with_nonzero_map(ds)
         assert (len(ds), len(nonzero)) == (28, 17)
+
+    def test_four_letter_closures(self):
+        # 4 letters, whose ungraded bordered matrices at (1, 0) reach 76
+        # rows (56 for 2 or 3 letters): 7 have a negative crossing, and 4
+        # of them a nonzero H(f)
+        ds = [d for d in random_singular_closures(random.Random(28), 10,
+                                                  (4, 4))
+              if _negative_crossings(d)]
+        nonzero = self._closures_with_nonzero_map(ds)
+        assert (len(ds), len(nonzero)) == (7, 4)
 
 
 def _negative_crossings(d):
@@ -797,6 +814,21 @@ class TestSiteOrder:
         h_cone = cone(g.map).homology(graded=False)
         h_direct = singular_complex(d3, F).homology(graded=False)
         assert h_cone.groups == h_direct.groups
+
+    @pytest.mark.parametrize("order", [(0, 0), (1,), (0, 2)],
+                             ids=["repeated", "missing", "ordinary"])
+    def test_order_that_is_not_the_double_points_refused(self, order):
+        # double points 0 and 1, crossing 2 ordinary and negative: an
+        # order that repeats a site, leaves one out or names an ordinary
+        # crossing is refused by every builder that takes one
+        d = from_braid([(0, 0), (0, 0), (0, -1)], 2)
+        assert d.singular_indices == (0, 1) and d.crossing_sign(2) == -1
+        F = FrobeniusAlgebra(QQ, 0, 0)
+        msg = "site order must enumerate the double points"
+        for build in (build_cube, singular_complex_iterated,
+                      lambda d, F, order: genus_one_map(d, 2, F, order)):
+            with pytest.raises(ContractViolation, match=msg):
+                build(d, F, order)
 
 
 class TestR1Commutation:

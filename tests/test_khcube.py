@@ -8,7 +8,8 @@ from khsing.diagram import Diagram, from_braid, parse
 from khsing.errors import ContractViolation
 from khsing.exactlinalg import QQ, Ring, SparseMatrix, ZZ
 from khsing.frobenius import FrobeniusAlgebra
-from khsing.genusone import genus_one_map, singular_complex
+from khsing.genusone import (genus_one_map, singular_complex,
+                             singular_complex_iterated)
 from khsing import khcube
 from khsing.errors import ParseError
 from khsing.khcube import build_cube
@@ -164,10 +165,27 @@ class TestBuildCube:
         for pd in (TREFOIL_PD, HOPF_PD):
             build_cube(parse({"pd": pd}), F).complex.check_bidegree()
 
-    def test_singular_rejected(self):
-        F = FrobeniusAlgebra(ZZ, 0, 0)
-        with pytest.raises(ContractViolation):
-            build_cube(parse({"pd": HOPF_PD, "singular": [0]}), F)
+    @pytest.mark.parametrize("d", [
+        parse({"pd": HOPF_PD, "singular": [0]}),
+        from_braid([(0, 0), (0, 1), (0, 0)], 2),
+        from_braid([(0, 0), (1, -1), (0, 0), (1, 0)], 3)],
+        ids=["hopf", "2-braid", "3-braid"])
+    def test_singular_diagram_is_its_iterated_cone(self, d):
+        # a singular diagram's cube is the iterated mapping cone over its
+        # double points, flattened: the same degrees, ranks, q-degrees and
+        # homology as the literal cone
+        m = d.n_singular
+        assert m
+        for F in (FrobeniusAlgebra(ZZ, 0, 0), FrobeniusAlgebra(F2, 1, 0)):
+            cube = build_cube(d, F)
+            assert cube.sites == d.singular_indices
+            assert cube.shift == -d.n_minus - 2 * m
+            cone_cx = singular_complex_iterated(d, F)
+            assert cube.complex.ranks == cone_cx.ranks
+            if F.graded:
+                assert ({i: sorted(q) for i, q in cube.complex.q.items()}
+                        == {i: sorted(q) for i, q in cone_cx.q.items()})
+            assert cube.homology().groups == cone_cx.homology().groups
 
     def test_trefoil_homology_torsion(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)

@@ -4,7 +4,8 @@
 ``HOOKS`` table, so a renamed or deleted function breaks every traced
 benchmark run.  These tests resolve the pairs the way ``Tracer.install``
 does, without installing anything.  The tracer's source is read and
-executed here, so no bytecode is written next to it.
+executed here, so no bytecode is written next to it.  The last test pins
+the name the pipeline builds its cubes through, which the tracer wraps.
 """
 
 import importlib
@@ -42,3 +43,39 @@ def test_hooked_names_resolve(span):
         else:
             assert callable(getattr(owner, attr, None)), \
                 f"{owner_path}.{attr}"
+
+
+def test_cubes_are_built_through_the_hooked_name(monkeypatch):
+    # the tracer counts the cubes the pipeline builds by wrapping
+    # build_cube where its callers look it up; homology and the skein
+    # check must reach every cube through that name, or a traced run
+    # reads 0 on khcube.build_cube
+    from khsing import genusone, invariants
+    from khsing.cli import corpus_dir
+    from khsing.diagram import parse
+    from khsing.exactlinalg import QQ, Ring, ZZ
+    from khsing.frobenius import FrobeniusAlgebra
+
+    calls = []
+    for module in (invariants, genusone):
+        def counted(*args, _build=module.build_cube, **kwargs):
+            calls.append(args[0])
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_cube", counted)
+
+    def load(name):
+        return parse((corpus_dir() / f"{name}.json").read_text())
+
+    d = load("tref_sing")
+    F2 = Ring.prime_field(2)
+    # over F2 at (0, 0) the half cube, at (1, 0) the full one
+    for ring, h in ((ZZ, 0), (F2, 0), (F2, 1)):
+        calls.clear()
+        invariants.homology_signature(d, ring, h)
+        assert calls == [d], (str(ring), h)
+    # the cubes of the negative, the positive and the singular diagram
+    calls.clear()
+    triple = [load(f"tref_sing{end}") for end in ("_minus", "_plus", "")]
+    genusone.skein_triangle_report(*triple, FrobeniusAlgebra(QQ))
+    assert len(calls) == 3

@@ -13,10 +13,9 @@ closures, and generators of random complexes, chain maps, and homotopy
 data whose hypotheses hold by construction."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -203,24 +202,28 @@ def dense_smith_divisors(rows):
 
 
 def dense_rank_rational(rows):
-    """Row-reduction rank over Q with Fractions."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row_at = 0
-    for c in range(cols):
-        piv = next((r for r in range(row_at, len(m)) if m[r][c]), None)
+    """Rank over Q by fraction-free (Bareiss) elimination.  Each row is
+    scaled to integers by the lcm of its denominators; each pivot then
+    clears only the rows below it, and every entry stays an integer (a
+    minor of the scaled rows), divided exactly by the previous pivot."""
+    m = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        m.append([int(v * den) for v in row])
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if piv is None:
             continue
-        m[row_at], m[piv] = m[piv], m[row_at]
-        inv = 1 / m[row_at][c]
-        m[row_at] = [v * inv for v in m[row_at]]
-        for r in range(len(m)):
-            if r != row_at and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row_at])]
+        m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank]
+        p = pivot[c]
+        for r in range(rank + 1, len(m)):
+            row, f = m[r], m[r][c]
+            row[c:] = [(p * a - f * b) // prev
+                       for a, b in zip(row[c:], pivot[c:])]
+        prev = p
         rank += 1
-        row_at += 1
     return rank
 
 
