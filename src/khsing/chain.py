@@ -19,11 +19,12 @@ is a matrix of graded maps between summands, and ``_block_map`` turns it
 into components, so the cone's differential and each combinator's map are
 each stated as one grid.
 
-A ChainComplex checks d^2 = 0 when it is constructed, and nothing checks it
-again: ``shift`` and ``change_ring`` are exact images, and ``homology``
-checks only the bidegree.  A map keeps its chain condition; a cone checks
-only its map, an induced cone map its legs and square.  Homology and H(f)
-cut each q-block through the column maps of ``_reduced_blocks``.
+A ChainComplex checks d^2 = 0 and, if it carries q, the bidegree (1, 0)
+when it is built, and nothing re-checks: ``shift`` and ``change_ring`` are
+exact images, and a cone is graded only when its map keeps q.  A map keeps
+its chain condition; a cone checks only its map, an induced cone map its
+legs and square.  Homology and H(f) cut each q-block through the column
+maps of ``_reduced_blocks``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class ChainComplex:
         return m
 
     def validate(self):
+        """Check each differential's shape and ring, with q one q-degree
+        per generator and the bidegree (1, 0) of every entry, and d^2 = 0."""
         for i, m in self.diffs.items():
             if (m.rows, m.cols) != (self.rank(i + 1), self.rank(i)):
                 raise ContractViolation(
@@ -96,14 +99,17 @@ class ChainComplex:
                     f"expected {self.rank(i + 1)}x{self.rank(i)}")
             if m.ring != self.ring:
                 raise ContractViolation("differential ring mismatch")
+        if self.q is not None:
+            for i in set(self.q) | set(self.ranks):
+                if len(self.q.get(i, ())) != self.rank(i):
+                    raise ContractViolation(
+                        f"quantum degrees length mismatch at {i}")
+            if moved := _q_moved(self.diffs, self.q, self.q, 1):
+                raise ContractViolation(moved)
         for i in list(self.diffs):
             if i + 1 in self.diffs:
                 if not (self.diffs[i + 1] * self.diffs[i]).is_zero():
                     raise ContractViolation(f"d^2 != 0 at degree {i}")
-        for i, qs in (self.q or {}).items():
-            if len(qs) != self.rank(i):
-                raise ContractViolation(
-                    f"quantum degrees length mismatch at {i}")
 
     # -- constructions ---------------------------------------------------------
 
@@ -118,13 +124,6 @@ class ChainComplex:
     def change_ring(self, ring: Ring) -> "ChainComplex":
         diffs = {i: m.change_ring(ring) for i, m in self.diffs.items()}
         return ChainComplex._unchecked(ring, self.ranks, diffs, self.q)
-
-    def check_bidegree(self):
-        """Verify every differential entry preserves the quantum grading
-        (bidegree (1, 0)); requires q."""
-        if self.q is None:
-            raise ContractViolation("complex carries no quantum grading")
-        _check_q_kept(self.diffs, self.q, self.q, 1)
 
     # -- homology ---------------------------------------------------------------
 
@@ -141,7 +140,8 @@ class ChainComplex:
         ``place[i]``, every degree's column map: a column's place among the
         kept columns of its q-block, or None."""
         if graded:
-            self.check_bidegree()
+            if self.q is None:
+                raise ContractViolation("complex carries no quantum grading")
             blocks = {i: {} for i in self.degrees()}
             for i, by_q in blocks.items():
                 for ix, j in enumerate(self.q.get(i, ())):
@@ -168,14 +168,14 @@ class ChainComplex:
         grading when ``graded`` (by default, when the complex carries q).
         ``change_ring`` gives the complex over another ring.
 
-        d^2 = 0 was checked when the complex was built, so only the
-        bidegree (1, 0) of the differentials is checked here, when graded.
-        Each (degree, q-block) of each differential is then reduced once,
-        in ascending degree, by rank over a field and by Smith normal form
-        over Z: its rank counts at its source and at its target, its
-        divisors above 1 are torsion at its target.  A block is read through
-        its degree's column map, which drops the columns the unit pivots
-        below cancelled (``_reduced_blocks``).  Ungraded: one block a degree.
+        d^2 = 0 and the bidegree (1, 0) were checked when the complex was
+        built, so each (degree, q-block) of each differential is just
+        reduced once, in ascending degree, by rank over a field and by
+        Smith normal form over Z: its rank counts at its source and at its
+        target, its divisors above 1 are torsion at its target.  A block is
+        read through its degree's column map, which drops the columns the
+        unit pivots below cancelled (``_reduced_blocks``).  Ungraded: one
+        block a degree.
         """
         if graded is None:
             graded = self.q is not None
@@ -202,16 +202,17 @@ class ChainComplex:
                 f"total rank {self.total_rank()})")
 
 
-def _check_q_kept(maps: dict, qs: dict, qt: dict, step: int):
-    """Each entry of maps[i]: qs[i] -> qt[i + step] keeps the q-degree."""
+def _q_moved(maps: dict, qs: dict, qt: dict, step: int) -> str | None:
+    """None when each entry of maps[i]: qs[i] -> qt[i + step] keeps the
+    q-degree, else a message naming the first entry that moves it."""
     for i, m in maps.items():
         src, tgt = qs.get(i, ()), qt.get(i + step, ())
         for r, row in m.row_items():
             for c in row:
                 if tgt[r] != src[c]:
-                    raise ContractViolation(
-                        f"entry ({r},{c}) at degree {i} shifts q by "
-                        f"{tgt[r] - src[c]}")
+                    return (f"entry ({r},{c}) at degree {i} shifts q by "
+                            f"{tgt[r] - src[c]}")
+    return None
 
 
 @dataclass
@@ -360,8 +361,8 @@ def cone(f: ChainMap) -> ChainComplex:
     X^(i+1) of ``_cone_summands``, which holds the layout: index k of
     Cone(f)^i is generator k of Y^i when k < rank Y^i, else generator
     k - rank Y^i of X^(i+1).  The ranks and q-degrees are those of the
-    summands, and d is their ``_block_map``, each differential a graded
-    map of shift -1.
+    summands (no q if f moves it), and d is their ``_block_map``, each
+    differential a graded map of shift -1.
 
     d d = [[d_Y^2, d_Y f - f d_X], [0, d_X^2]] and Y, X are checked, so the
     cone checks only that ``f`` is a chain map.  It is kept on ``f`` and
@@ -382,9 +383,9 @@ def _cone(f: ChainMap) -> ChainComplex:
     d_X, d_Y = (ChainMap(P, P, P.diffs, -1) for P in (X, Y))
     diffs = _block_map([[d_Y, f], [None, -d_X]], summands, summands, -1)
     ranks = {i: sum(P.rank(i + o) for P, o in summands) for i in diffs}
-    q = None if X.q is None or Y.q is None else {
-        i: sum((tuple(P.q.get(i + o, ())) for P, o in summands), ())
-        for i in ranks}
+    graded = X.q and Y.q and _q_moved(f.components, X.q, Y.q, 0) is None
+    q = {i: sum((tuple(P.q.get(i + o, ())) for P, o in summands), ())
+         for i in ranks} if graded else None
     return ChainComplex._unchecked(Y.ring, ranks, diffs, q=q)
 
 
@@ -588,8 +589,8 @@ def homology_functor_ranks(f: ChainMap, graded: bool = False) -> dict:
         raise ContractViolation("degree-0 chain maps only")
     bx, rx, px = X._reduced_blocks(graded)
     by, ry, py = Y._reduced_blocks(graded)
-    if graded:
-        _check_q_kept(f.components, X.q, Y.q, 0)
+    if graded and (moved := _q_moved(f.components, X.q, Y.q, 0)):
+        raise ContractViolation(moved)
     _require_chain_map(f, "map inducing H(f)")
     keys = {(i, j) for b in (bx, by) for i, by_q in b.items() for j in by_q}
     out, built = {}, None

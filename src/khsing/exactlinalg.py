@@ -687,13 +687,15 @@ class HomologySummary:
         return sum(free for _, free, _ in self.groups)
 
     def ungraded(self) -> "HomologySummary":
-        """Collapse (i, j) keys onto the homological degree i."""
+        """Collapse (i, j) keys onto the homological degree i, each
+        degree's torsion written as one divisor chain, as ungraded."""
         acc = {}
         for k, free, torsion in self.groups:
-            i = k[0]
-            f0, t0 = acc.get(i, (0, ()))
-            acc[i] = (f0 + free, tuple(sorted(t0 + torsion)))
-        return HomologySummary.build(self.ring, acc)
+            f0, t0 = acc.get(k[0], (0, ()))
+            acc[k[0]] = (f0 + free, t0 + torsion)
+        return HomologySummary.build(self.ring, {
+            i: (free, [t for t in _divisor_chain(list(torsion)) if t > 1])
+            for i, (free, torsion) in acc.items()})
 
     def to_json_dict(self) -> dict:
         out = []

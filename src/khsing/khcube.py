@@ -34,17 +34,18 @@ table: these edges lie on its two local strands in either smoothing,
 ring once, for its at most 4 input bit patterns; the untouched circles
 keep their order, so each column moves them by a few mask-and-shift runs.
 A block depends only on one flat key: the four circle ids at the crossing
-of the two vertices, their circle counts and the edge sign.  So a cube
-build makes each block once, in one dict that lives for the build.  A
-cached block is already multiplied by its sign and reduced into the ring,
-zeros dropped, so each entry is written once, as it is stored, into a
-list of row dicts indexed by row, and each matrix keeps the nonempty
-rows, wrapped by ``SparseMatrix._unchecked``.  That is safe by
-construction: ``Ring.coerce`` made every value, every index is a
-generator of the two vertices (an offset plus circle bits below 2^k), no
-zero is written, and no empty row is kept.  Distinct edges never share an
-entry, so only the terms within a block are summed.  ``_phi_map``
-assembles the crossing-change chain map between two cubes the same way.
+of the two vertices, their circle counts and the edge sign.  Every edge
+looks it up in ``_edge_block``, so a cube build makes each block once, in
+one dict that lives for the build.  A cached block is already multiplied
+by its sign and reduced into the ring, zeros dropped, so each entry is
+written once, as it is stored, into a list of row dicts indexed by row,
+and each matrix keeps the nonempty rows, wrapped by
+``SparseMatrix._unchecked``.  That is safe by construction:
+``Ring.coerce`` made every value, every index is a generator of the two
+vertices (an offset plus circle bits below 2^k), no zero is written, and
+no empty row is kept.  Distinct edges never share an entry, so only the
+terms within a block are summed.  ``_phi_map`` assembles the
+crossing-change chain map between two cubes the same way.
 
 A half cube is the subcomplex XC of the generators on which circle 0
 carries x (``invariants.homology_signature`` reads F2 homology at (0, 0)
@@ -198,16 +199,18 @@ def _edge_entries(F: FrobeniusAlgebra, i1: int, i2: int, j1: int, j2: int,
             if col & top_s and row & top_t]
 
 
-def _phi_entries(F: FrobeniusAlgebra, blocks: dict, cfg, c: int, sign: int,
-                 half=False):
-    """``sign`` times the crossing change at crossing c out of a state
-    ``cfg`` that 1-smooths c, into the state with the same circles that
-    0-smooths it: the ``_edge_entries`` with the same circles before and
-    after (of the half cube with ``half``), looked up in or added to
-    ``blocks`` under a saddle's key."""
-    circ, ends, k = cfg.edge_circles, cfg.ends, cfg.n_circles
-    i1, i2 = circ[ends[4 * c]], circ[ends[4 * c + 2]]
-    key = (i1, i2, i1, i2, k, k, sign)
+def _edge_block(F: FrobeniusAlgebra, blocks: dict, cfg, tcfg, c: int,
+                sign: int, half=False):
+    """``sign`` times the edge at crossing c from state ``cfg`` to state
+    ``tcfg`` (of the half cube with ``half``): the ``_edge_entries`` of
+    the circles on the slot-0 and slot-2 edges of c in each state, looked
+    up in or added to ``blocks`` under its key (source circles, target
+    circles, both circle counts, sign).  A crossing change joins two
+    vertices of one smoothing, so there ``tcfg`` is ``cfg``."""
+    e0, e2 = cfg.ends[4 * c], cfg.ends[4 * c + 2]
+    circ, tcirc = cfg.edge_circles, tcfg.edge_circles
+    key = (circ[e0], circ[e2], tcirc[e0], tcirc[e2], cfg.n_circles,
+           tcfg.n_circles, sign)
     block = blocks.get(key)
     if block is None:
         block = blocks[key] = _edge_entries(F, *key, half)
@@ -274,18 +277,18 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     Vertex (r, s) (see ``CubeComplex``) sits in degree |s| + 2|r| + shift;
     within a degree the vertices are laid out by r, then by s, each in
     bit-tuple order.  A saddle edge (r, s) -> (r, s + c) is its check sign
-    times its ``_edge_entries``, a crossing-change edge
+    times its ``_edge_block``, a crossing-change edge
     (r, s) -> (r + k, s - b) at b = ``sites[k]`` minus its check sign times
-    its ``_edge_entries`` (through ``_phi_entries``): the table of the
-    local cobordism times the identity on the untouched circles.  Both
-    carry (-1)^shift, the sign W[shift] gives the differential.  At (h, t) = (0, 0) vertex (r, s) has quantum
-    degrees internal + |s| + n_plus - 2 * n_minus of its resolved diagram.
-    Each planar smoothing is resolved once (see the module docstring),
-    each block is built once per key, already in the ring, in a dict for
-    this call, and written by ``_put``; the rows are stored unchecked.
-    The edge loop reads the vertex offsets from lists indexed [r][s];
-    ``offsets`` is their dict.  With ``half`` it is the half cube XC of
-    the module docstring; the diagram must have a circle.  Over
+    its ``_edge_block``: the table of the local cobordism times the
+    identity on the untouched circles.  Both carry (-1)^shift, the sign
+    W[shift] gives the differential.  At (h, t) = (0, 0) vertex (r, s) has
+    quantum degrees internal + |s| + n_plus - 2 * n_minus of its resolved
+    diagram.  Each planar smoothing is resolved once (see the module
+    docstring), each block is built once per key, already in the ring, in
+    a dict for this call, and written by ``_put``; the rows are stored
+    unchecked.  The edge loop reads the vertex offsets from lists indexed
+    [r][s]; ``offsets`` is their dict.  With ``half`` it is the half cube
+    XC of the module docstring; the diagram must have a circle.  Over
     ``MAX_GENERATORS`` generators of the full cube raise ParseError, so
     every ring refuses the same diagrams: before resolving if the free
     loops (and one circle more if n > 0) give too many, else as they are
@@ -331,7 +334,6 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                 qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
         ranks[deg] = rank
 
-    ends = configs[0].ends  # shared; crossing c's circles: ends 4c, 4c + 2
     blocks = {}  # edge key -> its signed, ring-reduced entries, for this call
     diffs = {}
     for deg in sorted(levels):
@@ -340,7 +342,6 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
         for r, s in levels[deg]:
             flip, at_r = flips[r], at[r]
             cfg = configs[s ^ flip]
-            circ, k_src = cfg.edge_circles, cfg.n_circles
             col0 = at_r[s]
             sign = parity  # (-1)^shift times the check sign of bit c
             for c in range(n):
@@ -348,20 +349,14 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                     sign = -sign
                     continue
                 t = s | 1 << c
-                tcfg = configs[t ^ flip]
-                tcirc, e0, e2 = tcfg.edge_circles, ends[4 * c], ends[4 * c + 2]
-                key = (circ[e0], circ[e2], tcirc[e0], tcirc[e2], k_src,
-                       tcfg.n_circles, sign)
-                block = blocks.get(key)
-                if block is None:
-                    block = blocks[key] = _edge_entries(F, *key, half)
-                _put(rows, block, at_r[t], col0)
+                _put(rows, _edge_block(F, blocks, cfg, configs[t ^ flip], c,
+                                       sign, half), at_r[t], col0)
             for k, b in enumerate(sites):
                 if r >> k & 1 or not s >> b & 1:
                     continue
                 # the target vertex is smoothing cfg too
-                _put(rows, _phi_entries(F, blocks, cfg, b,
-                                        -parity * _sign_bits(s, b), half),
+                _put(rows, _edge_block(F, blocks, cfg, cfg, b,
+                                       -parity * _sign_bits(s, b), half),
                      at[r | 1 << k][s & ~(1 << b)], col0)
         m = _matrix(rows, ranks[deg], F.ring)
         if not m.is_zero():
@@ -376,7 +371,7 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
     degree up so that the map has degree 0.  Unchecked.
 
     Vertex (r, s) with c 1-smoothed maps to (r, s - c) by its check sign
-    times its ``_phi_entries``; every other vertex maps to zero.  Here two
+    times its ``_edge_block``; every other vertex maps to zero.  Here two
     separately resolved diagrams meet, so their circles are compared: as
     the walk data they are derived from (edge labels, the circle of each
     edge and the circle count), which are equal exactly when the circles
@@ -396,7 +391,7 @@ def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
                 != (tcfg.labels, tcfg.edge_circles, tcfg.n_circles)):
             raise ContractViolation(
                 "resolved configurations disagree; inconsistent cubes")
-        block = _phi_entries(F, blocks, cfg, c, _sign_bits(s, c))
+        block = _edge_block(F, blocks, cfg, cfg, c, _sign_bits(s, c))
         if block:
             deg = s.bit_count() + 2 * r.bit_count() + src.shift
             if deg not in comps:

@@ -93,6 +93,18 @@ class TestConstruction:
         with pytest.raises(ContractViolation, match="d\\^2 != 0 at degree 0"):
             ChainComplex(ZZ, {0: 1, 1: 1, 2: 1}, {0: one, 1: one})
 
+    def test_differential_that_moves_q_refused(self):
+        # the bidegree (1, 0) is checked where the complex is built
+        one = SparseMatrix.identity(1, ZZ)
+        with pytest.raises(ContractViolation,
+                           match=r"entry \(0,0\) at degree 0 shifts q by 2"):
+            ChainComplex(ZZ, {0: 1, 1: 1}, {0: one}, q={0: (1,), 1: (3,)})
+
+    def test_q_missing_at_a_degree_refused(self):
+        with pytest.raises(ContractViolation,
+                           match="quantum degrees length mismatch at 1"):
+            ChainComplex(ZZ, {0: 1, 1: 1}, {}, q={0: (1,)})
+
 
 class TestIsChainMap:
     def test_identity(self):
@@ -156,6 +168,13 @@ class TestCone:
                        random_family(rng, cube, cube, 0, 0.8).components)
         with pytest.raises(ContractViolation):
             cone(bad)
+
+    def test_cone_of_a_map_that_shifts_q_is_ungraded(self):
+        X = ChainComplex(QQ, {0: 2}, {}, q={0: (1, 3)})
+        C = cone(ChainMap(X, X, {0: SparseMatrix(2, 2, QQ, {1: {0: 1}})}))
+        assert C.q is None
+        assert C.homology() == C.homology(graded=False)
+        assert cone(identity_map(X)).q == {-1: (1, 3), 0: (1, 3)}
 
     def test_canonical_triangle_maps(self):
         rng = random.Random(9)
@@ -229,6 +248,24 @@ class TestHomology:
         h2 = cx.change_ring(Ring.prime_field(2)).homology(graded=False)
         # universal coefficients: the Z/2 class thickens the F2 dimensions
         assert h2.total_dimension() == 6
+
+    def test_grading_refused_without_q(self):
+        X = ChainComplex(QQ, {0: 1, 1: 1},
+                         {0: SparseMatrix.identity(1, QQ)})
+        with pytest.raises(ContractViolation,
+                           match="complex carries no quantum grading"):
+            X.homology(graded=True)
+        with pytest.raises(ContractViolation,
+                           match="complex carries no quantum grading"):
+            homology_functor_ranks(identity_map(X), graded=True)
+
+    @pytest.mark.parametrize("divisors", [(2, 3), (2, 4)])
+    def test_ungraded_summary_is_the_ungraded_homology(self, divisors):
+        # torsion in two q-blocks of one degree: Z/2 + Z/3 is Z/6, written
+        # as one divisor chain either way
+        d = SparseMatrix(2, 2, ZZ, {0: {0: divisors[0]}, 1: {1: divisors[1]}})
+        cx = ChainComplex(ZZ, {0: 2, 1: 2}, {0: d}, q={0: (1, 3), 1: (1, 3)})
+        assert cx.homology().ungraded() == cx.homology(graded=False)
 
     @pytest.mark.parametrize("target", [Ring.prime_field(2), ZZ, QQ], ids=str)
     def test_ring_change_out_of_fp_refused(self, target):

@@ -17,7 +17,7 @@ from khsing.genusone import (genus_one_map, singular_complex,
                              singular_complex_iterated, skein_site,
                              skein_triangle_report)
 from khsing.invariants import LaurentPoly, kauffman_bracket_oracle
-from khsing.khcube import _bracket_cube, _phi_entries, _phi_map, build_cube
+from khsing.khcube import _bracket_cube, _edge_block, _phi_map, build_cube
 
 from util import (_resolved_pieces, bracket_cube, circles, cone_pieces,
                   crossing_arcs, dense_functor_ranks,
@@ -56,7 +56,7 @@ def phi_block(cfg, c, F):
     """The crossing-change block out of state ``cfg`` at crossing c, as the
     cube builder makes it (sign +1), as a matrix on the state's module."""
     rows = {}
-    for r, col, v in _phi_entries(F, {}, cfg, c, 1):
+    for r, col, v in _edge_block(F, {}, cfg, cfg, c, 1):
         rows.setdefault(r, {})[col] = v
     n = 1 << cfg.n_circles
     return SparseMatrix(n, n, F.ring, rows)
@@ -295,7 +295,7 @@ class TestSingularComplex:
     def test_bidegree_on_singular(self):
         d = from_braid([(0, 0), (0, 1), (0, 1)], 2)
         S = singular_complex(d, FrobeniusAlgebra(ZZ, 0, 0))
-        S.complex.check_bidegree()
+        S.complex.validate()
 
     def test_order_independence(self):
         d = from_braid([(0, 0), (0, 0)], 2)

@@ -163,7 +163,7 @@ class TestBuildCube:
     def test_bidegree_at_zero(self):
         F = FrobeniusAlgebra(ZZ, 0, 0)
         for pd in (TREFOIL_PD, HOPF_PD):
-            build_cube(parse({"pd": pd}), F).complex.check_bidegree()
+            build_cube(parse({"pd": pd}), F).complex.validate()
 
     @pytest.mark.parametrize("d", [
         parse({"pd": HOPF_PD, "singular": [0]}),

@@ -372,7 +372,7 @@ def reference_reduced_blocks(cx: ChainComplex, graded: bool):
     and reduced whole; ``dropped[(i, j)]`` lists the columns left out of
     block j of d^i, the rows of the unit prefix of block j of d^(i-1)."""
     if graded:
-        cx.check_bidegree()
+        cx.validate()
         blocks = {i: {} for i in cx.degrees()}
         for i, by_q in blocks.items():
             for ix, j in enumerate(cx.q.get(i, ())):
