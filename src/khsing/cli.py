@@ -86,9 +86,12 @@ def _add_ring_args(p):
     p.add_argument("--ring", choices=sorted(_RINGS), default="z",
                    help="coefficient ring (default z, as q for skein-check)")
     p.add_argument("--h", type=int, default=0, metavar="H",
-                   help="deformation parameter h (default 0)")
+                   help="deformation parameter h (default 0); homology "
+                   "reads split roots, as at (1, 0), off the states")
     p.add_argument("--t", type=int, default=0, metavar="T",
-                   help="deformation parameter t (default 0)")
+                   help="deformation parameter t (default 0); homology "
+                   "takes a double root, as F2 at (0, 1), from (0, 0), and "
+                   "builds the cube where h^2 + 4t is not 0 or 1 over Z")
 
 
 def cmd_homology(args) -> int:

@@ -647,7 +647,9 @@ class HomologySummary:
 
     Keys are integers (homological degree) or (i, j) pairs when a quantum
     grading is available.  Only nonzero groups are stored.  ``build``
-    refuses a rank or torsion coefficient that is not an integer.
+    refuses a rank or torsion coefficient that is not an integer, and
+    writes each key's torsion as one divisor chain, so that summaries of
+    one group compare equal.
     """
 
     ring: Ring
@@ -658,9 +660,10 @@ class HomologySummary:
         rows = []
         for key, (free, torsion) in entries.items():
             free = ZZ.coerce(free)
-            torsion = tuple(sorted(map(ZZ.coerce, torsion)))
+            torsion = list(map(ZZ.coerce, torsion))
             if any(t <= 1 for t in torsion):
                 raise ContractViolation("torsion coefficients must exceed 1")
+            torsion = tuple(t for t in _divisor_chain(torsion) if t > 1)
             if ring.is_field and torsion:
                 raise ContractViolation("field homology cannot carry torsion")
             if free or torsion:
@@ -687,15 +690,13 @@ class HomologySummary:
         return sum(free for _, free, _ in self.groups)
 
     def ungraded(self) -> "HomologySummary":
-        """Collapse (i, j) keys onto the homological degree i, each
-        degree's torsion written as one divisor chain, as ungraded."""
+        """Collapse (i, j) keys onto the homological degree i, as
+        ungraded."""
         acc = {}
         for k, free, torsion in self.groups:
             f0, t0 = acc.get(k[0], (0, ()))
             acc[k[0]] = (f0 + free, t0 + torsion)
-        return HomologySummary.build(self.ring, {
-            i: (free, [t for t in _divisor_chain(list(torsion)) if t > 1])
-            for i, (free, torsion) in acc.items()})
+        return HomologySummary.build(self.ring, acc)
 
     def to_json_dict(self) -> dict:
         out = []

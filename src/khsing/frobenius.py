@@ -62,3 +62,17 @@ class FrobeniusAlgebra:
         if self.t != 0:
             out.append((0, 0, self.t))
         return out
+
+    def point_class(self):
+        """The class of (h, t) by D = h^2 + 4t, and the c of x -> x + c
+        that takes it to (0, 0) (0 unless D = 0).  x -> x + c maps
+        A(h + 2c, t - c^2 - h*c) onto A(h, t) and keeps the counit, the
+        comultiplication, the genus-one map and D.  "double": D = 0, c is
+        minus the double root.  "split": D is nonzero over a field or 1
+        over Z; the roots differ by a unit.  "cube": others, over Z."""
+        ring, h, t = self.ring, self.h, self.t
+        disc = ring.coerce(h * h + 4 * t)
+        if disc == 0:  # (p + 1) / 2 is 1/2 mod an odd p; over Z, h is even
+            root = t if ring.p == 2 else h * (ring.p + 1 if ring.p else 1) // 2
+            return "double", ring.coerce(-root)
+        return ("split" if ring.is_field or disc == 1 else "cube"), 0

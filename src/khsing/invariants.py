@@ -10,6 +10,11 @@ computes the same polynomial without any homological machinery.  The
 Euler characteristic of a complex does not depend on its differentials,
 so their agreement checks the degree and q shifts and the circle counts,
 not the signs.
+
+A homology signature at (h, t) routes by ``FrobeniusAlgebra.point_class``:
+split roots, as at (1, 0), or (0, 1) over a field, are read off the
+states; a double root, as F2 at (0, 1), is the (0, 0) signature
+translated, ungraded; any other point, as Z at (0, 1), builds the cube.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .exactlinalg import HomologySummary, QQ, Ring, ZZ
 from .frobenius import FrobeniusAlgebra
 # singular_complex is re-exported: tools that wrap it look it up here too
 from .genusone import singular_complex  # noqa: F401
-from .khcube import build_cube
+from .khcube import build_cube, split_ranks
 
 
 class LaurentPoly:
@@ -142,7 +147,7 @@ def homology_signature(d: Diagram, ring: Ring, h=0, t=0) -> HomologySummary:
 
     Graded by (i, j) at (h, t) = (0, 0), by homological degree otherwise;
     the summary is canonical and directly comparable across isotopic
-    diagrams.
+    diagrams.  Each point takes its class's route (module docstring).
 
     Over F2 at (0, 0) half the cube is built and reduced (Shumakovitch,
     arXiv:math/0405474): H(i, j) = H_XC(i, j) + H_XC(i, j - 2).  Mark
@@ -155,12 +160,16 @@ def homology_signature(d: Diagram, ring: Ring, h=0, t=0) -> HomologySummary:
     derivation of A, so nu commutes with merges and splits; it commutes
     with x_i1 + x_i2, as d_c x_c + x_c d_c = id gives id + id = 0.  So nu is
     a chain map and nu X + X nu = id.  Then X nu fixes XC (X^2 = 0), so it
-    splits C = XC (+) C/XC as complexes.  At (1, 0), x^2 = x breaks nu
-    (d_c(x x) = d_c(x) = 1, not 2x = 0), and over Z or Q 2x is not 0; off (0, 0) there
-    is no q to shift.  The empty diagram, with no circle to mark, takes
-    the full cube.
+    splits C = XC (+) C/XC as complexes.  Over Z or Q, 2x is not 0.  The
+    empty diagram, with no circle to mark, takes the full cube.
     """
     F = FrobeniusAlgebra(ring, h, t)
+    kind, _ = F.point_class()
+    if kind == "split":
+        return HomologySummary.build(ring, {
+            i: (free, ()) for i, free in split_ranks(d).items()})
+    if kind == "double" and not F.graded:
+        return homology_signature(d, ring, 0, 0).ungraded()
     if ring.p != 2 or not F.graded or d.n_crossings + d.free_loops == 0:
         return build_cube(d, F).homology()
     groups = {}

@@ -56,6 +56,9 @@ so XC is the upper half of each vertex: generator g' of a k-circle vertex
 is full generator 2^(k - 1) + g', with that generator's q-degree.  Each
 block keeps the entries whose column and row carry the top bit, and
 subtracts it from both.
+
+Where the roots of x^2 - hx - t split, ``split_ranks`` reads homology off
+the states; ``build_cube`` builds a cube at any point, the scan's oracle.
 """
 
 from __future__ import annotations
@@ -254,6 +257,58 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, site_order=None,
     return cube
 
 
+def split_ranks(d: Diagram) -> dict:
+    """Degree -> rank of the free homology of ``d`` at a point whose roots
+    split (``FrobeniusAlgebra.point_class``), read off the states.
+
+    Let the roots a, b differ by a unit, in a field extension if need be,
+    which keeps dimensions.  A has a basis of orthogonal idempotents e_i
+    (i = a, b) with x e_i = i e_i: m(e_i e_j) = delta_ij e_i, comul(e_i)
+    is a unit times e_i e_i, and the genus-one map scales e_i e_j by
+    j - i.  So every edge keeps the colour of each PD edge: C is the sum
+    of its parts C_k over colourings k.  C_k is the cone of a unit
+    isomorphism, so acyclic, at a crossing with one colour on both strands
+    (its saddles), and else at a site 1-smoothed in the one smoothing
+    sigma that k fixes (its crossing change).  Otherwise no edge stays in
+    C_k: one generator per r, at vertex (r, sigma | _flip(sites, r)), for
+    each proper colouring of the circle graph of sigma (a loop where a
+    crossing meets one circle twice).  ``_states`` refuses what the cube
+    would."""
+    sites = d.singular_indices
+    n, shift = d.n_crossings, -d.n_minus - 2 * len(sites)
+    flips = [_flip(sites, r) for r in range(1 << len(sites))]
+    ranks = {}
+    for sigma, cfg in enumerate(_states(d, sites)[1]):
+        count = 0 if sigma & flips[-1] else _colourings(cfg, n)
+        for r, flip in enumerate(flips if count else ()):
+            deg = (sigma | flip).bit_count() + 2 * r.bit_count() + shift
+            ranks[deg] = ranks.get(deg, 0) + count
+    return ranks
+
+
+def _colourings(cfg, n: int) -> int:
+    """The proper 2-colourings of the graph of the circles of ``cfg``, joined
+    at each crossing: 2^(its components) if it is bipartite, else 0."""
+    graph = [[] for _ in range(cfg.n_circles)]
+    for c in range(n):
+        i, j = (cfg.edge_circles[cfg.ends[4 * c + k]] for k in (0, 2))
+        graph[i].append(j)
+        graph[j].append(i)
+    colour, count = [-1] * len(graph), 1
+    for v in range(len(graph)):
+        if colour[v] < 0:
+            colour[v], todo, count = 0, [v], 2 * count
+            while todo:
+                u = todo.pop()
+                for w in graph[u]:
+                    if colour[w] < 0:
+                        colour[w] = 1 - colour[u]
+                        todo.append(w)
+                    elif colour[w] == colour[u]:
+                        return 0
+    return count
+
+
 def _put(rows: list, block, row0: int, col0: int):
     """Write a (row, col, value) ``block`` into the row dicts ``rows``,
     indexed by row, at (row0, col0)."""
@@ -266,6 +321,26 @@ def _matrix(rows: list, cols: int, ring) -> SparseMatrix:
     nonempty rows kept."""
     return SparseMatrix._unchecked(len(rows), cols, ring, {
         i: row for i, row in enumerate(rows) if row})
+
+
+def _states(d: Diagram, sites):
+    """``d`` with every site resolved negatively, and its 2^n smoothings
+    resolved, by mask.  Over ``MAX_GENERATORS`` generators in the full cube
+    raise ParseError, for every ring and route: before resolving if the
+    free loops (and a circle if n > 0) give too many, else as resolved."""
+    n, m = d.n_crossings, len(sites)
+    if n + m + d.free_loops + (n > 0) >= MAX_GENERATORS.bit_length():
+        raise ParseError(_TOO_LARGE)
+    neg = d
+    for b in sites:
+        neg = neg.resolve_double_point(b, -1)
+    configs, size = [], 0
+    for s in range(1 << n):
+        configs.append(neg.resolve_bits(s))
+        size += 1 << (configs[-1].n_circles + m)
+        if size > MAX_GENERATORS:
+            raise ParseError(_TOO_LARGE)
+    return neg, configs
 
 
 def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
@@ -288,24 +363,11 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     a dict for this call, and written by ``_put``; the rows are stored
     unchecked.  The edge loop reads the vertex offsets from lists indexed
     [r][s]; ``offsets`` is their dict.  With ``half`` it is the half cube
-    XC of the module docstring; the diagram must have a circle.  Over
-    ``MAX_GENERATORS`` generators of the full cube raise ParseError, so
-    every ring refuses the same diagrams: before resolving if the free
-    loops (and one circle more if n > 0) give too many, else as they are
-    resolved."""
+    XC of the module docstring; the diagram must have a circle.
+    ``_states`` refuses a cube that is too large."""
     n, m = d.n_crossings, len(sites)
-    if n + m + d.free_loops + (n > 0) >= MAX_GENERATORS.bit_length():
-        raise ParseError(_TOO_LARGE)
     parity = -1 if shift % 2 else 1
-    neg = d  # every site resolved negatively
-    for b in sites:
-        neg = neg.resolve_double_point(b, -1)
-    configs, size = [], 0
-    for s in range(1 << n):
-        configs.append(neg.resolve_bits(s))
-        size += 1 << (configs[-1].n_circles + m)
-        if size > MAX_GENERATORS:
-            raise ParseError(_TOO_LARGE)
+    neg, configs = _states(d, sites)
     flips = [_flip(sites, r) for r in range(1 << m)]
     # a positive site moves a crossing from n_minus to n_plus: 3 more
     q_neg = neg.n_plus - 2 * neg.n_minus

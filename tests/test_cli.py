@@ -150,6 +150,20 @@ class TestHomologyCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert built == []
 
+    @pytest.mark.parametrize("args", [["--ring", "f2", "--h", "1"],
+                                      ["--ring", "q", "--t", "1"]])
+    def test_too_large_refused_where_read_off_the_states(self, tmp_path,
+                                                         capsys, args):
+        # 2^23 generators in the cube: the split points build none, yet
+        # refuse the same diagrams
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"pd": [], "free_loops": 23}))
+        code = main(["homology", str(path), *args])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: diagram too large")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_file_exit_one(self):
         code, _, _ = run(["homology", "/nonexistent/d.json"])
         assert code == 1

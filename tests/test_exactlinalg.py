@@ -496,3 +496,10 @@ class TestHomologySummary:
     def test_ungraded_collapse(self):
         s = HomologySummary.build(ZZ, {(0, 1): (1, ()), (0, 3): (2, (2,))})
         assert s.ungraded().group(0) == (3, (2,))
+
+    def test_torsion_written_as_a_divisor_chain(self):
+        # Z/2 + Z/3 is Z/6: one group, one summary
+        assert HomologySummary.build(ZZ, {0: (0, (2, 3))}) == \
+            HomologySummary.build(ZZ, {0: (0, (6,))})
+        s = HomologySummary.build(ZZ, {0: (1, (4, 2, 6)), 1: (0, (3, 3))})
+        assert s.group(0) == (1, (2, 2, 12)) and s.group(1) == (0, (3, 3))

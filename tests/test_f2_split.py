@@ -176,21 +176,25 @@ class TestEdgeCases:
             with pytest.raises(ParseError, match="too large"):
                 homology_signature(d, ring)
 
-    def test_other_points_and_rings_keep_the_full_cube(self, monkeypatch):
+    def test_route_of_each_point(self, monkeypatch):
+        # F2 at (1, 0) is read off the states, with no cube; F2 at (0, 1)
+        # translates to (0, 0), so half a cube; other rings at (0, 0) and
+        # Z at (0, 1) build the full one
         marks = []
         bracket_cube = khcube._bracket_cube
 
         def recording_cube(d, F, shift, sites, half):
-            marks.append(half)
+            marks.append((str(F.ring), F.h, F.t, half))
             return bracket_cube(d, F, shift, sites, half)
 
         monkeypatch.setattr(khcube, "_bracket_cube", recording_cube)
         d = load("trefoil_pos")
-        for ring, h, t in ((F2, 1, 0), (F2, 0, 1), (F3, 0, 0), (ZZ, 0, 0)):
+        for ring, h, t in ((F2, 1, 0), (F2, 0, 1), (F3, 0, 0), (ZZ, 0, 0),
+                           (ZZ, 0, 1), (F2, 0, 0)):
             homology_signature(d, ring, h, t)
-        assert marks == [False] * 4
-        homology_signature(d, F2)
-        assert marks[-1] is True
+        assert marks == [("F2", 0, 0, True), ("F3", 0, 0, False),
+                         ("Z", 0, 0, False), ("Z", 0, 1, False),
+                         ("F2", 0, 0, True)]
 
 
 def test_each_square_checked_once_on_the_half_cube(monkeypatch):

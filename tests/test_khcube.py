@@ -12,7 +12,7 @@ from khsing.genusone import (genus_one_map, singular_complex,
                              singular_complex_iterated)
 from khsing import khcube
 from khsing.errors import ParseError
-from khsing.khcube import build_cube
+from khsing.khcube import build_cube, split_ranks
 
 from util import (SignModule, bracket_cube, check_sign, cone_pieces, dual,
                   reference_bracket_differentials, reference_labels,
@@ -273,6 +273,20 @@ class TestSizeGuard:
         monkeypatch.setattr(khcube, "MAX_GENERATORS", size - 1)
         with pytest.raises(ParseError, match="too large"):
             singular_complex(d, F)
+
+    @pytest.mark.parametrize("word", [[(0, 1)] * 5,
+                                      [(0, 0), (0, -1), (0, 0), (0, 1)]])
+    def test_scan_limit_is_the_full_cube_count(self, word, monkeypatch):
+        # the state scan builds no cube, but it refuses what the cube
+        # would: read at the full cube's size, refused one below it
+        d = from_braid(word, 2)
+        size = singular_complex(d, FrobeniusAlgebra(ZZ)).complex.total_rank()
+        ranks = split_ranks(d)
+        monkeypatch.setattr(khcube, "MAX_GENERATORS", size)
+        assert split_ranks(d) == ranks
+        monkeypatch.setattr(khcube, "MAX_GENERATORS", size - 1)
+        with pytest.raises(ParseError, match="too large"):
+            split_ranks(d)
 
     def test_refused_before_resolving(self, monkeypatch):
         # 3 crossings and 20 free loops: every state has 2^21 generators or

@@ -69,11 +69,12 @@ def test_cubes_are_built_through_the_hooked_name(monkeypatch):
 
     d = load("tref_sing")
     F2 = Ring.prime_field(2)
-    # over F2 at (0, 0) the half cube, at (1, 0) the full one
-    for ring, h in ((ZZ, 0), (F2, 0), (F2, 1)):
+    # over F2 at (0, 0) and (0, 1) the half cube, over Z at (0, 1) the
+    # full one; a point read off the states builds no cube
+    for ring, h, t in ((ZZ, 0, 0), (F2, 0, 0), (F2, 0, 1), (ZZ, 0, 1)):
         calls.clear()
-        invariants.homology_signature(d, ring, h)
-        assert calls == [d], (str(ring), h)
+        invariants.homology_signature(d, ring, h, t)
+        assert calls == [d], (str(ring), h, t)
     # the cubes of the negative, the positive and the singular diagram
     calls.clear()
     triple = [load(f"tref_sing{end}") for end in ("_minus", "_plus", "")]
