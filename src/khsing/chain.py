@@ -11,13 +11,19 @@ A homotopy is a graded map too: ``Homotopy`` is the ChainMap of shift
 of degree -1), so homotopies and chain maps share ``compose``, ``+`` and
 ``-``.  Each combinator checks the relation it needs, d H + H d or
 d H - H d (the sign differs between anticommutator and commutator
-identities), against one expression in those operations.
+identities), equal to a - b for two composites a and b
+(``_require_relation``).  Where H is zero it compares a with b, and a
+chain map's check compares d_Y f with +-f d_X: no side is subtracted from
+the other unless they differ, to report the residual.
 
 A cone is a direct sum, Cone(f)^i = Y^i (+) X^(i+1) with Y first; that
 layout is stated once, by ``_cone_summands``.  A map into or out of a cone
-is a matrix of graded maps between summands, and ``_block_map`` turns it
-into components, so the cone's differential and each combinator's map are
-each stated as one grid.
+is a matrix of graded maps between summands, each block optionally with a
+sign, and ``_block_map`` turns it into components, so the cone's
+differential and each combinator's map are each stated as one grid.  Each
+row of each block is written once, with its place and sign, by
+``SparseMatrix.block``: -d_X and a negated homotopy are never built as
+copies of their own.
 
 A ChainComplex checks d^2 = 0 and, if it carries q, the bidegree (1, 0)
 when it is built, and nothing re-checks: ``shift`` and ``change_ring`` are
@@ -298,10 +304,18 @@ def is_chain_map(f: ChainMap) -> ChainMapCheck:
 
 
 def _chain_check(f: ChainMap) -> ChainMapCheck:
-    defect = _family_defect(f, 1 if f.shift % 2 else -1)
-    for i in sorted(defect):
-        if not defect[i].is_zero():
-            return ChainMapCheck(False, i, defect[i])
+    """Compare d_Y f with (-1)^shift f d_X degreewise, in ascending degree;
+    the first degree where they differ is reported with the residual
+    d_Y f - (-1)^shift f d_X."""
+    X, Y = f.source, f.target
+    for i in sorted(set(X.degrees()) | set(f.components)):
+        lhs = Y.diff(i - f.shift) * f.component(i)
+        rhs = f.component(i + 1) * X.diff(i)
+        if f.shift % 2 == 0 and lhs == rhs:
+            continue
+        residual = lhs + rhs if f.shift % 2 else lhs - rhs
+        if not residual.is_zero():
+            return ChainMapCheck(False, i, residual)
     return ChainMapCheck(True)
 
 
@@ -341,10 +355,26 @@ def _family_defect(H: ChainMap, sign: int) -> dict:
     return out
 
 
-def _require_relation(defect: dict, rhs: ChainMap, what: str):
-    """Each component of ``defect`` must equal that of the graded map rhs."""
-    for i, m in defect.items():
-        r = rhs.component(i)
+def _signed(g) -> tuple:
+    """``(sign, map)`` of a graded map, or of a pair (sign, map) that stands
+    for the map times the sign, +1 or -1."""
+    return g if type(g) is tuple else (1, g)
+
+
+def _require_relation(H: ChainMap, sign: int, a, b, what: str):
+    """Require d_Y H + sign * H d_X = a - b at each degree of H's source and
+    components, for graded maps a and b, each maybe signed (``_signed``).
+    Where H is zero this compares a with b; the difference is formed only
+    to report a failure."""
+    (sa, a), (sb, b) = _signed(a), _signed(b)
+    zero = H.is_zero()
+    defect = {} if zero else _family_defect(H, sign)
+    for i in set(H.source.degrees()) | set(H.components):
+        ai, bi = a.component(i), b.component(i)
+        if zero and ai == (bi if sa == sb else -bi):
+            continue
+        m = SparseMatrix.zero(ai.rows, ai.cols, ai.ring) if zero else defect[i]
+        r = ai.scale(sa) - bi.scale(sb)
         if m != r:
             raise ContractViolation(
                 f"hypothesis {what} fails at degree {i}; residual has "
@@ -362,7 +392,8 @@ def cone(f: ChainMap) -> ChainComplex:
     Cone(f)^i is generator k of Y^i when k < rank Y^i, else generator
     k - rank Y^i of X^(i+1).  The ranks and q-degrees are those of the
     summands (no q if f moves it), and d is their ``_block_map``, each
-    differential a graded map of shift -1.
+    differential a graded map of shift -1.  Each row of d_Y, f and d_X is
+    written once, in place and with its sign: -d_X is not built first.
 
     d d = [[d_Y^2, d_Y f - f d_X], [0, d_X^2]] and Y, X are checked, so the
     cone checks only that ``f`` is a chain map.  It is kept on ``f`` and
@@ -381,7 +412,7 @@ def _cone(f: ChainMap) -> ChainComplex:
     X, Y = f.source, f.target
     summands = _cone_summands(f)
     d_X, d_Y = (ChainMap(P, P, P.diffs, -1) for P in (X, Y))
-    diffs = _block_map([[d_Y, f], [None, -d_X]], summands, summands, -1)
+    diffs = _block_map([[d_Y, f], [None, (-1, d_X)]], summands, summands, -1)
     ranks = {i: sum(P.rank(i + o) for P, o in summands) for i in diffs}
     graded = X.q and Y.q and _q_moved(f.components, X.q, Y.q, 0) is None
     q = {i: sum((tuple(P.q.get(i + o, ())) for P, o in summands), ())
@@ -397,21 +428,25 @@ def _cone_summands(f: ChainMap, k: int = 0) -> tuple:
 
 def _block_map(grid, source, target, shift: int = 0) -> dict:
     """Components of the map of direct sums ``source`` -> ``target``[shift]
-    whose block from summand c to summand r is the graded map grid[r][c]
-    (None for zero).  Summands are (P, o) as in ``_cone_summands``: the
-    block from (P, o) to (Q, p) maps P -> Q[shift + o - p], and its
-    component at degree i of the sum is its component at i + o."""
+    whose block from summand c to summand r is grid[r][c]: None for zero,
+    a graded map, or a pair (sign, graded map) for the map times the sign,
+    +1 or -1.  Summands are (P, o) as in ``_cone_summands``: the block from
+    (P, o) to (Q, p) maps P -> Q[shift + o - p], and its component at
+    degree i of the sum is its component at i + o.  ``SparseMatrix.block``
+    writes each row of each component once, with its offsets and sign."""
+    grid = [[g if g is None else _signed(g) for g in row] for row in grid]
     for row, (_, p) in zip(grid, target):
         for g, (_, o) in zip(row, source):
-            if g is not None and g.shift != shift + o - p:
+            if g is not None and g[1].shift != shift + o - p:
                 raise ContractViolation(
-                    f"block of shift {g.shift} where {shift + o - p} fits")
+                    f"block of shift {g[1].shift} where {shift + o - p} fits")
     ring = source[0][0].ring
     comps = {}
     for i in sorted({d - o for P, o in source for d in P.degrees()}):
         comps[i] = SparseMatrix.block(
-            [[None if g is None else g.component(i + o)
-              for g, (_, o) in zip(row, source)] for row in grid],
+            [[None if g is None or (m := g[1].components.get(i + o)) is None
+              else (g[0], m) for g, (_, o) in zip(row, source)]
+             for row in grid],
             [Q.rank(i - shift + p) for Q, p in target],
             [P.rank(i + o) for P, o in source], ring)
     return comps
@@ -443,8 +478,12 @@ def cone_functorial_map(f: ChainMap, f_prime: ChainMap, u: ChainMap,
     The square has legs u: X' -> X, v: Y' -> Y and homotopy F with
     d_Y F + F d_X' = f u - v f'.  The induced map Phi = [[v, -F], [0, u]]
     has d Phi - Phi d = [[dv - vd, fu - vf' - (dF + Fd)], [0, ud - du]]: it
-    is a chain map exactly when the legs are and the square holds.
+    is a chain map exactly when the legs are and the square holds.  A leg
+    may be given signed, as a pair (sign, map) (``_signed``): it is then
+    the map times the sign, and Phi gets its rows written with that sign,
+    so a negated leg is never built as a copy.
     """
+    (su, u), (sv, v) = _signed(u), _signed(v)
     X, Y = f.source, f.target
     Xp, Yp = f_prime.source, f_prime.target
     if F is None:
@@ -453,12 +492,13 @@ def cone_functorial_map(f: ChainMap, f_prime: ChainMap, u: ChainMap,
             F.target, F.shift) != (Xp, X, 0, Yp, Y, 0, Xp, Y, 1):
         raise ContractViolation("legs must be degree-0 maps X' -> X, Y' -> Y "
                                 "and F a degree -1 family X' -> Y")
-    _require_relation(_family_defect(F, +1), f.compose(u) - v.compose(f_prime),
+    _require_relation(F, +1, (su, f.compose(u)), (sv, v.compose(f_prime)),
                       "dF + Fd = fu - vf'")
     _require_chain_map(u, "leg u of the induced cone map")
     _require_chain_map(v, "leg v of the induced cone map")
     out = ChainMap(cone(f_prime), cone(f), _block_map(
-        [[v, -F], [None, u]], _cone_summands(f_prime), _cone_summands(f)))
+        [[(sv, v), (-1, F)], [None, (su, u)]], _cone_summands(f_prime),
+        _cone_summands(f)))
     out._check = ChainMapCheck(True)
     return out
 
@@ -472,8 +512,9 @@ def cone_factor(f: ChainMap, g: ChainMap, H: Homotopy | None = None) -> ChainMap
     Z = g.target
     if H is None:
         H = Homotopy.zero(f.source, Z)
-    _require_relation(_family_defect(H, +1), -g.compose(f), "dH + Hd = -gf")
-    out = ChainMap(cone(f), Z, _block_map([[g, -H]], _cone_summands(f),
+    _require_relation(H, +1, ChainMap(f.source, Z, {}), g.compose(f),
+                      "dH + Hd = -gf")
+    out = ChainMap(cone(f), Z, _block_map([[g, (-1, H)]], _cone_summands(f),
                                           ((Z, 0),)))
     _require_chain_map(out, "factored map")
     return out
@@ -494,18 +535,16 @@ def cone_hfunc_homotopy(f: ChainMap, g: ChainMap, f_prime: ChainMap,
         if not pair[0].compose(pair[1]).is_zero():
             raise ContractViolation(f"composite {name} is not strictly zero")
     Z = g.target
-    _require_relation(_family_defect(Psi, -1),
-                      g.compose(F) + G.compose(f_prime),
+    _require_relation(Psi, -1, g.compose(F), (-1, G.compose(f_prime)),
                       "dPsi - Psi d = gF + Gf'")
 
     ghat = cone_factor(f, g)
     ghat_p = cone_factor(f_prime, g_prime)
     Fstar = cone_functorial_map(f, f_prime, u, v, F)
     Ghat = Homotopy(Fstar.source, Z, _block_map(
-        [[G, -Psi]], _cone_summands(f_prime), ((Z, 0),), 1), degree=-1)
+        [[G, (-1, Psi)]], _cone_summands(f_prime), ((Z, 0),), 1), degree=-1)
     # the identity this family is claimed to satisfy, checked entrywise
-    _require_relation(_family_defect(Ghat, +1),
-                      ghat.compose(Fstar) - w.compose(ghat_p),
+    _require_relation(Ghat, +1, ghat.compose(Fstar), w.compose(ghat_p),
                       "d Ghat + Ghat d = ghat F* - w ghat'")
     return Ghat
 
@@ -531,14 +570,11 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
                        ((h_prime, g_prime), "h'g'")):
         if not pair[0].compose(pair[1]).is_zero():
             raise ContractViolation(f"composite {name} is not strictly zero")
-    _require_relation(_family_defect(Psi, -1),
-                      g.compose(F) + G.compose(f_prime),
+    _require_relation(Psi, -1, g.compose(F), (-1, G.compose(f_prime)),
                       "dPsi - Psi d = gF + Gf'")
-    _require_relation(_family_defect(Xi, -1),
-                      h.compose(G) + H.compose(g_prime),
+    _require_relation(Xi, -1, h.compose(G), (-1, H.compose(g_prime)),
                       "dXi - Xi d = hG + Hg'")
-    _require_relation(_family_defect(Gamma, +1),
-                      h.compose(Psi) - Xi.compose(f_prime),
+    _require_relation(Gamma, +1, h.compose(Psi), Xi.compose(f_prime),
                       "dGamma + Gamma d = h Psi - Xi f'")
 
     Fstar = cone_functorial_map(f, f_prime, uX, uY, F)
@@ -550,12 +586,12 @@ def cone_cocone_homotopy(f, g, h, f_prime, g_prime, h_prime,
     _require_chain_map(r_prime, "canonical map r'")
 
     Gstar = Homotopy(Fstar.source, r.target, _block_map(
-        [[-Xi, Gamma], [G, -Psi]], _cone_summands(f_prime),
+        [[(-1, Xi), Gamma], [G, (-1, Psi)]], _cone_summands(f_prime),
         _cone_summands(h, 1), 1), degree=-1)
     hstar_shift = ChainMap(r_prime.target, r.target,
                            {i: Hstar.component(i - 1) for i in r_prime.target.degrees()})
-    _require_relation(_family_defect(Gstar, +1),
-                      r.compose(Fstar) - hstar_shift.compose(r_prime),
+    _require_relation(Gstar, +1, r.compose(Fstar),
+                      hstar_shift.compose(r_prime),
                       "d Gamma* + Gamma* d = r F* - H*[1] r'")
     return Gstar
 

@@ -7,10 +7,12 @@ routine, ``_eliminate``, over Z or modulo a prime p, on rows it owns.
 
 A ``SparseMatrix`` stores rows, ``{row: {col: int}}``.  The builders hand
 rows to its checked constructor; products, sums, blocks and ring changes
-are built unchecked from checked matrices.  A q-block is not built at
-all: ``_cut`` reads its rows, through a column map, straight into the
-elimination's own rows.  The ``data`` view, ``{(row, col): value}``,
-serves callers outside the package only.
+are built unchecked from checked matrices.  A product with a zero factor
+is zero at once, and a block matrix writes each row of each block once,
+with its offsets and sign.  A q-block is not built at all: ``_cut``
+reads its rows, through a column map, straight into the elimination's own
+rows.  The ``data`` view, ``{(row, col): value}``, serves callers outside
+the package only.
 
 Every entry is a Python int.  Z and Q store the same integers, Z/p stores
 residues in [0, p); a value that is not an integer is refused.  The ring
@@ -255,6 +257,8 @@ class SparseMatrix:
             raise ContractViolation(
                 f"shape mismatch in product: {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
+        if not self._rows or not other._rows:
+            return SparseMatrix.zero(self.rows, other.cols, self.ring)
         p = self.ring.p
         right = other._rows
         data = {}
@@ -292,25 +296,50 @@ class SparseMatrix:
 
     @classmethod
     def block(cls, grid, row_sizes, col_sizes, ring: Ring) -> "SparseMatrix":
-        """Assemble a block matrix over ``ring``; ``grid[i][j]`` may be None
-        for zero."""
+        """Assemble a block matrix over ``ring``.  ``grid[i][j]`` is None
+        for zero, a matrix, or a pair ``(sign, matrix)`` for the matrix
+        times the sign, +1 or -1.
+
+        Each row of each block is written once, with its column offset and
+        sign applied as it is written.  A row band whose one nonzero block
+        sits at column offset 0 with sign +1 shares that block's rows, as a
+        derived matrix may; every other row is a new dict, so assembling
+        changes no block."""
         roff = [0]
         for s in row_sizes:
             roff.append(roff[-1] + s)
         coff = [0]
         for s in col_sizes:
             coff.append(coff[-1] + s)
-        data = {}
+        p, data = ring.p, {}
         for i, row in enumerate(grid):
+            live = []  # (column offset, negated, rows) of the nonzero blocks
             for j, blk in enumerate(row):
+                sign, blk = blk if type(blk) is tuple else (1, blk)
                 if blk is None:
                     continue
                 if (blk.rows, blk.cols, blk.ring) != (row_sizes[i],
                                                       col_sizes[j], ring):
                     raise ContractViolation("block shape or ring mismatch")
-                for r, brow in blk._rows.items():
-                    data.setdefault(roff[i] + r, {}).update(
-                        (coff[j] + c, v) for c, v in brow.items())
+                if sign not in (1, -1):
+                    raise ContractViolation(f"block sign {sign!r} is not +-1")
+                if blk._rows:
+                    live.append((coff[j], sign < 0, blk._rows))
+            r0 = roff[i]
+            if len(live) == 1 and live[0][:2] == (0, False):
+                for r, brow in live[0][2].items():
+                    data[r0 + r] = brow
+                continue
+            for k, (c0, neg, rows) in enumerate(live):
+                placed = _placed(rows, r0, c0, neg, p)
+                if not k:
+                    data.update(placed)
+                    continue
+                for r, row in placed.items():
+                    if (have := data.get(r)) is None:
+                        data[r] = row
+                    else:
+                        have.update(row)
         return cls._unchecked(roff[-1], coff[-1], ring, data)
 
     def change_ring(self, ring: Ring) -> "SparseMatrix":
@@ -349,6 +378,18 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return len(self.diagonal)
+
+
+def _placed(rows: dict, r0: int, c0: int, neg: bool, p: int | None) -> dict:
+    """New rows: ``rows`` moved down by ``r0`` and right by ``c0``, negated
+    if ``neg`` (mod p if given)."""
+    if neg:
+        return {r + r0: {c + c0: p - v if p else -v for c, v in row.items()}
+                for r, row in rows.items()}
+    if c0:
+        return {r + r0: {c + c0: v for c, v in row.items()}
+                for r, row in rows.items()}
+    return {r + r0: row.copy() for r, row in rows.items()}
 
 
 def _axpy(y: dict, f: int, x: dict, p: int | None) -> None:

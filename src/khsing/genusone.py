@@ -66,12 +66,14 @@ class GenusOneMap:
 
 
 def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
-                  site_order=None) -> GenusOneMap:
+                  site_order=None, *, _blocks=None) -> GenusOneMap:
     """Crossing-change map out of a diagram with a negative crossing at c.
 
     The target diagram is ``d_minus`` with crossing c made positive; other
     double points are allowed and are carried along as sites of both
-    cubes.  The construction is verified to be a chain map.
+    cubes.  The construction is verified to be a chain map.  Both cubes and
+    the map share one edge-block table (``khcube._edge_block``): that of
+    this call, or ``_blocks``, that of a caller in this module.
     """
     if d_minus.kinds[c] != ORDINARY:
         raise ContractViolation(f"crossing {c} is a double point")
@@ -79,10 +81,11 @@ def genus_one_map(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
         raise ContractViolation(f"crossing {c} is positive; the "
                                 "crossing-change map starts at a negative one")
     d_plus = d_minus.crossing_change(c)
-    S_minus = build_cube(d_minus, F, site_order)
-    S_plus = build_cube(d_plus, F, site_order)
+    blocks = {} if _blocks is None else _blocks
+    S_minus = build_cube(d_minus, F, site_order, _blocks=blocks)
+    S_plus = build_cube(d_plus, F, site_order, _blocks=blocks)
 
-    f = _phi_map(S_minus, S_plus, c)
+    f = _phi_map(S_minus, S_plus, c, blocks)
     _require_chain_map(f, "crossing-change map")
     return GenusOneMap(S_minus, S_plus, f, c)
 
@@ -109,13 +112,16 @@ def singular_complex_iterated(d: Diagram, F: FrobeniusAlgebra,
     serves the m leaf maps along its edges of the cube of resolutions, one
     per double point, and is dropped after the m-th.  Each cube's d^2, leaf
     map's chain condition and square is checked once, where it is built.
+    A second table, made here and dropped on return too, holds the edge
+    blocks (``khcube._edge_block``) that every cube and leaf map of the
+    call shares, so each block is made once per call.
     """
     sites = _sites(d, site_order)
     if not sites:
         return build_cube(d, F).complex
     b = sites[0]
     return cone(_iterated_phi(d.resolve_double_point(b, -1), b, F, sites[1:],
-                              {}, len(sites)))
+                              ({}, {}), len(sites)))
 
 
 def _diagram_key(d: Diagram) -> tuple:
@@ -125,44 +131,49 @@ def _diagram_key(d: Diagram) -> tuple:
 
 
 def _iterated_phi(d_minus: Diagram, c: int, F: FrobeniusAlgebra,
-                  sites, built: dict, m: int) -> ChainMap:
+                  sites, tables: tuple, m: int) -> ChainMap:
     """Crossing-change map between iterated-cone complexes, looked up in or
-    added to ``built`` (see ``singular_complex_iterated``; ``m`` counts all
-    its double points).  The remaining ``sites`` are exactly the double
-    points of ``d_minus``, so the key (diagram key, c, sites) fixes the
-    map."""
+    added to the maps and cubes of ``tables`` (see
+    ``singular_complex_iterated``, which made them with their edge blocks;
+    ``m`` counts all its double points).  The remaining ``sites`` are
+    exactly the double points of ``d_minus``, so the key (diagram key, c,
+    sites) fixes the map."""
+    built, blocks = tables
     key = (_diagram_key(d_minus), c, sites)
     if key in built:
         return built[key]
     d_plus = d_minus.crossing_change(c)
     if not sites:
         # checked where it is coned or used as a leg
-        phi = _phi_map(_cached_cube(d_minus, F, built, m),
-                       _cached_cube(d_plus, F, built, m), c)
+        phi = _phi_map(_cached_cube(d_minus, F, tables, m),
+                       _cached_cube(d_plus, F, tables, m), c, blocks)
     else:
         b, rest = sites[0], sites[1:]
         x_minus = d_minus.resolve_double_point(b, -1)
-        f_prime = _iterated_phi(x_minus, b, F, rest, built, m)
+        f_prime = _iterated_phi(x_minus, b, F, rest, tables, m)
         f = _iterated_phi(d_plus.resolve_double_point(b, -1), b, F, rest,
-                          built, m)
-        u = _iterated_phi(x_minus, c, F, rest, built, m)
+                          tables, m)
+        u = _iterated_phi(x_minus, c, F, rest, tables, m)
         v = _iterated_phi(d_minus.resolve_double_point(b, +1), c, F, rest,
-                          built, m)
+                          tables, m)
         # crossing-change maps at distinct sites anticommute (check signs),
-        # so the square commutes strictly once the X-leg is negated
-        phi = cone_functorial_map(f, f_prime, -u, v)
+        # so the square commutes strictly once the X-leg is negated, which
+        # the induced map writes with its sign instead of a negated copy
+        phi = cone_functorial_map(f, f_prime, (-1, u), v)
     built[key] = phi
     return phi
 
 
-def _cached_cube(d: Diagram, F: FrobeniusAlgebra, built: dict,
+def _cached_cube(d: Diagram, F: FrobeniusAlgebra, tables: tuple,
                  uses: int) -> CubeComplex:
-    """``build_cube(d, F)``, looked up in or added to ``built`` and dropped
-    from it at its ``uses``-th lookup."""
+    """``build_cube(d, F)`` over the edge blocks of ``tables``, looked up in
+    or added to its cubes and dropped from them at its ``uses``-th
+    lookup."""
+    built, blocks = tables
     key = _diagram_key(d)
     entry = built.get(key)
     if entry is None:
-        entry = built[key] = [build_cube(d, F), uses]
+        entry = built[key] = [build_cube(d, F, _blocks=blocks), uses]
     entry[1] -= 1
     if not entry[1]:
         del built[key]
@@ -225,13 +236,17 @@ def skein_triangle_report(d_minus: Diagram, d_plus: Diagram, d_sing: Diagram,
 
     Field coefficients are required for the rank bookkeeping.  The singular
     side is computed independently (flattened construction), so exactness
-    genuinely tests the pipeline.
+    genuinely tests the pipeline.  Its cube, the two cubes of the
+    crossing-change map and the map share one edge-block table
+    (``khcube._edge_block``), made here and dropped on return, so each
+    block is made once per call.
     """
     if not F.ring.is_field:
         raise ContractViolation("the rank identity needs field coefficients")
     b = skein_site(d_minus, d_plus, d_sing)
-    g1 = genus_one_map(d_minus, b, F)
-    S_sing = build_cube(d_sing, F)
+    blocks = {}
+    g1 = genus_one_map(d_minus, b, F, _blocks=blocks)
+    S_sing = build_cube(d_sing, F, _blocks=blocks)
     h_sing = S_sing.homology(graded=False)
     data = _by_degree(homology_functor_ranks(g1.map, F.graded))
     # over a field the homology of the source and target is their dimension

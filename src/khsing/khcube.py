@@ -33,13 +33,16 @@ table: these edges lie on its two local strands in either smoothing,
 (slot1, slot2) when 1-smoothed.  The table is signed and reduced into the
 ring once, for its at most 4 input bit patterns; the untouched circles
 keep their order, so each column moves them by a few mask-and-shift runs.
-A block depends only on one flat key: the four circle ids at the crossing
-of the two vertices, their circle counts and the edge sign.  Every edge
-looks it up in ``_edge_block``, so a cube build makes each block once, in
-one dict that lives for the build.  A cached block is already multiplied
-by its sign and reduced into the ring, zeros dropped, so each entry is
-written once, as it is stored, into a list of row dicts indexed by row,
-and each matrix keeps the nonempty rows, wrapped by
+A block depends only on the algebra and one flat key: the four circle ids
+at the crossing of the two vertices, their circle counts, the edge sign and
+whether the cube is a half cube.  Every edge looks it up in
+``_edge_block``, in a table of the top-level call: a cube build makes its
+own, and the constructions of ``genusone`` make one per call that every
+cube and map they build shares, so each block is made once per call and
+dropped on return.  Nothing is kept between calls.  A cached block is
+already multiplied by its sign and reduced into the ring, zeros dropped,
+so each entry is written once, as it is stored, into a list of row dicts
+indexed by row, and each matrix keeps the nonempty rows, wrapped by
 ``SparseMatrix._unchecked``.  That is safe by construction:
 ``Ring.coerce`` made every value, every index is a generator of the two
 vertices (an offset plus circle bits below 2^k), no zero is written, and
@@ -207,16 +210,17 @@ def _edge_block(F: FrobeniusAlgebra, blocks: dict, cfg, tcfg, c: int,
     """``sign`` times the edge at crossing c from state ``cfg`` to state
     ``tcfg`` (of the half cube with ``half``): the ``_edge_entries`` of
     the circles on the slot-0 and slot-2 edges of c in each state, looked
-    up in or added to ``blocks`` under its key (source circles, target
-    circles, both circle counts, sign).  A crossing change joins two
-    vertices of one smoothing, so there ``tcfg`` is ``cfg``."""
+    up in or added to ``blocks``, a table of one call over ``F``, under its
+    key (source circles, target circles, both circle counts, sign, half).
+    A crossing change joins two vertices of one smoothing, so there
+    ``tcfg`` is ``cfg``."""
     e0, e2 = cfg.ends[4 * c], cfg.ends[4 * c + 2]
     circ, tcirc = cfg.edge_circles, tcfg.edge_circles
     key = (circ[e0], circ[e2], tcirc[e0], tcirc[e2], cfg.n_circles,
-           tcfg.n_circles, sign)
+           tcfg.n_circles, sign, half)
     block = blocks.get(key)
     if block is None:
-        block = blocks[key] = _edge_entries(F, *key, half)
+        block = blocks[key] = _edge_entries(F, *key)
     return block
 
 
@@ -229,7 +233,7 @@ def _sites(d: Diagram, site_order) -> tuple:
 
 
 def build_cube(d: Diagram, F: FrobeniusAlgebra, site_order=None,
-               half=False) -> CubeComplex:
+               half=False, *, _blocks=None) -> CubeComplex:
     """The complex of a diagram: its cube of resolutions over the crossings
     and the double points ``site_order``, checked.
 
@@ -250,9 +254,15 @@ def build_cube(d: Diagram, F: FrobeniusAlgebra, site_order=None,
     crossing-change map is a chain map and that the maps at distinct
     double points anticommute.  With ``half`` it is the half cube XC of
     ``invariants.homology_signature``, and d^2 = 0 is checked on that.
+    ``_blocks`` is the edge-block table of a caller in this package that
+    builds several cubes over ``F`` (see ``_edge_block``); by default the
+    build makes its own.
     """
     sites = _sites(d, site_order)
-    cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites, half)
+    # the caller's table, or none, for one of the build's own
+    table = () if _blocks is None else (_blocks,)
+    cube = _bracket_cube(d, F, -d.n_minus - 2 * len(sites), sites, half,
+                         *table)
     cube.complex.validate()
     return cube
 
@@ -272,13 +282,14 @@ def split_ranks(d: Diagram) -> dict:
     sigma that k fixes (its crossing change).  Otherwise no edge stays in
     C_k: one generator per r, at vertex (r, sigma | _flip(sites, r)), for
     each proper colouring of the circle graph of sigma (a loop where a
-    crossing meets one circle twice).  ``_states`` refuses what the cube
-    would."""
+    crossing meets one circle twice).  Only the smoothings sigma that
+    0-smooth every site are resolved, unless the full cube might be too
+    large (``_states``), which then refuses what the cube would."""
     sites = d.singular_indices
     n, shift = d.n_crossings, -d.n_minus - 2 * len(sites)
     flips = [_flip(sites, r) for r in range(1 << len(sites))]
     ranks = {}
-    for sigma, cfg in enumerate(_states(d, sites)[1]):
+    for sigma, cfg in _states(d, sites, scan=True)[1].items():
         count = 0 if sigma & flips[-1] else _colourings(cfg, n)
         for r, flip in enumerate(flips if count else ()):
             deg = (sigma | flip).bit_count() + 2 * r.bit_count() + shift
@@ -323,28 +334,42 @@ def _matrix(rows: list, cols: int, ring) -> SparseMatrix:
         i: row for i, row in enumerate(rows) if row})
 
 
-def _states(d: Diagram, sites):
+def _states(d: Diagram, sites, scan=False):
     """``d`` with every site resolved negatively, and its 2^n smoothings
-    resolved, by mask.  Over ``MAX_GENERATORS`` generators in the full cube
-    raise ParseError, for every ring and route: before resolving if the
-    free loops (and a circle if n > 0) give too many, else as resolved."""
+    resolved, in a list by mask.  Over ``MAX_GENERATORS`` generators in the
+    full cube raise ParseError, for every ring and route: before resolving
+    if the free loops (and a circle if n > 0) give too many, else as
+    resolved.
+
+    With ``scan``, a dict by mask of the 2^(n - m) smoothings that 0-smooth
+    every site.  A site's saddle moves the circle count by one, so the
+    smoothings that 1-smooth a set T of sites have at most 2^|T| times
+    the generators of those that 0-smooth them all, and the full cube at
+    most 3^m times theirs.  Only where that bound passes ``MAX_GENERATORS``
+    are the other smoothings resolved, for the full count to decide."""
     n, m = d.n_crossings, len(sites)
     if n + m + d.free_loops + (n > 0) >= MAX_GENERATORS.bit_length():
         raise ParseError(_TOO_LARGE)
     neg = d
     for b in sites:
         neg = neg.resolve_double_point(b, -1)
-    configs, size = [], 0
+    skip = sum(1 << b for b in sites) if scan else 0
+    weight = 3 ** m if scan else 1
+    configs, size = {}, 0
     for s in range(1 << n):
-        configs.append(neg.resolve_bits(s))
-        size += 1 << (configs[-1].n_circles + m)
+        if s & skip:
+            continue
+        configs[s] = neg.resolve_bits(s)
+        size += weight << configs[s].n_circles + m
         if size > MAX_GENERATORS:
+            if scan:
+                return neg, dict(enumerate(_states(d, sites)[1]))
             raise ParseError(_TOO_LARGE)
-    return neg, configs
+    return neg, configs if scan else list(configs.values())
 
 
 def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
-                  sites=(), half=False) -> CubeComplex:
+                  sites=(), half=False, blocks=None) -> CubeComplex:
     """The cube of resolutions of ``d`` over its crossings and the double
     points ``sites``, built in place as W[shift], unchecked: the caller
     checks d^2 = 0 on it or on the complex it is assembled into.
@@ -360,9 +385,10 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     quantum degrees internal + |s| + n_plus - 2 * n_minus of its resolved
     diagram.  Each planar smoothing is resolved once (see the module
     docstring), each block is built once per key, already in the ring, in
-    a dict for this call, and written by ``_put``; the rows are stored
-    unchecked.  The edge loop reads the vertex offsets from lists indexed
-    [r][s]; ``offsets`` is their dict.  With ``half`` it is the half cube
+    the edge-block table ``blocks`` (by default one for this call), and
+    written by ``_put``; the rows are stored unchecked.  The edge loop
+    reads the vertex offsets from lists indexed [r][s]; ``offsets`` is
+    their dict.  With ``half`` it is the half cube
     XC of the module docstring; the diagram must have a circle.
     ``_states`` refuses a cube that is too large."""
     n, m = d.n_crossings, len(sites)
@@ -396,7 +422,8 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
                 qdeg.setdefault(deg, []).extend(v + j for v in internal[k])
         ranks[deg] = rank
 
-    blocks = {}  # edge key -> its signed, ring-reduced entries, for this call
+    if blocks is None:
+        blocks = {}  # edge key -> its signed, ring-reduced entries
     diffs = {}
     for deg in sorted(levels):
         rows = [{} for _ in range(ranks.get(deg + 1, 0))]
@@ -427,21 +454,24 @@ def _bracket_cube(d: Diagram, F: FrobeniusAlgebra, shift: int,
     return CubeComplex(cx, d, F, shift, tuple(sites), configs, offsets)
 
 
-def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int) -> ChainMap:
+def _phi_map(src: CubeComplex, tgt: CubeComplex, c: int,
+             blocks=None) -> ChainMap:
     """The crossing-change map at the negative crossing c of ``src`` into
     ``tgt``, the cube over the same sites with c made positive, built one
     degree up so that the map has degree 0.  Unchecked.
 
     Vertex (r, s) with c 1-smoothed maps to (r, s - c) by its check sign
-    times its ``_edge_block``; every other vertex maps to zero.  Here two
-    separately resolved diagrams meet, so their circles are compared: as
+    times its ``_edge_block``, looked up in the edge-block table ``blocks``
+    (by default one for this call); every other vertex maps to zero.  Here
+    two separately resolved diagrams meet, so their circles are compared: as
     the walk data they are derived from (edge labels, the circle of each
     edge and the circle count), which are equal exactly when the circles
     are."""
     if tgt.shift != src.shift + 1:
         raise ContractViolation(f"crossing {c} is not negative")
     F = src.algebra
-    blocks = {}
+    if blocks is None:
+        blocks = {}
     comps = {}
     for (r, s), col0 in src.offsets.items():
         if not s >> c & 1:

@@ -134,6 +134,79 @@ class TestIsChainMap:
         rhs = f.component(i + 1) * cube.diff(i)
         assert chk.residual == lhs - rhs
 
+    def test_identity_into_odd_shift(self):
+        # the identity X -> X[1] has shift -1: d_Y f = -f d_X holds, as
+        # X[1]'s differential is -d_X, and d_Y f = f d_X would not
+        X = ChainComplex(ZZ, {0: 1, 1: 1}, {0: SparseMatrix.identity(1, ZZ)})
+        f = ChainMap(X, X.shift(1), {i: SparseMatrix.identity(1, ZZ)
+                                     for i in (0, 1)}, shift=-1)
+        assert is_chain_map(f).ok
+        g = ChainMap(X, X.shift(1), {0: SparseMatrix.identity(1, ZZ)},
+                     shift=-1)
+        assert not is_chain_map(g).ok
+
+    def test_odd_shift_failure_certificate(self):
+        # the residual of a map of odd shift is d_Y f + f d_X
+        F = FrobeniusAlgebra(ZZ, 0, 0)
+        cube = build_cube(parse({"pd": TREFOIL_PD}), F).complex
+        bad = random_family(random.Random(42), cube, cube, 1, density=0.7)
+        f = ChainMap(cube, cube, bad.components, shift=-1)
+        chk = is_chain_map(f)
+        assert not chk.ok
+        i = chk.degree
+        lhs = cube.diff(i + 1) * f.component(i)
+        rhs = f.component(i + 1) * cube.diff(i)
+        assert chk.residual == lhs + rhs
+
+
+class TestBlockMapProperties:
+    """``_block_map`` against an entry-by-entry placement of signed blocks,
+    leaving every block unchanged."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from([ZZ, QQ, Ring.prime_field(3)]), st.data())
+    def test_components_match_placement(self, ring, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+        shift = data.draw(st.integers(-1, 1))
+
+        def summands():
+            return [(random_complex(rng, ring), data.draw(st.integers(-1, 1)))
+                    for _ in range(data.draw(st.integers(1, 3)))]
+
+        source, target = summands(), summands()
+        grid, signed = [], []
+        for r, (Q, p) in enumerate(target):
+            grid.append([])
+            signed.append([])
+            for c, (P, o) in enumerate(source):
+                # the first row band holds two blocks where it can
+                if not (r == 0 and c < 2 or data.draw(st.booleans())):
+                    grid[-1].append(None)
+                    signed[-1].append((1, None))
+                    continue
+                g = random_family(rng, P, Q, p - o - shift, density=0.6)
+                sign = data.draw(st.sampled_from((1, -1)))
+                plain = sign == 1 and data.draw(st.booleans())
+                grid[-1].append(g if plain else (sign, g))
+                signed[-1].append((sign, g))
+        def rows_of(g):
+            return {i: {r: dict(row) for r, row in m.row_items()}
+                    for i, m in g.components.items()}
+
+        before = [[rows_of(g) for _, g in row if g is not None]
+                  for row in signed]
+        comps = chain._block_map(grid, source, target, shift)
+        assert set(comps) == {d - o for P, o in source for d in P.degrees()}
+        for i, m in comps.items():
+            assert m == place_blocks(
+                [[None if g is None else g.component(i + o).scale(sign)
+                  for (sign, g), (_, o) in zip(row, source)]
+                 for row in signed],
+                [Q.rank(i - shift + p) for Q, p in target],
+                [P.rank(i + o) for P, o in source], ring)
+        assert before == [[rows_of(g) for _, g in row if g is not None]
+                          for row in signed]
+
 
 class TestCone:
     def test_cone_of_identity_contractible(self):
@@ -463,6 +536,18 @@ class TestConeFunctorialMap:
         C = cone(f)
         for i in C.degrees():
             assert out.component(i) == SparseMatrix.identity(C.rank(i), ZZ)
+
+    def test_signed_legs_are_the_negated_legs(self):
+        # legs given as (-1, u) and (-1, v) induce the map of the legs -u
+        # and -v, whose square holds with -F; a wrong sign fails the square
+        for seed, ring in ((20, ZZ), (21, QQ), (22, Ring.prime_field(3))):
+            f, f_prime, u, v, F = make_square(random.Random(seed), ring)
+            out = cone_functorial_map(f, f_prime, (-1, u), (-1, v), -F)
+            want = cone_functorial_map(f, f_prime, -u, -v, -F)
+            assert out.components == want.components
+            assert not v.compose(f_prime).is_zero()
+            with pytest.raises(ContractViolation, match="hypothesis"):
+                cone_functorial_map(f, f_prime, (-1, u), v, -F)
 
     def test_zero_maps_block_diagonal(self):
         rng = random.Random(12)

@@ -415,6 +415,48 @@ class TestRowAlgebraProperties:
         assert out == M(a, ring)
 
 
+class TestBlockAssemblyProperties:
+    """``SparseMatrix.block`` writes each row of each block once, with its
+    offsets and sign, and changes no block."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.sampled_from([ZZ, F2, F5]), st.data())
+    def test_block_matches_dense_placement(self, ring, data):
+        # the first row band holds two blocks, the first at column offset 0
+        row_sizes = [data.draw(st.integers(1, 4))] + data.draw(
+            st.lists(st.integers(0, 4), max_size=2))
+        col_sizes = [data.draw(st.integers(1, 4)) for _ in range(2)] + \
+            data.draw(st.lists(st.integers(0, 4), max_size=1))
+        grid, want, inputs = [], [], []
+        for bi, n in enumerate(row_sizes):
+            grid.append([])
+            band = [[0] * sum(col_sizes) for _ in range(n)]
+            for bj, m in enumerate(col_sizes):
+                if not (bi == 0 and bj < 2 or data.draw(st.booleans())):
+                    grid[-1].append(None)
+                    continue
+                a = data.draw(dense(n, m))
+                sign = data.draw(st.sampled_from((1, -1)))
+                B = SparseMatrix(n, m, ring, {r: dict(enumerate(row))
+                                              for r, row in enumerate(a)})
+                inputs.append((B, {r: dict(row) for r, row in B.row_items()}))
+                plain = sign == 1 and data.draw(st.booleans())
+                grid[-1].append(B if plain else (sign, B))
+                c0 = sum(col_sizes[:bj])
+                for r in range(n):
+                    for c in range(m):
+                        band[r][c0 + c] = sign * a[r][c]
+            want += band
+        out = SparseMatrix.block(grid, row_sizes, col_sizes, ring)
+        assert_stored_as(out, reduced(want, ring))
+        for B, rows in inputs:
+            assert dict(B.row_items()) == rows
+
+    def test_sign_must_be_a_unit(self):
+        with pytest.raises(ContractViolation, match="sign 2"):
+            SparseMatrix.block([[(2, M([[1]]))]], [1], [1], ZZ)
+
+
 class TestHomologyAt:
     def test_multiplication_by_two(self):
         d_in = M([[2]])

@@ -396,6 +396,47 @@ class TestIteratedAssemblyCounts:
         assert broken
 
 
+class TestEdgeBlockTable:
+    """One edge-block table per top-level call: each block is made once per
+    call, and nothing is kept for the next call."""
+
+    def counted_keys(self, monkeypatch):
+        keys = []
+        edge_entries = khcube._edge_entries
+
+        def counting(F, *key):
+            keys.append(key)
+            return edge_entries(F, *key)
+
+        monkeypatch.setattr(khcube, "_edge_entries", counting)
+        return keys
+
+    def test_iterated_cone_makes_each_block_once_per_call(self, monkeypatch):
+        keys = self.counted_keys(monkeypatch)
+        d = from_braid(S6_3DP, 3)
+        F = FrobeniusAlgebra(QQ, 0, 0)
+        singular_complex_iterated(d, F)
+        first = list(keys)
+        assert first and len(first) == len(set(first))
+        # the 8 cubes and 12 leaf maps share the blocks, and the next call
+        # makes them again
+        singular_complex_iterated(d, F)
+        assert keys == first + first
+
+    def test_skein_report_makes_each_block_once_per_call(self, monkeypatch):
+        keys = self.counted_keys(monkeypatch)
+        d = from_braid([(0, 0), (1, 1), (0, 1), (1, -1), (0, 1), (1, 1),
+                        (0, 1)], 3)
+        triple = (d.resolve_double_point(0, -1),
+                  d.resolve_double_point(0, +1), d)
+        F = FrobeniusAlgebra(QQ, 0, 0)
+        assert skein_triangle_report(*triple, F).ok
+        first = list(keys)
+        assert first and len(first) == len(set(first))
+        assert skein_triangle_report(*triple, F).ok
+        assert keys == first + first
+
+
 class TestNoCopyWithoutDoublePoint:
     @pytest.mark.parametrize("ring", [ZZ, F2], ids=str)
     def test_cube_differentials_taken_as_is(self, ring, monkeypatch):

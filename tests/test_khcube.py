@@ -288,6 +288,23 @@ class TestSizeGuard:
         with pytest.raises(ParseError, match="too large"):
             split_ranks(d)
 
+    def test_scan_resolves_only_the_smoothings_it_reads(self, monkeypatch):
+        # two double points among 6 crossings: the scan reads the 2^4
+        # smoothings that 0-smooth both, and 3^2 times their generators is
+        # within the limit, so it resolves no other
+        d = from_braid([(0, 0), (1, 1), (0, 1), (1, 0), (0, 1), (1, 1)], 3)
+        assert (d.n_crossings, d.n_singular) == (6, 2)
+        ranks = split_ranks(d)
+        calls = []
+        resolve_bits = Diagram.resolve_bits
+        monkeypatch.setattr(Diagram, "resolve_bits",
+                            lambda self, s: calls.append(s)
+                            or resolve_bits(self, s))
+        assert split_ranks(d) == ranks
+        assert len(calls) == 1 << 4
+        sites = sum(1 << b for b in d.singular_indices)
+        assert not any(s & sites for s in calls)
+
     def test_refused_before_resolving(self, monkeypatch):
         # 3 crossings and 20 free loops: every state has 2^21 generators or
         # more, 2^24 in all, so no state is resolved
